@@ -35,10 +35,8 @@ from .gerschgorin import (
 )
 from .matrix import (
     DenseMatrix,
-    LUFactors,
     char_fn,
     determinant,
-    lu_factor,
     parse_matrix,
     render_matrix,
 )
@@ -82,10 +80,8 @@ __all__ = [
     "InconsistentModesError",
     # matrices and determinants
     "DenseMatrix",
-    "LUFactors",
     "parse_matrix",
     "render_matrix",
-    "lu_factor",
     "determinant",
     "char_fn",
     # disc geometry

@@ -1,16 +1,15 @@
-"""Dense real matrices, LU factorization, and the characteristic function.
+"""Dense real matrices, determinants, and the characteristic function.
 
 The characteristic function ``f(lam) = det(lam*I - M)`` is the scalar whose
-real roots are the real eigenvalues of ``M``.  It is evaluated through a
-fresh LU factorization with partial pivoting on every call; nothing is
-cached, so call counts reflect true work.
+real roots are the real eigenvalues of ``M``.  Each call evaluates it at one
+``lam`` through one Householder QR factorization (a single LAPACK call made
+by numpy); nothing is cached, so call counts reflect true work.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +23,16 @@ from .errors import (
 
 __all__ = [
     "DenseMatrix",
-    "LUFactors",
     "parse_matrix",
     "render_matrix",
-    "lu_factor",
     "determinant",
     "char_fn",
 ]
 
-# Scale-aware zero test for pivots: |pivot| <= PIVOT_RTOL * max(1, ||M||_inf)
-# marks the matrix singular.  At desk scale this keeps 1e-16-level noise from
-# masquerading as a nonzero pivot.
+# Scale-aware zero test on the diagonal of the QR factor R:
+# min |R_ii| <= PIVOT_RTOL * max(1, ||M||_inf) marks the matrix singular.  At
+# desk scale this keeps 1e-16-level noise from masquerading as a nonzero
+# determinant, so an eigenvalue on a grid point reads as an exact zero.
 PIVOT_RTOL = 1e-13
 
 _TOKEN = re.compile(r"\S+")
@@ -75,24 +73,6 @@ class DenseMatrix:
 
     def __repr__(self):
         return f"DenseMatrix({self._entries.tolist()!r})"
-
-
-@dataclass(frozen=True)
-class LUFactors:
-    """Packed result of ``P*M = L*U`` with partial pivoting.
-
-    ``packed`` holds the unit-lower-triangular multipliers strictly below the
-    diagonal and the upper factor on and above it.  ``perm[i]`` is the source
-    row of row ``i`` after pivoting, ``parity`` the sign of that permutation.
-    When ``singular`` is set, elimination stopped at the first dead pivot
-    column and the factors beyond it are not meaningful.
-    """
-
-    order: int
-    packed: np.ndarray
-    perm: np.ndarray
-    parity: int
-    singular: bool
 
 
 def _significant_lines(text: str):
@@ -171,52 +151,27 @@ def render_matrix(matrix: DenseMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lu(a: np.ndarray) -> LUFactors:
-    # a is a fresh float64 square array owned by this function.
-    n = a.shape[0]
-    perm = np.arange(n)
-    parity = 1
-    singular = False
-    tol = PIVOT_RTOL * max(1.0, float(np.max(np.sum(np.abs(a), axis=1))))
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= tol:
-            singular = True
-            break
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
-            perm[[k, p]] = perm[[p, k]]
-            parity = -parity
-        if k + 1 < n:
-            a[k + 1 :, k] /= a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    a.flags.writeable = False
-    perm.flags.writeable = False
-    return LUFactors(order=n, packed=a, perm=perm, parity=parity, singular=singular)
-
-
-def lu_factor(matrix: DenseMatrix) -> LUFactors:
-    """Factor ``P*M = L*U`` by Gaussian elimination with partial pivoting.
-
-    Singularity is reported through the ``singular`` flag, never an
-    exception: when every pivot candidate in a column sits at or below the
-    scale-aware tolerance, the flag is set and elimination stops.
-    """
-    return _lu(np.array(matrix.entries, dtype=np.float64, copy=True))
-
-
-def _det_from_lu(lu: LUFactors) -> float:
-    if lu.singular:
+def _det(a: np.ndarray) -> float:
+    # One Householder QR, A = Q*R.  Each reflector with tau != 0 has
+    # determinant -1 (tau == 0 is the identity), so det(A) is that sign
+    # times the product of diag(R).  The raw layout is transposed, which
+    # leaves the diagonal in place.
+    h, tau = np.linalg.qr(a, mode="raw")
+    diag = h.diagonal()
+    tol = PIVOT_RTOL * max(1.0, float(abs(a).sum(axis=1).max()))
+    if abs(diag).min() <= tol:
         return 0.0
-    return float(lu.parity * np.prod(np.diagonal(lu.packed)))
+    det = float(diag.prod())
+    return -det if np.count_nonzero(tau) % 2 else det
 
 
 def determinant(matrix: DenseMatrix) -> float:
-    """Determinant via LU: parity times the product of the pivots.
+    """Determinant via Householder QR: the reflectors' sign times ``prod(diag R)``.
 
-    Exactly 0.0 whenever the factorization flags the matrix singular.
+    Exactly 0.0 whenever some ``|R_ii|`` sits at or below the scale-aware
+    tolerance ``PIVOT_RTOL * max(1, ||M||_inf)``.
     """
-    return _det_from_lu(lu_factor(matrix))
+    return _det(matrix.entries)
 
 
 def char_fn(matrix: DenseMatrix, lam: float) -> float:
@@ -224,10 +179,10 @@ def char_fn(matrix: DenseMatrix, lam: float) -> float:
 
     Monic convention: for ``lam`` above every Gerschgorin upper bound the
     value is strictly positive.  ``lam*I - M`` is materialized freshly per
-    call; the cost is one O(n^3) factorization.
+    call; the cost is one O(n^3) QR factorization, so each call is exactly
+    one determinant evaluation.
     """
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
-    shifted = lam * np.eye(matrix.order) - matrix.entries
-    return _det_from_lu(_lu(shifted))
+    return _det(lam * np.eye(matrix.order) - matrix.entries)

@@ -28,6 +28,22 @@ _SVG_STYLE = (
 )
 
 
+# Tick steps are 1, 2, 5, 10, 20, 50, ...: the smallest that keeps at most
+# this many ticks.  Views spanning up to this many integers keep step 1.
+_MAX_TICKS = 20
+
+
+def _ticks(lo: float, hi: float) -> list[int]:
+    """Integer tick positions in [lo, hi] on the smallest 1-2-5 step that fits."""
+    scale = 1
+    while True:
+        for step in (scale, 2 * scale, 5 * scale):
+            first, last = math.ceil(lo / step), math.floor(hi / step)
+            if last - first < _MAX_TICKS:
+                return [i * step for i in range(first, last + 1)]
+        scale *= 10
+
+
 def _f(x: float) -> str:
     # fixed six decimals everywhere a coordinate appears
     return f"{x:.6f}"
@@ -45,6 +61,7 @@ def render_svg(
     axes, A discs, B discs, band, tick labels, so the band shades whatever
     it overlaps.  The viewBox hugs the union of disc extents with a 10%
     margin and falls back to [-1, 1] x [-1, 1] when there are no discs.
+    Ticks sit on integers 1, 2, 5, 10, 20, ... apart, at most 20 of them.
     """
     discs = list(discs_a) + list(discs_b)
     if discs:
@@ -87,9 +104,7 @@ def render_svg(
         f'<line class="axis" x1="{_f(vb_x)}" y1="{_f(0.0)}" '
         f'x2="{_f(vb_x + vb_w)}" y2="{_f(0.0)}"/>'
     )
-    tick_lo = math.ceil(vb_x)
-    tick_hi = math.floor(vb_x + vb_w)
-    ticks = list(range(tick_lo, tick_hi + 1))
+    ticks = _ticks(vb_x, vb_x + vb_w)
     for t in ticks:
         lines.append(
             f'<line class="tick" x1="{_f(float(t))}" y1="{_f(-tick_len)}" '

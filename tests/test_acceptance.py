@@ -128,7 +128,7 @@ def test_05_bounds_contain_symmetric_spectra():
 
 
 def test_06_determinant_against_cofactor_oracle():
-    with verdict("6: LU determinant agrees with cofactor expansion, 200 draws"):
+    with verdict("6: determinant agrees with cofactor expansion, 200 draws"):
         rng = np.random.default_rng(16180)
         for _ in range(200):
             n = int(rng.integers(1, 6))

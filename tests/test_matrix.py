@@ -1,4 +1,4 @@
-"""Matrix parsing, LU factorization, determinants, characteristic function."""
+"""Matrix parsing, determinants, characteristic function."""
 
 import math
 
@@ -14,7 +14,6 @@ from common_eig import (
     TrailingContentError,
     char_fn,
     determinant,
-    lu_factor,
     matrix_bounds,
     parse_matrix,
     render_matrix,
@@ -124,39 +123,6 @@ def test_identity_and_equality():
     assert DenseMatrix.identity(2) != DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 
 
-# -------------------------------------------------------------------- LU
-
-def test_lu_identity():
-    lu = lu_factor(DenseMatrix.identity(3))
-    assert lu.parity == 1
-    assert not lu.singular
-    assert np.diagonal(lu.packed).tolist() == [1.0, 1.0, 1.0]
-
-
-def test_lu_single_swap():
-    lu = lu_factor(DenseMatrix([[0.0, 1.0], [1.0, 0.0]]))
-    assert lu.parity == -1
-    assert not lu.singular
-
-
-def test_lu_rank_deficient():
-    lu = lu_factor(DenseMatrix([[1.0, 2.0], [2.0, 4.0]]))
-    assert lu.singular
-
-
-def test_lu_reconstructs_permuted_matrix():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(1, 8))
-        a = rng.normal(size=(n, n))
-        lu = lu_factor(DenseMatrix(a))
-        assert not lu.singular
-        lower = np.tril(lu.packed, -1) + np.eye(n)
-        upper = np.triu(lu.packed)
-        assert sorted(lu.perm.tolist()) == list(range(n))
-        np.testing.assert_allclose(a[lu.perm], lower @ upper, atol=1e-12)
-
-
 # ------------------------------------------------------------ determinant
 
 def test_determinant_identity():
@@ -169,6 +135,10 @@ def test_determinant_triangular_reference(mat_a):
 
 def test_determinant_single_transposition():
     assert determinant(DenseMatrix([[0.0, 1.0], [1.0, 0.0]])) == -1.0
+
+
+def test_determinant_rank_deficient_is_exact_zero():
+    assert determinant(DenseMatrix([[1.0, 2.0], [2.0, 4.0]])) == 0.0
 
 
 def test_determinant_matches_cofactor_oracle():
@@ -197,6 +167,25 @@ def test_char_fn_reference_values(mat_a, mat_b):
     assert char_fn(mat_b, 0.1) == pytest.approx(-10.179, abs=1e-12)
     assert char_fn(mat_a, 3.0) == 0.0
     assert char_fn(mat_b, 3.0) == 0.0
+
+
+def test_char_fn_exact_zero_on_inexact_grid_point(mat_a, mat_b):
+    # 30 * 0.1 == 3.0000000000000004, the scan grid point the golden tables
+    # print as 0.0000; the singular test must still return exactly 0.0.
+    assert char_fn(mat_a, 30 * 0.1) == 0.0
+    assert char_fn(mat_b, 30 * 0.1) == 0.0
+
+
+def test_char_fn_matches_numpy_det():
+    rng = np.random.default_rng(53)
+    for n in (10, 30, 60):
+        a = rng.normal(size=(n, n))
+        m = DenseMatrix(a)
+        for lam in rng.uniform(-3, 3, 5):
+            ours = char_fn(m, lam)
+            ref = float(np.linalg.det(lam * np.eye(n) - a))
+            assert np.sign(ours) == np.sign(ref)
+            assert ours == pytest.approx(ref, rel=1e-10)
 
 
 def test_char_fn_at_eigenvalue_of_identity():

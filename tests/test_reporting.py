@@ -63,6 +63,15 @@ def test_svg_empty_inputs_axes_only():
     assert "viewBox" in svg
 
 
+def test_svg_wide_view_keeps_few_ticks():
+    svg = render_svg([Disc(0.0, 1e4, 0, Axis.ROW)], [], EMPTY_INTERVAL)
+    ticks = re.findall(r'<line class="tick" x1="(-?\d+)\.0+"', svg)
+    assert 2 <= len(ticks) <= 21
+    assert svg.count('class="label"') == len(ticks)
+    steps = {int(b) - int(a) for a, b in zip(ticks, ticks[1:])}
+    assert len(steps) == 1
+
+
 def test_svg_zero_radius_disc():
     svg = render_svg([Disc(5.0, 0.0, 0, Axis.ROW)], [], EMPTY_INTERVAL)
     assert 'r="0.000000"' in svg
