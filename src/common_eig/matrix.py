@@ -2,14 +2,19 @@
 
 The characteristic function ``f(lam) = det(lam*I - M)`` is the scalar whose
 real roots are the real eigenvalues of ``M``.  Each call evaluates it at one
-``lam`` through one Householder QR factorization (a single LAPACK call made
-by numpy); nothing is cached, so call counts reflect true work.
+``lam``, so call counts are evaluation counts.  A general matrix pays one
+Householder QR factorization per call (a single LAPACK call made by numpy).
+An exactly symmetric matrix is reduced once, on its first call, to a
+similar tridiagonal matrix that the immutable ``DenseMatrix`` caches; each
+call then costs one O(n) pass of LDL^T pivots (Sturm sequences).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +34,9 @@ __all__ = [
     "char_fn",
 ]
 
-# Scale-aware zero test on the diagonal of the QR factor R:
-# min |R_ii| <= PIVOT_RTOL * max(1, ||M||_inf) marks the matrix singular.  At
+# Scale-aware zero test.  On the QR path, min |R_ii| <= PIVOT_RTOL *
+# max(1, ||M||_inf) marks the matrix singular; on the symmetric path, an
+# eigenvalue within PIVOT_RTOL * max(1, |lam| + ||T||_inf) of lam does.  At
 # desk scale this keeps 1e-16-level noise from masquerading as a nonzero
 # determinant, so an eigenvalue on a grid point reads as an exact zero.
 PIVOT_RTOL = 1e-13
@@ -42,7 +48,7 @@ _ORDER = re.compile(r"\+?\d+")
 class DenseMatrix:
     """Immutable real n-by-n matrix backed by a read-only float64 array."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_tridiagonal")
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=np.float64, copy=True)
@@ -52,6 +58,9 @@ class DenseMatrix:
             raise ValueError("matrix entries must all be finite")
         arr.flags.writeable = False
         self._entries = arr
+        # None until the first char_fn call; then the cached _Tridiagonal
+        # form, or False for a matrix that is not exactly symmetric.
+        self._tridiagonal = None
 
     @classmethod
     def identity(cls, order: int) -> "DenseMatrix":
@@ -155,13 +164,14 @@ def _det(a: np.ndarray) -> float:
     # One Householder QR, A = Q*R.  Each reflector with tau != 0 has
     # determinant -1 (tau == 0 is the identity), so det(A) is that sign
     # times the product of diag(R).  The raw layout is transposed, which
-    # leaves the diagonal in place.
+    # leaves the diagonal in place.  math.prod multiplies in the same order
+    # as ndarray.prod but overflows to +-inf without a warning.
     h, tau = np.linalg.qr(a, mode="raw")
     diag = h.diagonal()
     tol = PIVOT_RTOL * max(1.0, float(abs(a).sum(axis=1).max()))
     if abs(diag).min() <= tol:
         return 0.0
-    det = float(diag.prod())
+    det = math.prod(diag.tolist())
     return -det if np.count_nonzero(tau) % 2 else det
 
 
@@ -174,15 +184,117 @@ def determinant(matrix: DenseMatrix) -> float:
     return _det(matrix.entries)
 
 
+class _Tridiagonal(NamedTuple):
+    """Symmetric tridiagonal T similar to ``M / scale``.
+
+    ``offdiag_sq[k]`` is the squared entry coupling rows k-1 and k of T, with
+    ``offdiag_sq[0] == 0.0``, so the pivot recurrence zips it with ``diag``.
+    """
+
+    diag: list[float]
+    offdiag_sq: list[float]
+    norm: float  # ||T||_inf
+    scale: float  # a power of two, so M / scale is exact
+    pivmin: float  # smallest pivot magnitude the recurrence lets through
+
+
+def _tridiagonalize(a: np.ndarray) -> _Tridiagonal:
+    """Householder similarity reduction of the symmetric ``a`` to tridiagonal form.
+
+    Works on ``a / scale`` with ``scale`` the power of two at or below the
+    largest entry, which keeps every later pivot and norm in range.  A column
+    already zero below its subdiagonal gets no reflector (``tau == 0``, as in
+    LAPACK ``dlarfg``), so a tridiagonal input comes back unchanged.
+    """
+    n = a.shape[0]
+    peak = float(abs(a).max())
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak else 1.0
+    t = a / scale
+    off = np.zeros(n)
+    for k in range(n - 2):
+        x = t[k + 1 :, k]
+        alpha = float(x[0])
+        if not x[1:].any():
+            off[k + 1] = alpha
+            continue
+        beta = -math.copysign(math.hypot(alpha, float(np.linalg.norm(x[1:]))), alpha)
+        tau = (beta - alpha) / beta
+        v = x / (alpha - beta)
+        v[0] = 1.0
+        # H = I - tau*v*v^T; H*S*H as a symmetric rank-2 update of S.
+        sub = t[k + 1 :, k + 1 :]
+        p = tau * (sub @ v)
+        w = p - (0.5 * tau * float(p @ v)) * v
+        sub -= np.outer(v, w) + np.outer(w, v)
+        off[k + 1] = beta
+    if n > 1:
+        off[n - 1] = t[n - 1, n - 2]
+    diag = t.diagonal()
+    norm = float((abs(diag) + abs(off) + abs(np.append(off[1:], 0.0))).max())
+    offdiag_sq = (off * off).tolist()
+    # As in LAPACK xSTEBZ, a pivot smaller than pivmin becomes -pivmin,
+    # which keeps e^2/q finite.  Taking the square root of the smallest
+    # normal float keeps |q| < 1e154, so scale*q overflows only where the
+    # pivot pair it belongs to, about -scale^2*e^2, overflows too.  The
+    # shift is far below rounding at the unit scale of T.
+    pivmin = math.sqrt(sys.float_info.min) * max(1.0, max(offdiag_sq))
+    return _Tridiagonal(diag.tolist(), offdiag_sq, norm, scale, pivmin)
+
+
+def _tridiagonal_form(matrix: DenseMatrix) -> _Tridiagonal | None:
+    """The cached tridiagonal form of an exactly symmetric matrix, else None."""
+    if matrix._tridiagonal is None:
+        a = matrix.entries
+        matrix._tridiagonal = _tridiagonalize(a) if np.array_equal(a, a.T) else False
+    return matrix._tridiagonal or None
+
+
+def _sturm_det(form: _Tridiagonal, lam: float) -> float:
+    # det(lam*I - M) = prod(scale * q_k) over the LDL^T pivots q_k of
+    # mu*I - T, mu = lam / scale.  The same pass runs the pivots at mu -+ eps:
+    # by Sylvester's law of inertia their negative counts differ exactly when
+    # an eigenvalue lies within eps of mu, and then the value is exactly 0.0.
+    # eps is PIVOT_RTOL * max(1, |lam| + ||T||_inf) in the unscaled units.
+    scale, pivmin = form.scale, form.pivmin
+    mu = lam / scale
+    eps = PIVOT_RTOL * max(1.0 / scale, abs(mu) + form.norm)
+    lo, hi = mu - eps, mu + eps
+    q = q_lo = q_hi = 1.0
+    neg_lo = neg_hi = 0
+    det = 1.0
+    for d, e2 in zip(form.diag, form.offdiag_sq):
+        q = mu - d - e2 / q
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        det *= scale * q
+        q_lo = lo - d - e2 / q_lo
+        if q_lo < pivmin:
+            neg_lo += 1
+            if q_lo > -pivmin:
+                q_lo = -pivmin
+        q_hi = hi - d - e2 / q_hi
+        if q_hi < pivmin:
+            neg_hi += 1
+            if q_hi > -pivmin:
+                q_hi = -pivmin
+    return 0.0 if neg_lo != neg_hi else det
+
+
 def char_fn(matrix: DenseMatrix, lam: float) -> float:
     """Evaluate ``det(lam*I - M)`` at a single real ``lam``.
 
     Monic convention: for ``lam`` above every Gerschgorin upper bound the
-    value is strictly positive.  ``lam*I - M`` is materialized freshly per
-    call; the cost is one O(n^3) QR factorization, so each call is exactly
-    one determinant evaluation.
+    value is strictly positive.  Each call is exactly one determinant
+    evaluation.  A general matrix pays one O(n^3) QR factorization of a fresh
+    ``lam*I - M``.  An exactly symmetric matrix pays one O(n^3) reduction to
+    tridiagonal form on its first call, cached on the matrix, and O(n) per
+    call after that.  Both paths return exactly 0.0 where ``lam*I - M`` is
+    singular to within ``PIVOT_RTOL`` relative to its scale.
     """
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
-    return _det(lam * np.eye(matrix.order) - matrix.entries)
+    form = _tridiagonal_form(matrix)
+    if form is None:
+        return _det(lam * np.eye(matrix.order) - matrix.entries)
+    return _sturm_det(form, lam)

@@ -184,7 +184,8 @@ def _interval_obj(interval: RealInterval) -> dict:
 def _root_obj(root: RootEstimate) -> dict:
     return {
         "value": root.value,
-        "residual": root.residual,
+        # |f| overflows float64 at large scale; JSON has no inf, so null.
+        "residual": root.residual if math.isfinite(root.residual) else None,
         "iterations": root.iterations,
         "origin": root.origin.value,
     }
@@ -194,7 +195,9 @@ def emit_json_report(report: CommonEigenReport) -> str:
     """Serialize a pipeline report as JSON with a fixed key order.
 
     Floats pass through ``json.dumps`` untouched, so parsing the output
-    recovers every numeric field exactly.
+    recovers every numeric field exactly.  The one exception is a residual
+    ``|f|`` that overflowed float64: JSON has no infinity, so it is written
+    as ``null``.  Any other non-finite float raises ``ValueError``.
     """
     payload = {
         "mode": report.mode.value,
@@ -209,4 +212,4 @@ def emit_json_report(report: CommonEigenReport) -> str:
         "eval_count_b": report.eval_count_b,
         "wall_time_seconds": report.wall_time,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

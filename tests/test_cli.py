@@ -1,6 +1,7 @@
 """Command-line behavior: flags, outputs, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -151,3 +152,31 @@ def test_unreadable_output_path_is_io_error(matrix_files, tmp_path, capsys):
     path_a, path_b = matrix_files
     assert run_cli([path_a, path_b, "--json", str(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "upper",
+    [0.0, 1e159],
+    ids=["symmetric", "triangular"],
+)
+def test_cli_json_is_standard_when_residuals_overflow(tmp_path, capsys, upper):
+    # At 1e160 scale |f| overflows float64 near every root: the report must
+    # still be standard JSON (no Infinity token) and nothing may warn.
+    path = tmp_path / "big.mat"
+    path.write_text(
+        f"3\n1.05e160 {upper} 0\n0 1.5731e160 {upper}\n0 0 2.95e160\n"
+    )
+    out_path = tmp_path / "out.json"
+    args = [str(path), str(path), "--step", "1e159", "--width-tol", "1e150",
+            "--match-tol", "1e151", "--dedupe-tol", "1e151", "--json", str(out_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads(out_path.read_text(), parse_constant=reject)
+    assert None in [r["residual"] for r in payload["roots_a"]]
+    assert len(payload["common"]) == 3
+    assert capsys.readouterr().err == ""

@@ -18,8 +18,17 @@ from common_eig import (
     parse_matrix,
     render_matrix,
 )
+from common_eig.matrix import _tridiagonal_form
 from conftest import A_TEXT
 from oracles import cofactor_determinant
+
+
+def _rotated_symmetric(rng, spectrum):
+    """An exactly symmetric matrix with (up to rounding) the given spectrum."""
+    n = len(spectrum)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    m = q @ np.diag(spectrum) @ q.T
+    return 0.5 * (m + m.T)
 
 
 # ---------------------------------------------------------------- parsing
@@ -169,11 +178,18 @@ def test_char_fn_reference_values(mat_a, mat_b):
     assert char_fn(mat_b, 3.0) == 0.0
 
 
-def test_char_fn_exact_zero_on_inexact_grid_point(mat_a, mat_b):
-    # 30 * 0.1 == 3.0000000000000004, the scan grid point the golden tables
-    # print as 0.0000; the singular test must still return exactly 0.0.
-    assert char_fn(mat_a, 30 * 0.1) == 0.0
-    assert char_fn(mat_b, 30 * 0.1) == 0.0
+def test_char_fn_exact_zero_on_inexact_grid_point():
+    # 3 * 0.1 == 0.30000000000000004, a grid point one ulp off the
+    # eigenvalue 0.3, where the unrounded determinant is about 6.6e-17.  The
+    # singular tests of both paths must still return exactly 0.0: the QR
+    # path on the triangular matrix, the Sturm path on the symmetric one.
+    lam = 3 * 0.1
+    tri = np.array([[0.3, 1.0, 4.0], [0.0, 1.0, 6.0], [0.0, 0.0, 2.0]])
+    assert np.linalg.det(lam * np.eye(3) - tri) != 0.0
+    assert char_fn(DenseMatrix(tri), lam) == 0.0
+    sym = _rotated_symmetric(np.random.default_rng(3), [0.3, -2.0, -1.0, 1.0, 2.5, 4.0])
+    assert _tridiagonal_form(DenseMatrix(sym)) is not None
+    assert char_fn(DenseMatrix(sym), lam) == 0.0
 
 
 def test_char_fn_matches_numpy_det():
@@ -186,6 +202,54 @@ def test_char_fn_matches_numpy_det():
             ref = float(np.linalg.det(lam * np.eye(n) - a))
             assert np.sign(ours) == np.sign(ref)
             assert ours == pytest.approx(ref, rel=1e-10)
+
+
+def test_char_fn_symmetric_matches_numpy_det():
+    rng = np.random.default_rng(59)
+    for n in (1, 2, 3, 10, 30):
+        a = rng.normal(size=(n, n))
+        a = a + a.T
+        m = DenseMatrix(a)
+        for lam in rng.uniform(-2 * n**0.5, 2 * n**0.5, 8):
+            ours = char_fn(m, lam)
+            ref = float(np.linalg.det(lam * np.eye(n) - a))
+            assert np.sign(ours) == np.sign(ref)
+            assert ours == pytest.approx(ref, rel=1e-9)
+
+
+def test_char_fn_symmetric_on_grid_eigenvalues_are_exact_zeros():
+    # Eigenvalues planted on scan grid points lo + k*step; rounding in the
+    # rotation moves each by ~1e-16, and the QR path reads every one of
+    # them as exactly singular.  The Sturm path must agree.
+    rng = np.random.default_rng(67)
+    lo, step = -3.0, 0.1
+    for n, reps in ((4, 20), (10, 11), (30, 3)):
+        for _ in range(reps):
+            grid = [lo + int(k) * step for k in rng.choice(61, size=n, replace=False)]
+            a = _rotated_symmetric(rng, grid)
+            m = DenseMatrix(a)
+            for lam in grid:
+                assert char_fn(m, lam) == 0.0
+                assert determinant(DenseMatrix(lam * np.eye(n) - a)) == 0.0
+
+
+def test_tridiagonal_input_is_its_own_form(mat_b):
+    # No reflector touches a column that is already zero below the
+    # subdiagonal, so B's cached form is B itself, scaled by a power of two.
+    form = _tridiagonal_form(mat_b)
+    assert [d * form.scale for d in form.diag] == [3.0, 2.0, 3.0]
+    assert [e2 * form.scale**2 for e2 in form.offdiag_sq] == [0.0, 1.0, 1.0]
+    assert mat_b._tridiagonal is form
+
+
+def test_char_fn_one_ulp_asymmetry_takes_qr_path():
+    rng = np.random.default_rng(71)
+    a = _rotated_symmetric(rng, [-1.0, 0.5, 2.0, 3.5])
+    a[0, 1] = np.nextafter(a[0, 1], np.inf)
+    m = DenseMatrix(a)
+    assert _tridiagonal_form(m) is None
+    for lam in (-2.0, 0.25, 1.0, 4.0):
+        assert char_fn(m, lam) == determinant(DenseMatrix(lam * np.eye(4) - a))
 
 
 def test_char_fn_at_eigenvalue_of_identity():

@@ -14,6 +14,8 @@ from common_eig import (
     RootOrigin,
     char_fn,
     common_eigenvalues,
+    determinant,
+    find_real_roots,
     intersect,
     match_roots,
     run_benchmark,
@@ -40,7 +42,8 @@ def _planted_symmetric_pair(rng, shared):
         picks = rng.choice(len(pool), size=n - 1, replace=False)
         spectrum = [shared] + [pool[i] for i in picks]
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        return DenseMatrix(q @ np.diag(spectrum) @ q.T)
+        m = q @ np.diag(spectrum) @ q.T
+        return DenseMatrix(0.5 * (m + m.T))
 
     return build(int(rng.integers(3, 7))), build(int(rng.integers(3, 7)))
 
@@ -183,6 +186,46 @@ def test_modes_agree_on_planted_common_eigenvalue():
         assert all(
             abs(p - c) <= 1e-9 for p, c in zip(proposed, conventional)
         )
+
+
+def test_symmetric_path_common_values_match_qr_path():
+    # The same exactly symmetric pair searched twice: once through char_fn
+    # (Sturm path), once through a fresh QR determinant per lambda.
+    rng = np.random.default_rng(61)
+    cfg = AnalysisConfig()
+    for _ in range(10):
+        shared = float(rng.choice([-1.5, -0.75, 0.0, 0.75, 1.5]))
+        a, b = _planted_symmetric_pair(rng, shared)
+        report = common_eigenvalues(a, b, cfg)
+        qr_roots = [
+            find_real_roots(
+                lambda x, m=m: determinant(DenseMatrix(x * np.eye(m.order) - m.entries)),
+                interval, cfg.step, cfg.width_tol, cfg.zero_tol, cfg.dedupe_tol,
+            )
+            for m, interval in ((a, report.search_interval_a), (b, report.search_interval_b))
+        ]
+        qr_common = match_roots(*qr_roots, cfg.match_tol)
+        assert any(abs(c - shared) <= 1e-6 for c in report.common)
+        assert len(report.common) == len(qr_common)
+        assert all(abs(s - q) <= cfg.width_tol for s, q in zip(report.common, qr_common))
+
+
+def test_symmetric_path_at_1e160_scale():
+    # det(lam*I - T) is ~1e480 here, far past float64: values overflow to
+    # +-inf with the right sign and never turn NaN, so the scan still sees
+    # the three sign changes.  119 evaluations per matrix, as the QR path.
+    t = DenseMatrix(
+        [[1.05e160, 1e159, 0.0], [1e159, 1.5731e160, 2e159], [0.0, 2e159, 2.95e160]]
+    )
+    cfg = AnalysisConfig(step=1e159, width_tol=1e150, match_tol=1e151, dedupe_tol=1e151)
+    report = common_eigenvalues(t, t, cfg)
+    expected = np.linalg.eigvalsh(t.entries)
+    assert [r.value for r in report.roots_a] == pytest.approx(expected, abs=1e151)
+    assert report.common == pytest.approx(expected, abs=1e151)
+    assert report.eval_count_a == report.eval_count_b == 119
+    lo, hi = report.search_interval_a.lo, report.search_interval_a.hi
+    for lam in np.linspace(lo, hi, 200):
+        assert not math.isnan(char_fn(t, lam))
 
 
 def test_proposed_never_costs_more_than_conventional(mat_a, mat_b):
