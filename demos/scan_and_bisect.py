@@ -46,8 +46,9 @@ fib_records = scan(ff, matrix_bounds(fib))
 print(f"\nflagged cells for the Fibonacci matrix over {matrix_bounds(fib)}:")
 for i, rec in enumerate(fib_records):
     if rec.event is ScanEvent.SIGN_CHANGE_AHEAD:
-        lo, hi = rec.lam, fib_records[i + 1].lam
-        root = bisect(ff, lo, hi)
+        nxt = fib_records[i + 1]
+        lo, hi = rec.lam, nxt.lam
+        root = bisect(ff, lo, hi, rec.value, nxt.value)
         print(
             f"  [{lo:5.2f}, {hi:5.2f}] -> {root.value:.12f} "
             f"after {root.iterations} iterations (residual {root.residual:.2e})"

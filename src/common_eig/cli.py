@@ -31,7 +31,6 @@ from .rootfind import (
     DEFAULT_DEDUPE_TOL,
     DEFAULT_STEP,
     DEFAULT_WIDTH_TOL,
-    DEFAULT_ZERO_TOL,
     RootEstimate,
     scan,
 )
@@ -41,11 +40,16 @@ __all__ = ["CliInvocation", "parse_invocation", "run_cli", "main"]
 
 @dataclass(frozen=True)
 class CliInvocation:
-    """Everything one invocation asked for, flags already validated."""
+    """Everything one invocation asked for, flags already validated.
+
+    ``modes`` are the library modes to run, in order: ``--mode both`` is
+    proposed then conventional.  ``config.mode`` is the first of them.
+    """
 
     path_a: str
     path_b: str
     config: AnalysisConfig
+    modes: tuple[Mode, ...]
     svg_path: str | None = None
     scan_table_prefix: str | None = None
     json_path: str | None = None
@@ -65,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("path_b", metavar="B", help="second matrix file")
     parser.add_argument(
         "--mode",
-        choices=[m.value for m in Mode],
+        choices=[m.value for m in Mode] + ["both"],
         default=Mode.PROPOSED.value,
         help="search the intersected interval, each full interval, or both "
         "(default: %(default)s)",
@@ -81,12 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_WIDTH_TOL,
         help="bisection bracket width target (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--zero-tol",
-        type=float,
-        default=DEFAULT_ZERO_TOL,
-        help="|f| threshold treated as an exact zero (default: %(default)s)",
     )
     parser.add_argument(
         "--match-tol",
@@ -126,11 +124,14 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
     out-of-range numeric flags.
     """
     ns = _build_parser().parse_args(list(argv))
+    if ns.mode == "both":
+        modes = (Mode.PROPOSED, Mode.CONVENTIONAL)
+    else:
+        modes = (Mode(ns.mode),)
     config = AnalysisConfig(
-        mode=Mode(ns.mode),
+        mode=modes[0],
         step=ns.step,
         width_tol=ns.width_tol,
-        zero_tol=ns.zero_tol,
         match_tol=ns.match_tol,
         dedupe_tol=ns.dedupe_tol,
     )
@@ -140,6 +141,7 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
         path_a=ns.path_a,
         path_b=ns.path_b,
         config=config,
+        modes=modes,
         svg_path=ns.svg,
         scan_table_prefix=ns.scan_table,
         json_path=ns.json,
@@ -197,13 +199,11 @@ def _scan_table_text(
     matrix: DenseMatrix,
     interval,
     roots: Sequence[RootEstimate],
-    config: AnalysisConfig,
+    step: float,
 ) -> str:
     if interval.empty:
         return emit_scan_table([], roots)
-    records = scan(
-        lambda lam: char_fn(matrix, lam), interval, config.step, config.zero_tol
-    )
+    records = scan(lambda lam: char_fn(matrix, lam), interval, step)
     return emit_scan_table(records, roots)
 
 
@@ -234,13 +234,10 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
     config = invocation.config
     try:
-        if config.mode is Mode.BOTH:
-            reports = [
-                common_eigenvalues(matrix_a, matrix_b, replace(config, mode=mode))
-                for mode in (Mode.PROPOSED, Mode.CONVENTIONAL)
-            ]
-        else:
-            reports = [common_eigenvalues(matrix_a, matrix_b, config)]
+        reports = [
+            common_eigenvalues(matrix_a, matrix_b, replace(config, mode=mode))
+            for mode in invocation.modes
+        ]
         for i, report in enumerate(reports):
             if i:
                 print()
@@ -258,13 +255,13 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
             _write_text(
                 f"{invocation.scan_table_prefix}_A.csv",
                 _scan_table_text(
-                    matrix_a, report.search_interval_a, report.roots_a, config
+                    matrix_a, report.search_interval_a, report.roots_a, config.step
                 ),
             )
             _write_text(
                 f"{invocation.scan_table_prefix}_B.csv",
                 _scan_table_text(
-                    matrix_b, report.search_interval_b, report.roots_b, config
+                    matrix_b, report.search_interval_b, report.roots_b, config.step
                 ),
             )
         if invocation.bench > 0:

@@ -25,7 +25,6 @@ from .rootfind import (
     DEFAULT_DEDUPE_TOL,
     DEFAULT_STEP,
     DEFAULT_WIDTH_TOL,
-    DEFAULT_ZERO_TOL,
     RootEstimate,
     find_real_roots,
 )
@@ -47,7 +46,6 @@ DEFAULT_MATCH_TOL = 1e-6
 class Mode(Enum):
     PROPOSED = "proposed"
     CONVENTIONAL = "conventional"
-    BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -57,16 +55,16 @@ class AnalysisConfig:
     mode: Mode = Mode.PROPOSED
     step: float = DEFAULT_STEP
     width_tol: float = DEFAULT_WIDTH_TOL
-    zero_tol: float = DEFAULT_ZERO_TOL
     match_tol: float = DEFAULT_MATCH_TOL
     dedupe_tol: float = DEFAULT_DEDUPE_TOL
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        for name in ("width_tol", "zero_tol", "match_tol", "dedupe_tol"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be finite and positive, got {self.step}")
+        for name in ("width_tol", "match_tol", "dedupe_tol"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.match_tol < self.width_tol:
             raise ValueError("match_tol must be at least width_tol")
 
@@ -159,11 +157,6 @@ def common_eigenvalues(
     error.  The two matrices may have different orders.
     """
     cfg = config if config is not None else AnalysisConfig()
-    if cfg.mode is Mode.BOTH:
-        raise ValueError(
-            "common_eigenvalues needs a concrete mode; run once per mode "
-            "or use run_benchmark"
-        )
 
     start = time.perf_counter()
     interval_a = matrix_bounds(matrix_a)
@@ -179,18 +172,14 @@ def common_eigenvalues(
         ()
         if search_a.empty
         else tuple(
-            find_real_roots(
-                counted_a, search_a, cfg.step, cfg.width_tol, cfg.zero_tol, cfg.dedupe_tol
-            )
+            find_real_roots(counted_a, search_a, cfg.step, cfg.width_tol, cfg.dedupe_tol)
         )
     )
     roots_b = (
         ()
         if search_b.empty
         else tuple(
-            find_real_roots(
-                counted_b, search_b, cfg.step, cfg.width_tol, cfg.zero_tol, cfg.dedupe_tol
-            )
+            find_real_roots(counted_b, search_b, cfg.step, cfg.width_tol, cfg.dedupe_tol)
         )
     )
     common = match_roots(roots_a, roots_b, cfg.match_tol)

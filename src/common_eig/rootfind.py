@@ -1,16 +1,19 @@
 """Real-root location by grid scanning plus bisection.
 
 The strategy mirrors a desk calculation: walk a fixed grid across the
-interval recording f at every point, accept grid points where |f| falls
-below the zero tolerance directly as roots, and refine every strict sign
-change between adjacent grid points with bisection.  Roots of even
-multiplicity (no sign change, no grid hit) are invisible to this method, and
-two roots closer together than the step can cancel inside one cell; the
-mitigation for both is a smaller step.
+interval recording f at every point, accept grid points where f is exactly
+0.0 directly as roots, and refine every strict sign change between adjacent
+grid points with bisection.  "Exactly zero" is f's own decision: ``char_fn``
+returns 0.0 when lambda*I - M is singular to working precision, by a rule
+relative to the matrix's scale, and no absolute threshold is added here.
+Roots of even multiplicity (no sign change, no grid hit) are invisible to
+this method, and two roots closer together than the step can cancel inside
+one cell; the mitigation for both is a smaller step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -33,13 +36,11 @@ __all__ = [
     "find_real_roots",
     "DEFAULT_STEP",
     "DEFAULT_WIDTH_TOL",
-    "DEFAULT_ZERO_TOL",
     "DEFAULT_DEDUPE_TOL",
 ]
 
 DEFAULT_STEP = 0.1
 DEFAULT_WIDTH_TOL = 1e-10
-DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_DEDUPE_TOL = 1e-6
 DEFAULT_MAX_ITER = 200
 
@@ -91,21 +92,18 @@ def scan(
     f: Callable[[float], float],
     interval: RealInterval,
     step: float = DEFAULT_STEP,
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> list[ScanRecord]:
     """Evaluate f on the grid lo, lo+step, ... with hi appended exactly.
 
     Each record carries at most one event, zero hits taking precedence:
-    ZERO_HIT where |f| <= zero_tol, SIGN_CHANGE_AHEAD where f flips sign
+    ZERO_HIT where f is exactly 0.0, SIGN_CHANGE_AHEAD where f flips sign
     strictly between a grid point and its successor and neither cell
     endpoint is itself a zero hit.
     """
     if interval.empty:
         raise EmptyIntervalError("cannot scan an empty interval")
-    if not step > 0.0:
-        raise NonPositiveStepError(f"step must be positive, got {step}")
-    if zero_tol < 0.0:
-        raise ValueError("zero_tol must be non-negative")
+    if not 0.0 < step < math.inf:
+        raise NonPositiveStepError(f"step must be finite and positive, got {step}")
 
     grid = []
     i = 0
@@ -118,9 +116,7 @@ def scan(
     grid.append(interval.hi)
 
     values = [float(f(x)) for x in grid]
-    events = [
-        ScanEvent.ZERO_HIT if abs(v) <= zero_tol else ScanEvent.NONE for v in values
-    ]
+    events = [ScanEvent.ZERO_HIT if v == 0.0 else ScanEvent.NONE for v in values]
     for j in range(len(grid) - 1):
         if (
             events[j] is ScanEvent.NONE
@@ -135,23 +131,23 @@ def bisect(
     f: Callable[[float], float],
     lo: float,
     hi: float,
+    flo: float,
+    fhi: float,
     width_tol: float = DEFAULT_WIDTH_TOL,
-    zero_tol: float = DEFAULT_ZERO_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> RootEstimate:
     """Refine a strict sign-change bracket [lo, hi] to a root.
 
-    Halves the bracket keeping the sign change, stopping as soon as the
-    midpoint residual falls within zero_tol or the surviving bracket is no
-    wider than width_tol.  Costs exactly 2 + iterations evaluations of f:
-    the bracket-end values are computed once and reused.
+    ``flo`` and ``fhi`` are f(lo) and f(hi), which the caller already has
+    (a scan holds them), so f is never evaluated at the bracket ends.
+    Halves the bracket keeping the sign change, stopping as soon as f is
+    exactly 0.0 at the midpoint or the surviving bracket is no wider than
+    width_tol.  Costs exactly ``iterations`` evaluations of f.
     """
-    if width_tol < 0.0 or zero_tol < 0.0:
-        raise ValueError("tolerances must be non-negative")
+    if width_tol < 0.0:
+        raise ValueError("width_tol must be non-negative")
     if not lo < hi:
         raise InvalidBracketError(f"bracket is empty or reversed: [{lo}, {hi}]")
-    flo = float(f(lo))
-    fhi = float(f(hi))
     if not _opposite_signs(flo, fhi):
         raise InvalidBracketError(
             f"f({lo}) = {flo} and f({hi}) = {fhi} do not change sign"
@@ -162,20 +158,12 @@ def bisect(
         mid = 0.5 * (lo + hi)
         fmid = float(f(mid))
         iterations += 1
-        if abs(fmid) <= zero_tol:
-            return RootEstimate(
-                value=mid,
-                residual=abs(fmid),
-                bracket_lo=lo,
-                bracket_hi=hi,
-                iterations=iterations,
-                origin=RootOrigin.BISECTION,
-            )
-        if _opposite_signs(flo, fmid):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo <= width_tol:
+        if fmid != 0.0:
+            if _opposite_signs(flo, fmid):
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        if fmid == 0.0 or hi - lo <= width_tol:
             return RootEstimate(
                 value=mid,
                 residual=abs(fmid),
@@ -194,20 +182,21 @@ def find_real_roots(
     interval: RealInterval,
     step: float = DEFAULT_STEP,
     width_tol: float = DEFAULT_WIDTH_TOL,
-    zero_tol: float = DEFAULT_ZERO_TOL,
     dedupe_tol: float = DEFAULT_DEDUPE_TOL,
 ) -> list[RootEstimate]:
     """All real roots of f over a closed interval, sorted ascending.
 
     Grid zero hits are taken directly (grid zeros at the interval's own
     endpoints are tagged ENDPOINT_ZERO); every sign-change cell is refined
-    by bisection.  Clusters of near-identical results are merged, keeping
-    the smallest-residual representative, so consecutive returned roots are
+    by bisection from the two scan values that bracket it, so the total cost
+    is one evaluation per grid point plus one per bisection iteration.
+    Clusters of near-identical results are merged, keeping the
+    smallest-residual representative, so consecutive returned roots are
     always more than dedupe_tol apart.
     """
     if dedupe_tol < 0.0:
         raise ValueError("dedupe_tol must be non-negative")
-    records = scan(f, interval, step, zero_tol)
+    records = scan(f, interval, step)
     last = len(records) - 1
 
     roots = []
@@ -229,9 +218,8 @@ def find_real_roots(
                 )
             )
         elif rec.event is ScanEvent.SIGN_CHANGE_AHEAD:
-            roots.append(
-                bisect(f, rec.lam, records[idx + 1].lam, width_tol, zero_tol)
-            )
+            nxt = records[idx + 1]
+            roots.append(bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol))
 
     roots.sort(key=lambda r: r.value)
     merged = []

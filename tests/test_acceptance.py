@@ -156,7 +156,6 @@ def test_07_triangular_spectra_recovered():
             roots = find_real_roots(
                 lambda x: char_fn(matrix, x),
                 matrix_bounds(matrix),
-                zero_tol=1e-12,
             )
             assert len(roots) == n
             for est, want in zip(roots, diag):

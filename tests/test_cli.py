@@ -66,7 +66,11 @@ def test_cli_invalid_flag_value(matrix_files, capsys):
     assert run_cli([path_a, path_b, "--step", "-1"]) == 1
     assert run_cli([path_a, path_b, "--bench", "-3"]) == 1
     assert run_cli([path_a, path_b, "--mode", "sideways"]) == 1
-    capsys.readouterr()
+    # non-finite steps and tolerances are input errors, not silent results
+    for flag in ("--step", "--width-tol", "--match-tol", "--dedupe-tol"):
+        for value in ("nan", "inf"):
+            assert run_cli([path_a, path_b, flag, value]) == 1
+    assert "match_tol must be finite" in capsys.readouterr().err
 
 
 def test_cli_writes_svg_and_scan_tables(matrix_files, tmp_path, capsys):
@@ -131,7 +135,6 @@ def test_parse_invocation_maps_flags(matrix_files):
             "--mode", "conventional",
             "--step", "0.05",
             "--width-tol", "1e-9",
-            "--zero-tol", "1e-8",
             "--match-tol", "1e-5",
             "--dedupe-tol", "1e-5",
             "--bench", "4",
@@ -140,7 +143,6 @@ def test_parse_invocation_maps_flags(matrix_files):
     assert inv.config.mode is Mode.CONVENTIONAL
     assert inv.config.step == 0.05
     assert inv.config.width_tol == 1e-9
-    assert inv.config.zero_tol == 1e-8
     assert inv.config.match_tol == 1e-5
     assert inv.config.dedupe_tol == 1e-5
     assert inv.bench == 4

@@ -95,11 +95,6 @@ def test_pipeline_disjoint_bounds_short_circuits():
     assert report.eval_count_b == 0
 
 
-def test_pipeline_rejects_both_mode(mat_a, mat_b):
-    with pytest.raises(ValueError):
-        common_eigenvalues(mat_a, mat_b, AnalysisConfig(mode=Mode.BOTH))
-
-
 def test_pipeline_mixed_orders(mat_a):
     report = common_eigenvalues(mat_a, DenseMatrix(np.diag([2.0, 7.0])))
     assert report.search_interval_a == RealInterval(2, 7)
@@ -165,9 +160,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AnalysisConfig(step=0.0)
     with pytest.raises(ValueError):
-        AnalysisConfig(zero_tol=-1.0)
+        AnalysisConfig(dedupe_tol=-1.0)
     with pytest.raises(ValueError):
         AnalysisConfig(match_tol=1e-12, width_tol=1e-10)
+    # NaN and infinity pass a plain "< 0" check; a NaN match_tol used to
+    # drop every common value without an error
+    for bad in (math.nan, math.inf):
+        for name in ("step", "width_tol", "match_tol", "dedupe_tol"):
+            with pytest.raises(ValueError, match=name):
+                AnalysisConfig(**{name: bad})
 
 
 # -------------------------------------------------- mode consistency sweep
@@ -200,7 +201,7 @@ def test_symmetric_path_common_values_match_qr_path():
         qr_roots = [
             find_real_roots(
                 lambda x, m=m: determinant(DenseMatrix(x * np.eye(m.order) - m.entries)),
-                interval, cfg.step, cfg.width_tol, cfg.zero_tol, cfg.dedupe_tol,
+                interval, cfg.step, cfg.width_tol, cfg.dedupe_tol,
             )
             for m, interval in ((a, report.search_interval_a), (b, report.search_interval_b))
         ]
@@ -213,7 +214,9 @@ def test_symmetric_path_common_values_match_qr_path():
 def test_symmetric_path_at_1e160_scale():
     # det(lam*I - T) is ~1e480 here, far past float64: values overflow to
     # +-inf with the right sign and never turn NaN, so the scan still sees
-    # the three sign changes.  119 evaluations per matrix, as the QR path.
+    # the three sign changes.  113 evaluations per matrix, as the QR path:
+    # the scan's grid points plus the bisection iterations of three
+    # brackets, whose end values come from the scan.
     t = DenseMatrix(
         [[1.05e160, 1e159, 0.0], [1e159, 1.5731e160, 2e159], [0.0, 2e159, 2.95e160]]
     )
@@ -222,10 +225,33 @@ def test_symmetric_path_at_1e160_scale():
     expected = np.linalg.eigvalsh(t.entries)
     assert [r.value for r in report.roots_a] == pytest.approx(expected, abs=1e151)
     assert report.common == pytest.approx(expected, abs=1e151)
-    assert report.eval_count_a == report.eval_count_b == 119
+    assert report.eval_count_a == report.eval_count_b == 113
     lo, hi = report.search_interval_a.lo, report.search_interval_a.hi
     for lam in np.linspace(lo, hi, 200):
         assert not math.isnan(char_fn(t, lam))
+
+
+@pytest.mark.parametrize("symmetrize", [False, True], ids=["qr", "sturm"])
+def test_common_values_do_not_depend_on_scale(symmetrize):
+    # A rotated diag(1, 2, 3) against a triangular matrix with diagonal
+    # 2, 2.5, 3, both multiplied by s, with the step and every length
+    # tolerance multiplied by s too: the common values divided by s must
+    # be {2, 3} at every s.  A zero test on |f| against a fixed threshold
+    # reads every grid point as a root once det(lam*I - sM) ~ s**3 is tiny.
+    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))
+    rotated = q @ np.diag([1.0, 2.0, 3.0]) @ q.T
+    if symmetrize:
+        rotated = 0.5 * (rotated + rotated.T)
+    triangular = np.array([[2.0, 1.0, 0.5], [0.0, 2.5, 1.0], [0.0, 0.0, 3.0]])
+    for scale in (1e-4, 1e-2, 1.0, 1e4):
+        cfg = AnalysisConfig(
+            step=0.1 * scale, width_tol=1e-10 * scale,
+            match_tol=1e-6 * scale, dedupe_tol=1e-6 * scale,
+        )
+        report = common_eigenvalues(
+            DenseMatrix(scale * rotated), DenseMatrix(scale * triangular), cfg
+        )
+        assert [c / scale for c in report.common] == pytest.approx([2.0, 3.0], abs=1e-9)
 
 
 def test_proposed_never_costs_more_than_conventional(mat_a, mat_b):

@@ -74,7 +74,7 @@ def test_scan_sign_change_marked_on_left_cell_end():
 def test_scan_zero_hit_suppresses_adjacent_sign_changes():
     # f crosses zero exactly at the middle grid point: the zero hit wins,
     # neither neighboring cell reports a sign change
-    values = {0.0: -1.0, 1.0: 1e-12, 2.0: 1.0}
+    values = {0.0: -1.0, 1.0: 0.0, 2.0: 1.0}
     records = scan(lambda x: values[x], RealInterval(0, 2), step=1.0)
     assert [r.event for r in records] == [
         ScanEvent.NONE,
@@ -100,14 +100,15 @@ def test_scan_input_validation():
         scan(lambda x: x, EMPTY_INTERVAL)
     with pytest.raises(NonPositiveStepError):
         scan(lambda x: x, RealInterval(0, 1), step=0.0)
-    with pytest.raises(ValueError):
-        scan(lambda x: x, RealInterval(0, 1), zero_tol=-1.0)
+    with pytest.raises(NonPositiveStepError):
+        # the first grid point would be lo + 0 * inf = nan
+        scan(lambda x: x, RealInterval(0, 1), step=math.inf)
 
 
 # ----------------------------------------------------------------- bisect
 
 def test_bisect_odd_function_hits_zero_exactly():
-    est = bisect(lambda x: x, -1.0, 1.0)
+    est = bisect(lambda x: x, -1.0, 1.0, -1.0, 1.0)
     assert est.value == 0.0
     assert est.residual == 0.0
     assert est.iterations == 1
@@ -115,41 +116,49 @@ def test_bisect_odd_function_hits_zero_exactly():
 
 
 def test_bisect_reference_brackets(mat_a, mat_b):
-    est_a = bisect(lambda x: char_fn(mat_a, x), 2.9, 3.1)
+    fa = lambda x: char_fn(mat_a, x)  # noqa: E731
+    fb = lambda x: char_fn(mat_b, x)  # noqa: E731
+    est_a = bisect(fa, 2.9, 3.1, fa(2.9), fa(3.1))
     assert abs(est_a.value - 3.0) <= 1e-9
-    est_b = bisect(lambda x: char_fn(mat_b, x), 0.9, 1.1)
+    est_b = bisect(fb, 0.9, 1.1, fb(0.9), fb(1.1))
     assert abs(est_b.value - 1.0) <= 1e-9
 
 
 def test_bisect_width_termination_and_iteration_bound():
     target = 1.0 / 3.0
-    est = bisect(lambda x: x - target, 0.0, 1.0, width_tol=1e-10, zero_tol=0.0)
+    est = bisect(lambda x: x - target, 0.0, 1.0, -target, 1.0 - target, width_tol=1e-10)
     assert abs(est.value - target) <= 1e-10
     assert est.bracket_hi - est.bracket_lo <= 1e-10
     assert est.bracket_lo <= est.value <= est.bracket_hi
     assert est.iterations <= math.ceil(math.log2(1.0 / 1e-10)) + 1
 
 
-def test_bisect_costs_two_plus_iterations_evaluations():
-    counted = Counted(lambda x: x - 1.0 / 3.0)
-    est = bisect(counted, 0.0, 1.0, zero_tol=0.0)
-    assert counted.calls == 2 + est.iterations
+def test_bisect_costs_iterations_evaluations():
+    # the bracket-end values come from the caller: one evaluation per halving
+    target = 1.0 / 3.0
+    counted = Counted(lambda x: x - target)
+    est = bisect(counted, 0.0, 1.0, -target, 1.0 - target)
+    assert est.iterations > 0
+    assert counted.calls == est.iterations
 
 
 def test_bisect_rejects_bad_brackets():
     with pytest.raises(InvalidBracketError):
-        bisect(lambda x: x, 1.0, -1.0)
+        bisect(lambda x: x, 1.0, -1.0, 1.0, -1.0)
     with pytest.raises(InvalidBracketError):
-        bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+        bisect(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0)
+    with pytest.raises(InvalidBracketError):
+        # a zero at a bracket end is the scan's zero hit, not a bracket
+        bisect(lambda x: x, 0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        bisect(lambda x: x, -1.0, 1.0, width_tol=-1.0)
+        bisect(lambda x: x, -1.0, 1.0, -1.0, 1.0, width_tol=-1.0)
 
 
 def test_bisect_max_iter_exhaustion():
     with pytest.raises(MaxIterExceededError):
         bisect(
-            lambda x: x - 1.0 / 3.0, 0.0, 1.0,
-            width_tol=0.0, zero_tol=0.0, max_iter=50,
+            lambda x: x - 1.0 / 3.0, 0.0, 1.0, -1.0 / 3.0, 2.0 / 3.0,
+            width_tol=0.0, max_iter=50,
         )
 
 
@@ -179,28 +188,48 @@ def test_find_roots_via_bisection():
     assert all(r.origin is RootOrigin.BISECTION for r in roots)
 
 
+def test_find_roots_costs_one_evaluation_per_grid_point_and_iteration():
+    # bisection starts from the scan's values at the cell ends
+    def f(x):
+        return (x - 0.55) * (x - 2.05)
+
+    counted = Counted(f)
+    interval = RealInterval(0, 3)
+    roots = find_real_roots(counted, interval)
+    grid_points = len(scan(f, interval))
+    assert len(roots) == 2
+    assert all(r.origin is RootOrigin.BISECTION for r in roots)
+    assert counted.calls == grid_points + sum(r.iterations for r in roots)
+
+
 def test_find_roots_empty_interval():
     with pytest.raises(EmptyIntervalError):
         find_real_roots(lambda x: x, EMPTY_INTERVAL)
 
 
 def test_find_roots_dedupes_loose_zero_band():
-    # a loose zero_tol lights up both grid points around the root; with a
-    # dedupe tolerance wider than the step only one survives
-    roots = find_real_roots(
-        lambda x: x - 0.05, RealInterval(0, 1),
-        step=0.1, zero_tol=0.06, dedupe_tol=0.15,
-    )
+    # f is exactly zero on a band covering two adjacent grid points; with a
+    # dedupe tolerance wider than the step only one of the two hits survives
+    def f(x):
+        return 0.0 if 0.25 < x < 0.45 else x - 0.35
+
+    zero_hits = find_real_roots(f, RealInterval(0, 1), step=0.1)
+    assert [r.origin for r in zero_hits] == [RootOrigin.GRID_ZERO] * 2
+    roots = find_real_roots(f, RealInterval(0, 1), step=0.1, dedupe_tol=0.15)
     assert len(roots) == 1
 
 
 def test_find_roots_dedupe_keeps_smallest_residual():
-    # three consecutive zero hits collapse to the middle (exact) one
-    roots = find_real_roots(
-        lambda x: (x - 0.1) ** 2, RealInterval(0, 1),
-        step=0.1, zero_tol=0.011, dedupe_tol=0.1,
-    )
-    assert [r.value for r in roots] == [0.1]
+    # a bisected root at 0.35 and a grid zero at 0.5 collapse to the zero,
+    # the smaller residual, although the bisected root comes first
+    def f(x):
+        return (x - 0.35) * (x - 0.5)
+
+    apart = find_real_roots(f, RealInterval(0, 1), step=0.1)
+    assert [r.origin for r in apart] == [RootOrigin.BISECTION, RootOrigin.GRID_ZERO]
+    assert apart[0].residual > 0.0
+    roots = find_real_roots(f, RealInterval(0, 1), step=0.1, dedupe_tol=0.2)
+    assert [r.value for r in roots] == [0.5]
     assert roots[0].residual == 0.0
 
 
@@ -225,9 +254,7 @@ def test_find_roots_recovers_separated_triangular_spectrum():
         diag = np.array([0.7, 1.3, 2.2, 3.6]) + rng.uniform(-0.1, 0.1, 4)
         t = np.triu(rng.uniform(-1, 1, (4, 4)), 1) + np.diag(diag)
         m = DenseMatrix(t)
-        roots = find_real_roots(
-            lambda x: char_fn(m, x), RealInterval(0, 4.5), zero_tol=1e-12
-        )
+        roots = find_real_roots(lambda x: char_fn(m, x), RealInterval(0, 4.5))
         assert len(roots) == 4
         for root, d in zip(roots, np.sort(diag)):
             assert abs(root.value - d) <= 1e-8
