@@ -12,13 +12,13 @@ intervals overlap.
 from pathlib import Path
 
 from common_eig import (
-    col_discs,
+    Axis,
+    discs_of,
     intersect,
     interval_of,
     matrix_bounds,
     parse_matrix,
     render_svg,
-    row_discs,
 )
 
 data = Path(__file__).resolve().parent / "data"
@@ -27,16 +27,17 @@ b = parse_matrix((data / "B.mat").read_text())
 
 for name, m in (("A", a), ("B", b)):
     print(f"matrix {name}:")
-    for disc in row_discs(m):
+    for disc in discs_of(m, Axis.ROW):
         print(f"  row {disc.index}: centre {disc.center:g}, radius {disc.radius:g}")
     # column discs give a second, independent enclosure
-    print(f"  row interval    {interval_of(row_discs(m))}")
-    print(f"  column interval {interval_of(col_discs(m))}")
+    print(f"  row interval    {interval_of(discs_of(m, Axis.ROW))}")
+    print(f"  column interval {interval_of(discs_of(m, Axis.COLUMN))}")
     print(f"  combined bounds {matrix_bounds(m)}")
 
 band = intersect(matrix_bounds(a), matrix_bounds(b))
 print(f"\nshared search interval: {band}")
 
 out = Path("discs.svg")
-out.write_text(render_svg(row_discs(a), row_discs(b), band), encoding="utf-8")
+svg = render_svg(discs_of(a, Axis.ROW), discs_of(b, Axis.ROW), band)
+out.write_text(svg, encoding="utf-8")
 print(f"wrote disc diagram to {out.resolve()}")

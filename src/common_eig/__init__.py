@@ -27,11 +27,10 @@ from .gerschgorin import (
     Axis,
     Disc,
     RealInterval,
-    col_discs,
+    discs_of,
     intersect,
     interval_of,
     matrix_bounds,
-    row_discs,
 )
 from .matrix import (
     DenseMatrix,
@@ -89,8 +88,7 @@ __all__ = [
     "Disc",
     "RealInterval",
     "EMPTY_INTERVAL",
-    "row_discs",
-    "col_discs",
+    "discs_of",
     "interval_of",
     "intersect",
     "matrix_bounds",

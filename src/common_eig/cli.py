@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import CommonEigError, MatrixFormatError
-from .gerschgorin import intersect, row_discs
+from .gerschgorin import Axis, discs_of, intersect
 from .matrix import DenseMatrix, char_fn, parse_matrix
 from .pipeline import (
     DEFAULT_MATCH_TOL,
@@ -221,16 +221,14 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    try:
-        matrix_a = _load(invocation.path_a)
-    except (OSError, MatrixFormatError) as exc:
-        print(f"error: {invocation.path_a}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        matrix_b = _load(invocation.path_b)
-    except (OSError, MatrixFormatError) as exc:
-        print(f"error: {invocation.path_b}: {exc}", file=sys.stderr)
-        return 1
+    matrices = []
+    for path in (invocation.path_a, invocation.path_b):
+        try:
+            matrices.append(_load(path))
+        except (OSError, MatrixFormatError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 1
+    matrix_a, matrix_b = matrices
 
     config = invocation.config
     try:
@@ -249,21 +247,17 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
             _write_text(invocation.json_path, emit_json_report(report))
         if invocation.svg_path is not None:
             band = intersect(report.interval_a, report.interval_b)
-            svg = render_svg(row_discs(matrix_a), row_discs(matrix_b), band)
+            svg = render_svg(discs_of(matrix_a, Axis.ROW), discs_of(matrix_b, Axis.ROW), band)
             _write_text(invocation.svg_path, svg)
         if invocation.scan_table_prefix is not None:
-            _write_text(
-                f"{invocation.scan_table_prefix}_A.csv",
-                _scan_table_text(
-                    matrix_a, report.search_interval_a, report.roots_a, config.step
-                ),
-            )
-            _write_text(
-                f"{invocation.scan_table_prefix}_B.csv",
-                _scan_table_text(
-                    matrix_b, report.search_interval_b, report.roots_b, config.step
-                ),
-            )
+            for name, matrix, interval, roots in (
+                ("A", matrix_a, report.search_interval_a, report.roots_a),
+                ("B", matrix_b, report.search_interval_b, report.roots_b),
+            ):
+                _write_text(
+                    f"{invocation.scan_table_prefix}_{name}.csv",
+                    _scan_table_text(matrix, interval, roots, config.step),
+                )
         if invocation.bench > 0:
             _print_benchmark(
                 run_benchmark(matrix_a, matrix_b, config, invocation.bench)

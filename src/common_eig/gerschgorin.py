@@ -23,8 +23,7 @@ __all__ = [
     "Disc",
     "RealInterval",
     "EMPTY_INTERVAL",
-    "row_discs",
-    "col_discs",
+    "discs_of",
     "interval_of",
     "matrix_bounds",
     "intersect",
@@ -104,26 +103,11 @@ class RealInterval:
 EMPTY_INTERVAL = RealInterval(math.nan, math.nan, empty=True)
 
 
-def row_discs(matrix: DenseMatrix) -> list[Disc]:
-    """Discs from off-diagonal absolute row sums, in matrix index order."""
-    abs_entries = np.abs(matrix.entries)
-    diag = np.diagonal(matrix.entries)
-    radii = abs_entries.sum(axis=1) - np.abs(diag)
-    return [
-        Disc(float(c), float(r), k, Axis.ROW)
-        for k, (c, r) in enumerate(zip(diag, radii))
-    ]
-
-
-def col_discs(matrix: DenseMatrix) -> list[Disc]:
-    """Discs from off-diagonal absolute column sums, in matrix index order."""
-    abs_entries = np.abs(matrix.entries)
-    diag = np.diagonal(matrix.entries)
-    radii = abs_entries.sum(axis=0) - np.abs(diag)
-    return [
-        Disc(float(c), float(r), k, Axis.COLUMN)
-        for k, (c, r) in enumerate(zip(diag, radii))
-    ]
+def discs_of(matrix: DenseMatrix, axis: Axis) -> list[Disc]:
+    """Discs from off-diagonal absolute row or column sums, in matrix index order."""
+    diag = matrix.entries.diagonal()
+    radii = abs(matrix.entries).sum(axis=1 if axis is Axis.ROW else 0) - abs(diag)
+    return [Disc(float(c), float(r), k, axis) for k, (c, r) in enumerate(zip(diag, radii))]
 
 
 def interval_of(discs: list[Disc]) -> RealInterval:
@@ -159,4 +143,4 @@ def matrix_bounds(matrix: DenseMatrix) -> RealInterval:
     region only: it bounds the real eigenvalues but generally contains much
     more.
     """
-    return intersect(interval_of(row_discs(matrix)), interval_of(col_discs(matrix)))
+    return intersect(*(interval_of(discs_of(matrix, axis)) for axis in Axis))

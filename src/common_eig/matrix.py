@@ -3,10 +3,10 @@
 The characteristic function ``f(lam) = det(lam*I - M)`` is the scalar whose
 real roots are the real eigenvalues of ``M``.  Each call evaluates it at one
 ``lam``, so call counts are evaluation counts.  A general matrix pays one
-Householder QR factorization per call (a single LAPACK call made by numpy).
-An exactly symmetric matrix is reduced once, on its first call, to a
-similar tridiagonal matrix that the immutable ``DenseMatrix`` caches; each
-call then costs one O(n) pass of LDL^T pivots (Sturm sequences).
+Householder QR factorization per call (a single LAPACK call made by numpy)
+plus O(1) work.  An exactly symmetric matrix is reduced once, on its first
+call, to a similar tridiagonal matrix that the immutable ``DenseMatrix``
+caches; each call then costs one O(n) pass of LDL^T pivots (Sturm sequences).
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ __all__ = [
     "char_fn",
 ]
 
-# Scale-aware zero test.  On the QR path, min |R_ii| <= PIVOT_RTOL *
-# max(1, ||M||_inf) marks the matrix singular; on the symmetric path, an
-# eigenvalue within PIVOT_RTOL * max(1, |lam| + ||T||_inf) of lam does.  At
-# desk scale this keeps 1e-16-level noise from masquerading as a nonzero
-# determinant, so an eigenvalue on a grid point reads as an exact zero.
+# The singular rule of both paths: lam*I - M is singular when its smallest
+# |R_ii| (QR), or the distance from lam to an eigenvalue (symmetric, with
+# the tridiagonal T for M), is at most PIVOT_RTOL * (|lam| + ||M||_inf).
+# With no absolute floor it reads the same at every scale, and an eigenvalue
+# on a grid point reads as an exact zero rather than as 1e-16-level noise.
 PIVOT_RTOL = 1e-13
 
 _TOKEN = re.compile(r"\S+")
@@ -48,7 +48,7 @@ _ORDER = re.compile(r"\+?\d+")
 class DenseMatrix:
     """Immutable real n-by-n matrix backed by a read-only float64 array."""
 
-    __slots__ = ("_entries", "_tridiagonal")
+    __slots__ = ("_entries", "_form")
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=np.float64, copy=True)
@@ -59,8 +59,8 @@ class DenseMatrix:
         arr.flags.writeable = False
         self._entries = arr
         # None until the first char_fn call; then the cached _Tridiagonal
-        # form, or False for a matrix that is not exactly symmetric.
-        self._tridiagonal = None
+        # form of an exactly symmetric matrix, or ||M||_inf of any other.
+        self._form = None
 
     @classmethod
     def identity(cls, order: int) -> "DenseMatrix":
@@ -160,28 +160,41 @@ def render_matrix(matrix: DenseMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _det(a: np.ndarray) -> float:
+def _full_prod(factors, exponent: int = 0) -> float:
+    """``2**exponent * prod(factors)``, the mantissa and exponent kept apart;
+    a product too small for float64 is the smallest subnormal of its sign."""
+    mantissa = 1.0
+    for x in factors:
+        mantissa, k = math.frexp(mantissa * x)
+        exponent += k
+    return math.ldexp(mantissa, exponent) or math.copysign(5e-324, mantissa)
+
+
+def _qr_det(a: np.ndarray, scale: float) -> float:
     # One Householder QR, A = Q*R.  Each reflector with tau != 0 has
     # determinant -1 (tau == 0 is the identity), so det(A) is that sign
     # times the product of diag(R).  The raw layout is transposed, which
     # leaves the diagonal in place.  math.prod multiplies in the same order
     # as ndarray.prod but overflows to +-inf without a warning.
     h, tau = np.linalg.qr(a, mode="raw")
-    diag = h.diagonal()
-    tol = PIVOT_RTOL * max(1.0, float(abs(a).sum(axis=1).max()))
-    if abs(diag).min() <= tol:
+    diag = h.diagonal().tolist()
+    if min(map(abs, diag)) <= PIVOT_RTOL * scale:
         return 0.0
-    det = math.prod(diag.tolist())
+    det = math.prod(diag) or _full_prod(diag)
     return -det if np.count_nonzero(tau) % 2 else det
+
+
+def _norm_inf(a: np.ndarray) -> float:
+    return float(abs(a).sum(axis=1).max())
 
 
 def determinant(matrix: DenseMatrix) -> float:
     """Determinant via Householder QR: the reflectors' sign times ``prod(diag R)``.
 
-    Exactly 0.0 whenever some ``|R_ii|`` sits at or below the scale-aware
-    tolerance ``PIVOT_RTOL * max(1, ||M||_inf)``.
+    Exactly 0.0 whenever some ``|R_ii|`` sits at or below
+    ``PIVOT_RTOL * ||M||_inf``, the ``lam = 0`` case of ``char_fn``'s rule.
     """
-    return _det(matrix.entries)
+    return _qr_det(matrix.entries, _norm_inf(matrix.entries))
 
 
 class _Tridiagonal(NamedTuple):
@@ -241,23 +254,35 @@ def _tridiagonalize(a: np.ndarray) -> _Tridiagonal:
     return _Tridiagonal(diag.tolist(), offdiag_sq, norm, scale, pivmin)
 
 
-def _tridiagonal_form(matrix: DenseMatrix) -> _Tridiagonal | None:
-    """The cached tridiagonal form of an exactly symmetric matrix, else None."""
-    if matrix._tridiagonal is None:
+def _char_form(matrix: DenseMatrix) -> _Tridiagonal | float:
+    """The cached tridiagonal form of an exactly symmetric matrix, else ||M||_inf."""
+    if matrix._form is None:
         a = matrix.entries
-        matrix._tridiagonal = _tridiagonalize(a) if np.array_equal(a, a.T) else False
-    return matrix._tridiagonal or None
+        matrix._form = _tridiagonalize(a) if np.array_equal(a, a.T) else _norm_inf(a)
+    return matrix._form
+
+
+def _pivots(form: _Tridiagonal, mu: float):
+    """The LDL^T pivots of mu*I - T, as ``_sturm_det``'s loop inlines them."""
+    q, pivmin = 1.0, form.pivmin
+    for d, e2 in zip(form.diag, form.offdiag_sq):
+        q = mu - d - e2 / q
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        yield q
 
 
 def _sturm_det(form: _Tridiagonal, lam: float) -> float:
     # det(lam*I - M) = prod(scale * q_k) over the LDL^T pivots q_k of
     # mu*I - T, mu = lam / scale.  The same pass runs the pivots at mu -+ eps:
     # by Sylvester's law of inertia their negative counts differ exactly when
-    # an eigenvalue lies within eps of mu, and then the value is exactly 0.0.
-    # eps is PIVOT_RTOL * max(1, |lam| + ||T||_inf) in the unscaled units.
+    # an eigenvalue lies in [mu - eps, mu + eps], and then the value is
+    # exactly 0.0.  A pivot below pivmin counts as negative at mu - eps but
+    # as positive at mu + eps, which closes the interval for eps = 0 (T = 0
+    # at lam = 0).  eps is PIVOT_RTOL * (|lam| + ||T||_inf), unscaled.
     scale, pivmin = form.scale, form.pivmin
     mu = lam / scale
-    eps = PIVOT_RTOL * max(1.0 / scale, abs(mu) + form.norm)
+    eps = PIVOT_RTOL * (abs(mu) + form.norm)
     lo, hi = mu - eps, mu + eps
     q = q_lo = q_hi = 1.0
     neg_lo = neg_hi = 0
@@ -273,11 +298,14 @@ def _sturm_det(form: _Tridiagonal, lam: float) -> float:
             if q_lo > -pivmin:
                 q_lo = -pivmin
         q_hi = hi - d - e2 / q_hi
-        if q_hi < pivmin:
+        if q_hi <= -pivmin:
             neg_hi += 1
-            if q_hi > -pivmin:
-                q_hi = -pivmin
-    return 0.0 if neg_lo != neg_hi else det
+        elif q_hi < pivmin:
+            q_hi = pivmin
+    if neg_lo != neg_hi:
+        return 0.0
+    # scale is a power of two, so its factors go into the exponent exactly.
+    return det or _full_prod(_pivots(form, mu), len(form.diag) * (math.frexp(scale)[1] - 1))
 
 
 def char_fn(matrix: DenseMatrix, lam: float) -> float:
@@ -286,15 +314,19 @@ def char_fn(matrix: DenseMatrix, lam: float) -> float:
     Monic convention: for ``lam`` above every Gerschgorin upper bound the
     value is strictly positive.  Each call is exactly one determinant
     evaluation.  A general matrix pays one O(n^3) QR factorization of a fresh
-    ``lam*I - M``.  An exactly symmetric matrix pays one O(n^3) reduction to
-    tridiagonal form on its first call, cached on the matrix, and O(n) per
-    call after that.  Both paths return exactly 0.0 where ``lam*I - M`` is
-    singular to within ``PIVOT_RTOL`` relative to its scale.
+    ``lam*I - M``, built as ``-M`` plus ``lam`` on the diagonal.  An exactly
+    symmetric matrix pays one O(n^3) reduction to tridiagonal form on its
+    first call, cached on the matrix, and O(n) per call after that.  Both
+    paths return exactly 0.0 where ``lam*I - M`` is singular by the
+    ``PIVOT_RTOL`` rule; a nonzero determinant below the float64 range
+    reads as the smallest subnormal of its sign, never as 0.0.
     """
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
-    form = _tridiagonal_form(matrix)
-    if form is None:
-        return _det(lam * np.eye(matrix.order) - matrix.entries)
-    return _sturm_det(form, lam)
+    form = _char_form(matrix)
+    if isinstance(form, _Tridiagonal):
+        return _sturm_det(form, lam)
+    a = np.negative(matrix.entries)
+    a.flat[:: matrix.order + 1] += lam
+    return _qr_det(a, abs(lam) + form)

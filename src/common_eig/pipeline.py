@@ -168,19 +168,10 @@ def common_eigenvalues(
 
     counted_a = _CountedFn(lambda lam: char_fn(matrix_a, lam))
     counted_b = _CountedFn(lambda lam: char_fn(matrix_b, lam))
-    roots_a = (
-        ()
-        if search_a.empty
-        else tuple(
-            find_real_roots(counted_a, search_a, cfg.step, cfg.width_tol, cfg.dedupe_tol)
-        )
-    )
-    roots_b = (
-        ()
-        if search_b.empty
-        else tuple(
-            find_real_roots(counted_b, search_b, cfg.step, cfg.width_tol, cfg.dedupe_tol)
-        )
+    roots_a, roots_b = (
+        () if search.empty
+        else tuple(find_real_roots(f, search, cfg.step, cfg.width_tol, cfg.dedupe_tol))
+        for f, search in ((counted_a, search_a), (counted_b, search_b))
     )
     common = match_roots(roots_a, roots_b, cfg.match_tol)
     elapsed = time.perf_counter() - start

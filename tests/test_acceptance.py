@@ -12,19 +12,20 @@ import pytest
 
 from common_eig import (
     AnalysisConfig,
+    Axis,
     DenseMatrix,
     Mode,
     RealInterval,
     char_fn,
     common_eigenvalues,
     determinant,
+    discs_of,
     emit_scan_table,
     find_real_roots,
     intersect,
     matrix_bounds,
     parse_matrix,
     render_svg,
-    row_discs,
     run_benchmark,
     scan,
 )
@@ -186,7 +187,7 @@ def test_09_rendered_outputs_match_golden_bytes(tmp_path):
         band = intersect(matrix_bounds(a), matrix_bounds(b))
 
         def artefacts():
-            svg = render_svg(row_discs(a), row_discs(b), band)
+            svg = render_svg(discs_of(a, Axis.ROW), discs_of(b, Axis.ROW), band)
             tables = []
             for m in (a, b):
                 fn = lambda x: char_fn(m, x)  # noqa: E731

@@ -12,11 +12,10 @@ from common_eig import (
     Disc,
     EmptyDiscListError,
     RealInterval,
-    col_discs,
+    discs_of,
     intersect,
     interval_of,
     matrix_bounds,
-    row_discs,
 )
 from oracles import jacobi_eigenvalues
 
@@ -28,32 +27,32 @@ def _pairs(discs):
 # ------------------------------------------------------------------ discs
 
 def test_row_discs_reference_a(mat_a):
-    discs = row_discs(mat_a)
+    discs = discs_of(mat_a, Axis.ROW)
     assert _pairs(discs) == [(3.0, 5.0), (2.0, 6.0), (5.0, 0.0)]
     assert [d.index for d in discs] == [0, 1, 2]
     assert all(d.axis is Axis.ROW for d in discs)
 
 
 def test_row_discs_reference_b(mat_b):
-    assert _pairs(row_discs(mat_b)) == [(3.0, 1.0), (2.0, 2.0), (3.0, 1.0)]
+    assert _pairs(discs_of(mat_b, Axis.ROW)) == [(3.0, 1.0), (2.0, 2.0), (3.0, 1.0)]
 
 
 def test_row_discs_zero_matrix():
-    assert _pairs(row_discs(DenseMatrix(np.zeros((2, 2))))) == [(0.0, 0.0)] * 2
+    assert _pairs(discs_of(DenseMatrix(np.zeros((2, 2))), Axis.ROW)) == [(0.0, 0.0)] * 2
 
 
 def test_col_discs_reference_a(mat_a):
-    discs = col_discs(mat_a)
+    discs = discs_of(mat_a, Axis.COLUMN)
     assert _pairs(discs) == [(3.0, 0.0), (2.0, 1.0), (5.0, 10.0)]
     assert all(d.axis is Axis.COLUMN for d in discs)
 
 
 def test_col_discs_symmetric_equal_rows(mat_b):
-    assert _pairs(col_discs(mat_b)) == _pairs(row_discs(mat_b))
+    assert _pairs(discs_of(mat_b, Axis.COLUMN)) == _pairs(discs_of(mat_b, Axis.ROW))
 
 
 def test_col_discs_identity():
-    assert _pairs(col_discs(DenseMatrix.identity(3))) == [(1.0, 0.0)] * 3
+    assert _pairs(discs_of(DenseMatrix.identity(3), Axis.COLUMN)) == [(1.0, 0.0)] * 3
 
 
 def test_disc_validation():
@@ -66,8 +65,8 @@ def test_disc_validation():
 # -------------------------------------------------------------- intervals
 
 def test_interval_of_reference(mat_a, mat_b):
-    assert interval_of(row_discs(mat_a)) == RealInterval(-4.0, 8.0)
-    assert interval_of(row_discs(mat_b)) == RealInterval(0.0, 4.0)
+    assert interval_of(discs_of(mat_a, Axis.ROW)) == RealInterval(-4.0, 8.0)
+    assert interval_of(discs_of(mat_b, Axis.ROW)) == RealInterval(0.0, 4.0)
 
 
 def test_interval_of_zero_radius_disc():
@@ -148,8 +147,8 @@ def test_diagonal_entries_contained():
     for _ in range(30):
         n = int(rng.integers(1, 8))
         m = DenseMatrix(rng.uniform(-2, 2, (n, n)))
-        row_iv = interval_of(row_discs(m))
-        col_iv = interval_of(col_discs(m))
+        row_iv = interval_of(discs_of(m, Axis.ROW))
+        col_iv = interval_of(discs_of(m, Axis.COLUMN))
         for d in np.diagonal(m.entries):
             assert row_iv.contains(d)
             assert col_iv.contains(d)
@@ -161,7 +160,7 @@ def test_symmetric_row_col_discs_identical():
         n = int(rng.integers(2, 8))
         s = rng.uniform(-1, 1, (n, n))
         m = DenseMatrix(0.5 * (s + s.T))
-        assert _pairs(row_discs(m)) == _pairs(col_discs(m))
+        assert _pairs(discs_of(m, Axis.ROW)) == _pairs(discs_of(m, Axis.COLUMN))
 
 
 def test_bounds_invariant_under_symmetric_permutation():
@@ -172,8 +171,8 @@ def test_bounds_invariant_under_symmetric_permutation():
         a = rng.integers(-9, 10, (n, n)).astype(float)
         perm = rng.permutation(n)
         permuted = a[perm][:, perm]
-        assert interval_of(row_discs(DenseMatrix(a))) == interval_of(
-            row_discs(DenseMatrix(permuted))
+        assert interval_of(discs_of(DenseMatrix(a), Axis.ROW)) == interval_of(
+            discs_of(DenseMatrix(permuted), Axis.ROW)
         )
 
 

@@ -18,7 +18,8 @@ from common_eig import (
     parse_matrix,
     render_matrix,
 )
-from common_eig.matrix import _tridiagonal_form
+import common_eig.matrix as matrix_module
+from common_eig.matrix import _char_form, _Tridiagonal
 from conftest import A_TEXT
 from oracles import cofactor_determinant
 
@@ -188,7 +189,7 @@ def test_char_fn_exact_zero_on_inexact_grid_point():
     assert np.linalg.det(lam * np.eye(3) - tri) != 0.0
     assert char_fn(DenseMatrix(tri), lam) == 0.0
     sym = _rotated_symmetric(np.random.default_rng(3), [0.3, -2.0, -1.0, 1.0, 2.5, 4.0])
-    assert _tridiagonal_form(DenseMatrix(sym)) is not None
+    assert isinstance(_char_form(DenseMatrix(sym)), _Tridiagonal)
     assert char_fn(DenseMatrix(sym), lam) == 0.0
 
 
@@ -236,10 +237,10 @@ def test_char_fn_symmetric_on_grid_eigenvalues_are_exact_zeros():
 def test_tridiagonal_input_is_its_own_form(mat_b):
     # No reflector touches a column that is already zero below the
     # subdiagonal, so B's cached form is B itself, scaled by a power of two.
-    form = _tridiagonal_form(mat_b)
+    form = _char_form(mat_b)
     assert [d * form.scale for d in form.diag] == [3.0, 2.0, 3.0]
     assert [e2 * form.scale**2 for e2 in form.offdiag_sq] == [0.0, 1.0, 1.0]
-    assert mat_b._tridiagonal is form
+    assert mat_b._form is form
 
 
 def test_char_fn_one_ulp_asymmetry_takes_qr_path():
@@ -247,9 +248,88 @@ def test_char_fn_one_ulp_asymmetry_takes_qr_path():
     a = _rotated_symmetric(rng, [-1.0, 0.5, 2.0, 3.5])
     a[0, 1] = np.nextafter(a[0, 1], np.inf)
     m = DenseMatrix(a)
-    assert _tridiagonal_form(m) is None
+    assert not isinstance(_char_form(m), _Tridiagonal)
     for lam in (-2.0, 0.25, 1.0, 4.0):
         assert char_fn(m, lam) == determinant(DenseMatrix(lam * np.eye(4) - a))
+
+
+def test_char_fn_is_determinant_of_shifted_matrix_bitwise():
+    # char_fn builds lam*I - M as -M plus lam on the diagonal, which is
+    # bitwise the matrix lam*eye(n) - M when M has no zero entry.
+    rng = np.random.default_rng(73)
+    for n in list(range(1, 9)) + [17, 30, 60]:
+        a = rng.normal(size=(n, n))
+        m = DenseMatrix(a)
+        for lam in (*rng.uniform(-4, 4, 4), -0.5, 0.5):
+            ours = char_fn(m, lam)
+            ref = determinant(DenseMatrix(lam * np.eye(n) - a))
+            assert ours.hex() == ref.hex()
+
+
+def test_char_fn_agrees_with_determinant_on_exact_zeros():
+    # With exact zero entries the two operands may differ in the sign of a
+    # zero, which can steer a reflector differently; the values still
+    # agree in sign and to rounding.
+    rng = np.random.default_rng(79)
+    mats = []
+    for n in (2, 3, 5, 8, 12):
+        mats.append(np.triu(rng.uniform(-3, 3, (n, n))))
+        mats.append(np.tril(rng.uniform(-3, 3, (n, n))))
+        block = rng.uniform(-3, 3, (n, n))
+        block[: n // 2, n // 2 :] = 0.0
+        block[rng.uniform(size=(n, n)) < 0.3] = 0.0
+        mats.append(block)
+    for a in mats:
+        m = DenseMatrix(a)
+        n = m.order
+        for lam in rng.uniform(-4, 4, 6):
+            ours = char_fn(m, lam)
+            ref = determinant(DenseMatrix(lam * np.eye(n) - a))
+            assert np.sign(ours) == np.sign(ref)
+            assert ours == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["qr", "sturm"])
+def test_char_fn_fills_its_cache_slot_once(monkeypatch, symmetric):
+    # ||M||_inf of a general matrix, the tridiagonal form of a symmetric
+    # one: computed on the first call, then read; the entries stay as given.
+    name = "_tridiagonalize" if symmetric else "_norm_inf"
+    calls = []
+    compute = getattr(matrix_module, name)
+    monkeypatch.setattr(matrix_module, name, lambda a: calls.append(a) or compute(a))
+    a = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, 1.0], [-1.0, 4.0, 2.0]])
+    if symmetric:
+        a = a + a.T
+    m = DenseMatrix(a)
+    assert m._form is None
+    values = [char_fn(m, lam) for lam in (-1.0, 0.25, 3.0)]
+    form = m._form
+    assert len(calls) == 1
+    assert isinstance(form, _Tridiagonal) if symmetric else form == 7.0
+    assert [char_fn(m, lam) for lam in (-1.0, 0.25, 3.0)] == values
+    assert len(calls) == 1
+    assert m._form is form
+    assert not m.entries.flags.writeable
+    assert np.array_equal(m.entries, a)
+
+
+def test_singular_rule_is_relative_at_every_scale():
+    # Zero and nilpotent matrices read exactly 0 at lam = 0, where the
+    # tolerance PIVOT_RTOL * (|lam| + ||M||_inf) is 0 itself.
+    for n in (1, 3):
+        assert char_fn(DenseMatrix(np.zeros((n, n))), 0.0) == 0.0
+        assert determinant(DenseMatrix(np.zeros((n, n)))) == 0.0
+    assert char_fn(DenseMatrix([[0.0, 1.0], [0.0, 0.0]]), 0.0) == 0.0
+    # Eigenvalues 1e-200 and 2e-200 on both paths: exact zeros on them, a
+    # plain value at 1e-100, and between them a determinant of -2.5e-401,
+    # which float64 cannot hold, reads as the smallest subnormal of its
+    # sign rather than as a root.
+    for a in ([[1e-200, 0.0], [0.0, 2e-200]], [[1e-200, 1e-200], [0.0, 2e-200]]):
+        m = DenseMatrix(a)
+        assert char_fn(m, 1e-200) == 0.0
+        assert char_fn(m, 2e-200) == 0.0
+        assert char_fn(m, 1.5e-200) == -5e-324
+        assert char_fn(m, 1e-100) == pytest.approx(1e-200, rel=1e-12)
 
 
 def test_char_fn_at_eigenvalue_of_identity():

@@ -243,7 +243,7 @@ def test_common_values_do_not_depend_on_scale(symmetrize):
     if symmetrize:
         rotated = 0.5 * (rotated + rotated.T)
     triangular = np.array([[2.0, 1.0, 0.5], [0.0, 2.5, 1.0], [0.0, 0.0, 3.0]])
-    for scale in (1e-4, 1e-2, 1.0, 1e4):
+    for scale in (1e-100, 1e-14, 1e-12, 1e-4, 1e-2, 1.0, 1e4):
         cfg = AnalysisConfig(
             step=0.1 * scale, width_tol=1e-10 * scale,
             match_tol=1e-6 * scale, dedupe_tol=1e-6 * scale,
@@ -252,6 +252,55 @@ def test_common_values_do_not_depend_on_scale(symmetrize):
             DenseMatrix(scale * rotated), DenseMatrix(scale * triangular), cfg
         )
         assert [c / scale for c in report.common] == pytest.approx([2.0, 3.0], abs=1e-9)
+
+
+def _planted_order60_pair(rng, symmetric):
+    """Two rotated order-60 matrices that share the eigenvalue 0.35.
+
+    Dense: 0.35, -1.2 and two more real eigenvalues each, the rest complex
+    pairs a +- wi with w in [0.5, 2].  Symmetric: spectra 0.35 + 0.2k and
+    0.35 + 0.3k for k = -30..29, which share 0.35 + 0.6j.
+    """
+    n = 60
+    q = [np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2)]
+    if symmetric:
+        ks = np.arange(-30, 30)
+        return [0.5 * (m + m.T) for m in (
+            q[0] @ np.diag(0.35 + 0.2 * ks) @ q[0].T,
+            q[1] @ np.diag(0.35 + 0.3 * ks) @ q[1].T,
+        )]
+    out = []
+    for basis in q:
+        t = np.diag([0.35, -1.2, *rng.uniform(-2.0, 2.0, 2)] + [0.0] * (n - 4))
+        for i in range(4, n, 2):
+            a, w = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)
+            t[i : i + 2, i : i + 2] = [[a, w], [-w, a]]
+        out.append(basis @ t @ basis.T)
+    return out
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["qr", "sturm"])
+def test_underflowing_determinant_is_not_a_root(symmetric):
+    # At scale 1e-6, det(lam*I - M) of an order-60 matrix is about 1e-360,
+    # below the float64 range: a product of the pivots that underflows to
+    # 0.0 would read every grid point as a root.  Each value must keep the
+    # sign of slogdet's, and the common values divided by the scale must
+    # equal those of the unscaled pair.
+    a, b = _planted_order60_pair(np.random.default_rng(13), symmetric)
+    scale = 1e-6
+    m = DenseMatrix(scale * a)
+    for lam in np.linspace(-2.5 * scale, 2.5 * scale, 200):
+        value = char_fn(m, lam)
+        assert value != 0.0
+        assert np.sign(value) == np.linalg.slogdet(lam * np.eye(60) - m.entries)[0]
+    cfg = AnalysisConfig(
+        step=0.1 * scale, width_tol=1e-10 * scale,
+        match_tol=1e-6 * scale, dedupe_tol=1e-6 * scale,
+    )
+    scaled = common_eigenvalues(m, DenseMatrix(scale * b), cfg)
+    unscaled = common_eigenvalues(DenseMatrix(a), DenseMatrix(b))
+    assert any(abs(c - 0.35) <= 1e-6 for c in unscaled.common)
+    assert [c / scale for c in scaled.common] == pytest.approx(unscaled.common, abs=1e-9)
 
 
 def test_proposed_never_costs_more_than_conventional(mat_a, mat_b):

@@ -12,13 +12,17 @@ from common_eig import (
     RealInterval,
     char_fn,
     common_eigenvalues,
+    discs_of,
     emit_json_report,
     emit_scan_table,
     find_real_roots,
     render_svg,
-    row_discs,
     scan,
 )
+
+def _row_discs(*matrices):
+    return [discs_of(m, Axis.ROW) for m in matrices]
+
 
 COORD = re.compile(r'(?:cx|cy|r|x|y|x1|x2|y1|y2|width|height)="(-?\d+\.\d+)"')
 
@@ -26,7 +30,7 @@ COORD = re.compile(r'(?:cx|cy|r|x|y|x1|x2|y1|y2|width|height)="(-?\d+\.\d+)"')
 # -------------------------------------------------------------------- SVG
 
 def test_svg_reference_structure(mat_a, mat_b):
-    svg = render_svg(row_discs(mat_a), row_discs(mat_b), RealInterval(0, 4))
+    svg = render_svg(*_row_discs(mat_a, mat_b), RealInterval(0, 4))
     assert svg.count("<circle") == 6
     assert svg.count('class="disc-a"') == 3
     assert svg.count('class="disc-b"') == 3
@@ -44,14 +48,14 @@ def test_svg_reference_structure(mat_a, mat_b):
 
 
 def test_svg_coordinates_have_six_decimals(mat_a, mat_b):
-    svg = render_svg(row_discs(mat_a), row_discs(mat_b), RealInterval(0, 4))
+    svg = render_svg(*_row_discs(mat_a, mat_b), RealInterval(0, 4))
     coords = COORD.findall(svg)
     assert coords
     assert all(len(c.split(".")[1]) == 6 for c in coords)
 
 
 def test_svg_byte_identical_across_runs(mat_a, mat_b):
-    args = (row_discs(mat_a), row_discs(mat_b), RealInterval(0, 4))
+    args = (*_row_discs(mat_a, mat_b), RealInterval(0, 4))
     assert render_svg(*args) == render_svg(*args)
 
 
