@@ -10,6 +10,7 @@ internal numeric failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -56,7 +57,10 @@ class CliInvocation:
     bench: int = 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use, then reused: parse_args leaves the parser as it
+    # was, and building it costs several times one parse.
     parser = argparse.ArgumentParser(
         prog="common-eig",
         description=(

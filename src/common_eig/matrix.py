@@ -2,11 +2,18 @@
 
 The characteristic function ``f(lam) = det(lam*I - M)`` is the scalar whose
 real roots are the real eigenvalues of ``M``.  Each call evaluates it at one
-``lam``, so call counts are evaluation counts.  A general matrix pays one
-Householder QR factorization per call (a single LAPACK call made by numpy)
-plus O(1) work.  An exactly symmetric matrix is reduced once, on its first
-call, to a similar tridiagonal matrix that the immutable ``DenseMatrix``
-caches; each call then costs one O(n) pass of LDL^T pivots (Sturm sequences).
+``lam``, so call counts are evaluation counts.  ``char_fn`` takes one of
+three paths, fixed by the matrix's first call, whose one-time work the
+immutable ``DenseMatrix`` caches:
+
+* an exactly symmetric matrix is reduced once to a similar tridiagonal
+  matrix; each call then costs one O(n) pass of LDL^T pivots (Sturm
+  sequences);
+* a general matrix of order up to ``_HESSENBERG_MAX_ORDER`` is reduced once
+  to a similar upper Hessenberg matrix; each call then costs one O(n^2)
+  Gaussian elimination with partial pivoting, in plain Python;
+* a larger general matrix pays one Householder QR factorization per call
+  (a single LAPACK call made by numpy) plus O(1) work.
 """
 
 from __future__ import annotations
@@ -34,12 +41,21 @@ __all__ = [
     "char_fn",
 ]
 
-# The singular rule of both paths: lam*I - M is singular when its smallest
-# |R_ii| (QR), or the distance from lam to an eigenvalue (symmetric, with
-# the tridiagonal T for M), is at most PIVOT_RTOL * (|lam| + ||M||_inf).
-# With no absolute floor it reads the same at every scale, and an eigenvalue
-# on a grid point reads as an exact zero rather than as 1e-16-level noise.
+# The singular rule of all three paths: lam*I - M is singular when its
+# smallest |R_ii| (QR), its smallest elimination pivot (Hessenberg), or the
+# distance from lam to an eigenvalue (symmetric, with the tridiagonal T for
+# M) is at most PIVOT_RTOL * (|lam| + ||M||_inf).  With no absolute floor it
+# reads the same at every scale, and an eigenvalue on a grid point reads as
+# an exact zero rather than as 1e-16-level noise.
 PIVOT_RTOL = 1e-13
+
+# General matrices up to this order take the Hessenberg path, larger ones
+# QR.  At small orders numpy's QR costs mostly call overhead, which the
+# plain-Python elimination avoids; its O(n^2) Python arithmetic catches up
+# at order 12 to 13 (x86-64, Python 3.11, numpy 2.4: 10 against 15 us per
+# call at n = 8, about equal at n = 12).  At 11 it still saves about 15 %
+# per call, which repays the one-time reduction within 50 to 80 calls.
+_HESSENBERG_MAX_ORDER = 11
 
 _TOKEN = re.compile(r"\S+")
 _ORDER = re.compile(r"\+?\d+")
@@ -197,6 +213,33 @@ def determinant(matrix: DenseMatrix) -> float:
     return _qr_det(matrix.entries, _norm_inf(matrix.entries))
 
 
+def _unit_scale(a: np.ndarray) -> float:
+    """The power of two at or below the largest |entry| (1.0 for zero), so that
+    ``a / scale`` is exact and has its largest entry in [1, 2)."""
+    peak = float(abs(a).max())
+    return math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak else 1.0
+
+
+def _reflector(x: np.ndarray):
+    """Householder ``P = I - tau*v*v^T`` with ``v[0] == 1`` and ``P*x = beta*e1``.
+
+    None where ``x[1:]`` is already zero, for which LAPACK ``dlarfg`` takes
+    ``tau == 0``, so the reductions leave such a column as it is.
+    """
+    rest = x[1:].ravel()
+    if not np.count_nonzero(rest):
+        return None
+    alpha = float(x[0])
+    # ||rest||_2 as np.linalg.norm computes it, without its call overhead,
+    # unless the sum of squares underflows: then math.hypot, which scales.
+    sum_sq = float(rest.dot(rest))
+    norm = math.sqrt(sum_sq) if sum_sq >= sys.float_info.min else math.hypot(*rest.tolist())
+    beta = -math.copysign(math.hypot(alpha, norm), alpha)
+    v = x / (alpha - beta)
+    v[0] = 1.0
+    return v, (beta - alpha) / beta, beta
+
+
 class _Tridiagonal(NamedTuple):
     """Symmetric tridiagonal T similar to ``M / scale``.
 
@@ -214,32 +257,26 @@ class _Tridiagonal(NamedTuple):
 def _tridiagonalize(a: np.ndarray) -> _Tridiagonal:
     """Householder similarity reduction of the symmetric ``a`` to tridiagonal form.
 
-    Works on ``a / scale`` with ``scale`` the power of two at or below the
-    largest entry, which keeps every later pivot and norm in range.  A column
-    already zero below its subdiagonal gets no reflector (``tau == 0``, as in
-    LAPACK ``dlarfg``), so a tridiagonal input comes back unchanged.
+    Works on ``a / scale`` (``_unit_scale``), which keeps every later pivot
+    and norm in range.  A column already zero below its subdiagonal gets no
+    reflector, so a tridiagonal input comes back unchanged.
     """
     n = a.shape[0]
-    peak = float(abs(a).max())
-    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak else 1.0
+    scale = _unit_scale(a)
     t = a / scale
     off = np.zeros(n)
     for k in range(n - 2):
         x = t[k + 1 :, k]
-        alpha = float(x[0])
-        if not x[1:].any():
-            off[k + 1] = alpha
+        reflector = _reflector(x)
+        if reflector is None:
+            off[k + 1] = x[0]
             continue
-        beta = -math.copysign(math.hypot(alpha, float(np.linalg.norm(x[1:]))), alpha)
-        tau = (beta - alpha) / beta
-        v = x / (alpha - beta)
-        v[0] = 1.0
-        # H = I - tau*v*v^T; H*S*H as a symmetric rank-2 update of S.
+        v, tau, off[k + 1] = reflector
+        # P*S*P as a symmetric rank-2 update of S.
         sub = t[k + 1 :, k + 1 :]
         p = tau * (sub @ v)
         w = p - (0.5 * tau * float(p @ v)) * v
         sub -= np.outer(v, w) + np.outer(w, v)
-        off[k + 1] = beta
     if n > 1:
         off[n - 1] = t[n - 1, n - 2]
     diag = t.diagonal()
@@ -249,16 +286,101 @@ def _tridiagonalize(a: np.ndarray) -> _Tridiagonal:
     # which keeps e^2/q finite.  Taking the square root of the smallest
     # normal float keeps |q| < 1e154, so scale*q overflows only where the
     # pivot pair it belongs to, about -scale^2*e^2, overflows too.  The
-    # shift is far below rounding at the unit scale of T.
-    pivmin = math.sqrt(sys.float_info.min) * max(1.0, max(offdiag_sq))
+    # shift is far below rounding at the unit scale of T.  The zero matrix
+    # has no unit scale, and its T divides nothing by a pivot, so its floor
+    # only keeps q off zero: the smallest subnormal, which lets every pivot
+    # mu through and so reads mu**n at every mu != 0.
+    pivmin = math.sqrt(sys.float_info.min) * max(1.0, max(offdiag_sq)) if norm else 5e-324
     return _Tridiagonal(diag.tolist(), offdiag_sq, norm, scale, pivmin)
 
 
-def _char_form(matrix: DenseMatrix) -> _Tridiagonal | float:
-    """The cached tridiagonal form of an exactly symmetric matrix, else ||M||_inf."""
+class _Hessenberg(NamedTuple):
+    """Upper Hessenberg H similar to a general M, kept as ``-H`` by rows.
+
+    ``head`` is row 0 of ``-H``; ``rows[k]`` is row k+1 of ``-H`` from its
+    subdiagonal entry on, so ``rows[k][1]`` is on the diagonal.
+    """
+
+    head: list[float]
+    rows: list[list[float]]
+    norm: float  # ||M||_inf
+
+
+def _hessenberg(a: np.ndarray) -> _Hessenberg:
+    """Householder similarity reduction of ``a`` to upper Hessenberg form.
+
+    Reduces ``a / scale`` as ``_tridiagonalize`` does, so every norm stays in
+    range at any scale float64 holds, and multiplies the result back by the
+    power of two ``scale``, exactly but for results below the normal range.
+    A column already zero below its subdiagonal gets no reflector, so a
+    Hessenberg or triangular input comes back as it is.
+    """
+    n = a.shape[0]
+    scale = _unit_scale(a)
+    # g is H transposed, so each reflector reads a contiguous row of g.
+    g = a.T / scale
+    for k in range(n - 2):
+        reflector = _reflector(g[k, k + 1 :])
+        if reflector is None:
+            continue
+        v, tau, beta = reflector
+        tv = tau * v
+        # H <- P*H*P, P = I - tau*v*v^T on rows and columns k+1 on: P*H on
+        # H's trailing block, then H*P on all rows; P maps H's column k
+        # below the diagonal to beta*e1.
+        block = g[k + 1 :, k + 1 :]
+        block -= (block @ v)[:, None] * tv
+        right = g[k + 1 :]
+        right -= tv[:, None] * (v @ right)
+        g[k, k + 1] = beta
+        g[k, k + 2 :] = 0.0
+    neg = g.T * -scale
+    return _Hessenberg(neg[0].tolist(), [neg[k, k - 1 :].tolist() for k in range(1, n)], _norm_inf(a))
+
+
+def _hessenberg_det(form: _Hessenberg, lam: float) -> float:
+    # Gaussian elimination with partial pivoting on lam*I - H.  Column k of
+    # an upper Hessenberg matrix is nonzero only down to row k+1, so step k
+    # chooses its pivot between two rows, the reduced row r and row k+1, and
+    # updates one row: O(n) per step, O(n^2) per lam.  det(lam*I - M) is
+    # (-1)^swaps * prod(pivots); lam*I - M is singular by PIVOT_RTOL, and the
+    # value exactly 0.0, as soon as a pivot is at most
+    # PIVOT_RTOL * (|lam| + ||M||_inf).
+    tol = PIVOT_RTOL * (abs(lam) + form.norm)
+    r = form.head[:]
+    r[0] += lam
+    pivots = []
+    swaps = 0
+    for row in form.rows:
+        p = row[:]
+        p[1] += lam
+        if abs(p[0]) > abs(r[0]):
+            r, p = p, r
+            swaps += 1
+        if abs(r[0]) <= tol:
+            return 0.0
+        pivots.append(r[0])
+        m = p[0] / r[0]
+        r = [y - m * x for x, y in zip(r[1:], p[1:])]
+    if abs(r[0]) <= tol:
+        return 0.0
+    pivots.append(r[0])
+    det = math.prod(pivots) or _full_prod(pivots)
+    return -det if swaps % 2 else det
+
+
+def _char_form(matrix: DenseMatrix) -> _Tridiagonal | _Hessenberg | float:
+    """The cached form behind ``char_fn``: tridiagonal for an exactly symmetric
+    matrix, Hessenberg for a general one of order up to
+    ``_HESSENBERG_MAX_ORDER``, else ||M||_inf for the QR path."""
     if matrix._form is None:
         a = matrix.entries
-        matrix._form = _tridiagonalize(a) if np.array_equal(a, a.T) else _norm_inf(a)
+        if np.array_equal(a, a.T):
+            matrix._form = _tridiagonalize(a)
+        elif matrix.order <= _HESSENBERG_MAX_ORDER:
+            matrix._form = _hessenberg(a)
+        else:
+            matrix._form = _norm_inf(a)
     return matrix._form
 
 
@@ -313,18 +435,22 @@ def char_fn(matrix: DenseMatrix, lam: float) -> float:
 
     Monic convention: for ``lam`` above every Gerschgorin upper bound the
     value is strictly positive.  Each call is exactly one determinant
-    evaluation.  A general matrix pays one O(n^3) QR factorization of a fresh
-    ``lam*I - M``, built as ``-M`` plus ``lam`` on the diagonal.  An exactly
-    symmetric matrix pays one O(n^3) reduction to tridiagonal form on its
-    first call, cached on the matrix, and O(n) per call after that.  Both
-    paths return exactly 0.0 where ``lam*I - M`` is singular by the
-    ``PIVOT_RTOL`` rule; a nonzero determinant below the float64 range
-    reads as the smallest subnormal of its sign, never as 0.0.
+    evaluation.  The first call on a matrix fixes its path (see the module
+    docstring) and caches what the path reuses: an exactly symmetric matrix
+    pays O(n) per call after an O(n^3) reduction to tridiagonal form, a
+    general one of order up to ``_HESSENBERG_MAX_ORDER`` O(n^2) after an
+    O(n^3) reduction to Hessenberg form, and a larger general one an O(n^3)
+    QR factorization of a fresh ``lam*I - M``, built as ``-M`` plus ``lam``
+    on the diagonal.  Every path returns exactly 0.0 where ``lam*I - M`` is
+    singular by the ``PIVOT_RTOL`` rule; a nonzero determinant below the
+    float64 range reads as the smallest subnormal of its sign, never as 0.0.
     """
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
     form = _char_form(matrix)
+    if isinstance(form, _Hessenberg):
+        return _hessenberg_det(form, lam)
     if isinstance(form, _Tridiagonal):
         return _sturm_det(form, lam)
     a = np.negative(matrix.entries)

@@ -1,9 +1,11 @@
 """Matrix parsing, determinants, characteristic function."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from common_eig import (
     DenseMatrix,
@@ -11,15 +13,17 @@ from common_eig import (
     NonFiniteValueError,
     NonNumericTokenError,
     NonSquareError,
+    RealInterval,
     TrailingContentError,
     char_fn,
     determinant,
+    find_real_roots,
     matrix_bounds,
     parse_matrix,
     render_matrix,
 )
 import common_eig.matrix as matrix_module
-from common_eig.matrix import _char_form, _Tridiagonal
+from common_eig.matrix import _HESSENBERG_MAX_ORDER, _char_form, _Hessenberg, _Tridiagonal
 from conftest import A_TEXT
 from oracles import cofactor_determinant
 
@@ -30,6 +34,22 @@ def _rotated_symmetric(rng, spectrum):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     m = q @ np.diag(spectrum) @ q.T
     return 0.5 * (m + m.T)
+
+
+def _planted_general(rng, reals, pairs=0):
+    """V*T*V^-1: T holds ``reals`` on its diagonal and ``pairs`` 2x2 rotation
+    blocks (complex pairs off the real axis); V, an orthogonal times a unit
+    upper triangular matrix, is well conditioned but not orthogonal, so the
+    result is general and diagonalizable."""
+    n = len(reals) + 2 * pairs
+    t = np.zeros((n, n))
+    t[range(len(reals)), range(len(reals))] = reals
+    for i in range(len(reals), n, 2):
+        a, w = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)
+        t[i : i + 2, i : i + 2] = [[a, w], [-w, a]]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    v = q @ (np.eye(n) + np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1))
+    return v @ t @ np.linalg.inv(v)
 
 
 # ---------------------------------------------------------------- parsing
@@ -182,12 +202,21 @@ def test_char_fn_reference_values(mat_a, mat_b):
 def test_char_fn_exact_zero_on_inexact_grid_point():
     # 3 * 0.1 == 0.30000000000000004, a grid point one ulp off the
     # eigenvalue 0.3, where the unrounded determinant is about 6.6e-17.  The
-    # singular tests of both paths must still return exactly 0.0: the QR
-    # path on the triangular matrix, the Sturm path on the symmetric one.
+    # singular tests of all three paths must still return exactly 0.0: the
+    # Hessenberg path on the 3x3 triangular matrix, the QR path on a
+    # triangular matrix above _HESSENBERG_MAX_ORDER, the Sturm path on the
+    # symmetric one.
     lam = 3 * 0.1
     tri = np.array([[0.3, 1.0, 4.0], [0.0, 1.0, 6.0], [0.0, 0.0, 2.0]])
     assert np.linalg.det(lam * np.eye(3) - tri) != 0.0
+    assert isinstance(_char_form(DenseMatrix(tri)), _Hessenberg)
     assert char_fn(DenseMatrix(tri), lam) == 0.0
+    n = _HESSENBERG_MAX_ORDER + 1
+    big = np.triu(np.random.default_rng(5).uniform(-3.0, 3.0, (n, n)))
+    big[0, 0] = 0.3
+    assert np.linalg.det(lam * np.eye(n) - big) != 0.0
+    assert isinstance(_char_form(DenseMatrix(big)), float)
+    assert char_fn(DenseMatrix(big), lam) == 0.0
     sym = _rotated_symmetric(np.random.default_rng(3), [0.3, -2.0, -1.0, 1.0, 2.5, 4.0])
     assert isinstance(_char_form(DenseMatrix(sym)), _Tridiagonal)
     assert char_fn(DenseMatrix(sym), lam) == 0.0
@@ -244,26 +273,51 @@ def test_tridiagonal_input_is_its_own_form(mat_b):
 
 
 def test_char_fn_one_ulp_asymmetry_takes_qr_path():
+    # Above _HESSENBERG_MAX_ORDER a matrix one ulp from symmetric is
+    # general: QR, bitwise the determinant of lam*I - M.
+    n = _HESSENBERG_MAX_ORDER + 1
+    rng = np.random.default_rng(71)
+    a = _rotated_symmetric(rng, np.linspace(-1.0, 3.5, n))
+    a[0, 1] = np.nextafter(a[0, 1], np.inf)
+    m = DenseMatrix(a)
+    assert isinstance(_char_form(m), float)
+    for lam in (-2.0, 0.25, 1.0, 4.0):
+        assert char_fn(m, lam) == determinant(DenseMatrix(lam * np.eye(n) - a))
+
+
+def test_char_fn_one_ulp_asymmetry_takes_hessenberg_path():
+    # The same at order 4, below the switch: Hessenberg, so the values
+    # agree with the determinant in sign and to rounding, not bitwise.
     rng = np.random.default_rng(71)
     a = _rotated_symmetric(rng, [-1.0, 0.5, 2.0, 3.5])
     a[0, 1] = np.nextafter(a[0, 1], np.inf)
     m = DenseMatrix(a)
-    assert not isinstance(_char_form(m), _Tridiagonal)
+    assert isinstance(_char_form(m), _Hessenberg)
     for lam in (-2.0, 0.25, 1.0, 4.0):
-        assert char_fn(m, lam) == determinant(DenseMatrix(lam * np.eye(4) - a))
+        ref = determinant(DenseMatrix(lam * np.eye(4) - a))
+        assert np.sign(char_fn(m, lam)) == np.sign(ref)
+        assert char_fn(m, lam) == pytest.approx(ref, rel=1e-12)
 
 
 def test_char_fn_is_determinant_of_shifted_matrix_bitwise():
-    # char_fn builds lam*I - M as -M plus lam on the diagonal, which is
-    # bitwise the matrix lam*eye(n) - M when M has no zero entry.
+    # Above _HESSENBERG_MAX_ORDER char_fn builds lam*I - M as -M plus lam on
+    # the diagonal, which is bitwise the matrix lam*eye(n) - M when M has no
+    # zero entry.  At or below it, char_fn eliminates a similar Hessenberg
+    # matrix instead: the same sign, and the same value to rounding wherever
+    # lam*I - M is well conditioned (away from eigenvalues).
     rng = np.random.default_rng(73)
-    for n in list(range(1, 9)) + [17, 30, 60]:
+    for n in list(range(1, _HESSENBERG_MAX_ORDER + 2)) + [17, 30, 60]:
         a = rng.normal(size=(n, n))
         m = DenseMatrix(a)
         for lam in (*rng.uniform(-4, 4, 4), -0.5, 0.5):
             ours = char_fn(m, lam)
-            ref = determinant(DenseMatrix(lam * np.eye(n) - a))
-            assert ours.hex() == ref.hex()
+            shifted = lam * np.eye(n) - a
+            ref = determinant(DenseMatrix(shifted))
+            if n > _HESSENBERG_MAX_ORDER:
+                assert ours.hex() == ref.hex()
+            elif np.linalg.cond(shifted) < 1e3:
+                assert np.sign(ours) == np.sign(ref)
+                assert ours == pytest.approx(ref, rel=1e-12)
 
 
 def test_char_fn_agrees_with_determinant_on_exact_zeros():
@@ -289,28 +343,114 @@ def test_char_fn_agrees_with_determinant_on_exact_zeros():
             assert ours == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.parametrize("symmetric", [False, True], ids=["qr", "sturm"])
-def test_char_fn_fills_its_cache_slot_once(monkeypatch, symmetric):
-    # ||M||_inf of a general matrix, the tridiagonal form of a symmetric
+def test_char_fn_reduces_a_column_whose_squares_underflow():
+    # Column 0 below the diagonal is (0, 1e-170): its squared norm underflows
+    # to 0, yet it still needs a reflector, on both reducing paths.
+    a = np.array([[1.0, 0.0, 1e-170], [0.0, 2.0, 0.0], [1e-170, 0.0, 3.0]])
+    general = a.copy()
+    general[0, 2] = 4.0
+    for entries in (a, general):
+        m = DenseMatrix(entries)
+        for lam in (0.5, 1.5, 2.5, 3.5):
+            ref = float(np.linalg.det(lam * np.eye(3) - entries))
+            assert char_fn(m, lam) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert isinstance(_char_form(DenseMatrix(a)), _Tridiagonal)
+    assert isinstance(_char_form(DenseMatrix(general)), _Hessenberg)
+
+
+@pytest.mark.parametrize("path", ["qr", "hessenberg", "sturm"])
+def test_char_fn_fills_its_cache_slot_once(monkeypatch, path):
+    # ||M||_inf of a general matrix above _HESSENBERG_MAX_ORDER, the
+    # Hessenberg form of a smaller one, the tridiagonal form of a symmetric
     # one: computed on the first call, then read; the entries stay as given.
-    name = "_tridiagonalize" if symmetric else "_norm_inf"
+    name = {"qr": "_norm_inf", "hessenberg": "_hessenberg", "sturm": "_tridiagonalize"}[path]
     calls = []
     compute = getattr(matrix_module, name)
     monkeypatch.setattr(matrix_module, name, lambda a: calls.append(a) or compute(a))
     a = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, 1.0], [-1.0, 4.0, 2.0]])
-    if symmetric:
+    if path == "qr":
+        # block diagonal copies of a: the same row sums, above the switch
+        a = np.kron(np.eye(_HESSENBERG_MAX_ORDER // 3 + 1), a)
+    if path == "sturm":
         a = a + a.T
     m = DenseMatrix(a)
     assert m._form is None
     values = [char_fn(m, lam) for lam in (-1.0, 0.25, 3.0)]
     form = m._form
     assert len(calls) == 1
-    assert isinstance(form, _Tridiagonal) if symmetric else form == 7.0
+    if path == "qr":
+        assert form == 7.0
+    elif path == "hessenberg":
+        assert isinstance(form, _Hessenberg) and form.norm == 7.0
+    else:
+        assert isinstance(form, _Tridiagonal)
     assert [char_fn(m, lam) for lam in (-1.0, 0.25, 3.0)] == values
     assert len(calls) == 1
     assert m._form is form
     assert not m.entries.flags.writeable
     assert np.array_equal(m.entries, a)
+
+
+def test_hessenberg_input_is_its_own_form(mat_a):
+    # No reflector touches a column that is already zero below the
+    # subdiagonal, so the triangular A's cached form holds A itself.
+    form = _char_form(mat_a)
+    assert isinstance(form, _Hessenberg)
+    assert form.head == [-3.0, -1.0, -4.0]
+    assert form.rows == [[0.0, -2.0, -6.0], [0.0, -5.0]]
+    assert form.norm == 8.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, _HESSENBERG_MAX_ORDER + 4),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-300, 300),
+    lam=st.floats(-4.0, 4.0),
+)
+def test_char_fn_sign_and_value_at_every_scale(n, seed, exponent, lam):
+    # det(s*lam*I - s*A) = s**n * det(lam*I - A) for a general A and
+    # s = 10**exponent, on both sides of the Hessenberg/QR switch.  The value
+    # has the sign of the unscaled determinant at every scale and, where
+    # s**n * det(lam*I - A) is a normal float64, its value to rounding.
+    # lam*I - A is kept well conditioned: away from the eigenvalues.
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    shifted = lam * np.eye(n) - a
+    assume(np.linalg.cond(shifted) < 1e4)
+    sign, logdet = np.linalg.slogdet(shifted)
+    s = 10.0**exponent
+    ours = char_fn(DenseMatrix(a * s), lam * s)
+    assert np.sign(ours) == sign
+    log_expected = logdet + n * exponent * math.log(10.0)
+    if math.log(sys.float_info.min) < log_expected < math.log(sys.float_info.max):
+        assert ours == pytest.approx(sign * math.exp(log_expected), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2], ids=["simple", "double"])
+def test_on_grid_eigenvalues_of_small_general_matrices_are_found(multiplicity):
+    # Real eigenvalues planted on interior scan grid points lo + k*step,
+    # beside complex pairs.  The Hessenberg path reads some simple ones as
+    # tiny nonzero values rather than exact zeros; bisection of the cell
+    # beside such a point must still find the eigenvalue.  (At an endpoint
+    # of the interval that cell lies outside it, so there only an exact
+    # zero is found.)  A double eigenvalue has no sign change around it,
+    # so it must read as an exact zero.
+    rng = np.random.default_rng(89)
+    lo, step, width_tol = -3.0, 0.1, 1e-10
+    for n in range(3, 9):
+        for _ in range(10):
+            pairs = int(rng.integers(0, (n - multiplicity) // 2 + 1))
+            count = (n - 2 * pairs) // multiplicity
+            grid = [lo + int(k) * step for k in 1 + rng.choice(59, size=count, replace=False)]
+            reals = [x for x in grid for _ in range(multiplicity)]
+            reals += [lo + step * 61 + 1.0] * (n - 2 * pairs - len(reals))
+            m = DenseMatrix(_planted_general(rng, reals, pairs))
+            assert isinstance(_char_form(m), _Hessenberg)
+            roots = find_real_roots(
+                lambda x: char_fn(m, x), RealInterval(lo, lo + 60 * step), step, width_tol
+            )
+            for x in grid:
+                assert min(abs(r.value - x) for r in roots) <= width_tol
 
 
 def test_singular_rule_is_relative_at_every_scale():
@@ -329,7 +469,19 @@ def test_singular_rule_is_relative_at_every_scale():
         assert char_fn(m, 1e-200) == 0.0
         assert char_fn(m, 2e-200) == 0.0
         assert char_fn(m, 1.5e-200) == -5e-324
-        assert char_fn(m, 1e-100) == pytest.approx(1e-200, rel=1e-12)
+        assert char_fn(m, 1e-100) == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+
+
+def test_zero_matrix_reads_lam_to_the_n():
+    # The zero matrix has no unit scale of its own; det(lam*I - 0) is
+    # lam**n at every lam, or the smallest subnormal of its sign where that
+    # underflows, and exactly 0 only at lam = 0.
+    for n in (1, 2, 3):
+        m = DenseMatrix(np.zeros((n, n)))
+        assert char_fn(m, 0.0) == 0.0
+        for lam in (1e-300, -1e-300, 1e-160, -1e-160, 1e-100, 5e-324, -2.5):
+            expected = math.prod([lam] * n) or math.copysign(5e-324, lam if n % 2 else 1.0)
+            assert char_fn(m, lam) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_char_fn_at_eigenvalue_of_identity():
