@@ -9,11 +9,13 @@ immutable ``DenseMatrix`` caches:
 * an exactly symmetric matrix is reduced once to a similar tridiagonal
   matrix; each call then costs one O(n) pass of LDL^T pivots (Sturm
   sequences);
-* a general matrix of order up to ``_HESSENBERG_MAX_ORDER`` is reduced once
-  to a similar upper Hessenberg matrix; each call then costs one O(n^2)
-  Gaussian elimination with partial pivoting, in plain Python;
-* a larger general matrix pays one Householder QR factorization per call
-  (a single LAPACK call made by numpy) plus O(1) work.
+* a general matrix is reduced once to an upper Hessenberg matrix G with
+  the same characteristic polynomial (see ``_hessenberg``).  Up to order
+  ``_HESSENBERG_MAX_ORDER`` each call then costs one O(n^2) Gaussian
+  elimination with partial pivoting of ``lam*I - G``, in plain Python;
+  above it, one Householder QR of ``lam*I - G`` (a single LAPACK call made
+  by numpy).  Each of its reflectors has two nonzero entries, and LAPACK
+  skips the zero tail, so most of a dense QR's O(n^3) work goes.
 """
 
 from __future__ import annotations
@@ -41,20 +43,22 @@ __all__ = [
     "char_fn",
 ]
 
-# The singular rule of all three paths: lam*I - M is singular when its
-# smallest |R_ii| (QR), its smallest elimination pivot (Hessenberg), or the
-# distance from lam to an eigenvalue (symmetric, with the tridiagonal T for
-# M) is at most PIVOT_RTOL * (|lam| + ||M||_inf).  With no absolute floor it
-# reads the same at every scale, and an eigenvalue on a grid point reads as
-# an exact zero rather than as 1e-16-level noise.
+# The singular rule of all three paths: lam*I - M is singular when the
+# smallest elimination pivot or |R_ii| of a QR (general, with the
+# Hessenberg G for M), or the distance from lam to an eigenvalue
+# (symmetric, with the tridiagonal T for M) is at most
+# PIVOT_RTOL * (|lam| + ||M||_inf); determinant() applies the QR test to M
+# itself.  With no absolute floor it reads the same at every scale, and an
+# eigenvalue on a grid point reads as an exact zero rather than as
+# 1e-16-level noise.
 PIVOT_RTOL = 1e-13
 
-# General matrices up to this order take the Hessenberg path, larger ones
-# QR.  At small orders numpy's QR costs mostly call overhead, which the
-# plain-Python elimination avoids; its O(n^2) Python arithmetic catches up
-# at order 12 to 13 (x86-64, Python 3.11, numpy 2.4: 10 against 15 us per
-# call at n = 8, about equal at n = 12).  At 11 it still saves about 15 %
-# per call, which repays the one-time reduction within 50 to 80 calls.
+# General matrices up to this order eliminate lam*I - G in plain Python,
+# larger ones take a QR of it.  At small orders numpy's QR costs mostly
+# call overhead, which the elimination avoids; its O(n^2) Python
+# arithmetic catches up at order 11 (x86-64, Python 3.11, numpy 2.4, per
+# call: 20 against 27 us at n = 8, 26 against 28 at n = 10, equal at 11,
+# 33 against 30 at n = 12).
 _HESSENBERG_MAX_ORDER = 11
 
 _TOKEN = re.compile(r"\S+")
@@ -75,7 +79,9 @@ class DenseMatrix:
         arr.flags.writeable = False
         self._entries = arr
         # None until the first char_fn call; then the cached _Tridiagonal
-        # form of an exactly symmetric matrix, or ||M||_inf of any other.
+        # form of an exactly symmetric matrix, or the Hessenberg form of any
+        # other: by rows (_Hessenberg) up to _HESSENBERG_MAX_ORDER, as one
+        # array (_HessenbergArray) above it.
         self._form = None
 
     @classmethod
@@ -295,9 +301,10 @@ def _tridiagonalize(a: np.ndarray) -> _Tridiagonal:
 
 
 class _Hessenberg(NamedTuple):
-    """Upper Hessenberg H similar to a general M, kept as ``-H`` by rows.
+    """Upper Hessenberg G with the characteristic polynomial of a general M,
+    kept as ``-G`` by rows for the elimination path.
 
-    ``head`` is row 0 of ``-H``; ``rows[k]`` is row k+1 of ``-H`` from its
+    ``head`` is row 0 of ``-G``; ``rows[k]`` is row k+1 of ``-G`` from its
     subdiagonal entry on, so ``rows[k][1]`` is on the diagonal.
     """
 
@@ -306,14 +313,30 @@ class _Hessenberg(NamedTuple):
     norm: float  # ||M||_inf
 
 
-def _hessenberg(a: np.ndarray) -> _Hessenberg:
-    """Householder similarity reduction of ``a`` to upper Hessenberg form.
+class _HessenbergArray(NamedTuple):
+    """The same ``-G`` as one C-contiguous array, for the QR path."""
 
-    Reduces ``a / scale`` as ``_tridiagonalize`` does, so every norm stays in
-    range at any scale float64 holds, and multiplies the result back by the
-    power of two ``scale``, exactly but for results below the normal range.
-    A column already zero below its subdiagonal gets no reflector, so a
-    Hessenberg or triangular input comes back as it is.
+    neg: np.ndarray
+    norm: float  # ||M||_inf
+
+
+def _hessenberg(a: np.ndarray) -> np.ndarray:
+    """``-G`` for ``G = J*H^T*J``, H upper Hessenberg and similar to ``a``.
+
+    H comes from a Householder similarity reduction of ``a / scale``, as
+    ``_tridiagonalize`` does it, so every norm stays in range at any scale
+    float64 holds; the result is multiplied back by the power of two
+    ``scale``, exactly but for results below the normal range.  J reverses
+    the index order, so G is upper Hessenberg too, with the characteristic
+    polynomial of ``a``.  A column already zero below its subdiagonal gets
+    no reflector, so a Hessenberg or triangular ``a`` gives ``G = J*a^T*J``.
+
+    Why G and not H: an elimination or QR of ``lam*I - X`` shows a
+    singular matrix only as sharply as the last component of its null
+    vector allows.  For H that is the last component of a right
+    eigenvector in the Krylov basis started from e1, which decays along
+    the reduction; for G it is the first component of a left eigenvector
+    of ``a``, which the reduction leaves unchanged since it fixes e1.
     """
     n = a.shape[0]
     scale = _unit_scale(a)
@@ -334,12 +357,12 @@ def _hessenberg(a: np.ndarray) -> _Hessenberg:
         right -= tv[:, None] * (v @ right)
         g[k, k + 1] = beta
         g[k, k + 2 :] = 0.0
-    neg = g.T * -scale
-    return _Hessenberg(neg[0].tolist(), [neg[k, k - 1 :].tolist() for k in range(1, n)], _norm_inf(a))
+    # g holds H^T, so -G = -J*H^T*J is g times -scale with both axes reversed.
+    return np.ascontiguousarray((g * -scale)[::-1, ::-1])
 
 
 def _hessenberg_det(form: _Hessenberg, lam: float) -> float:
-    # Gaussian elimination with partial pivoting on lam*I - H.  Column k of
+    # Gaussian elimination with partial pivoting on lam*I - G.  Column k of
     # an upper Hessenberg matrix is nonzero only down to row k+1, so step k
     # chooses its pivot between two rows, the reduced row r and row k+1, and
     # updates one row: O(n) per step, O(n^2) per lam.  det(lam*I - M) is
@@ -369,18 +392,21 @@ def _hessenberg_det(form: _Hessenberg, lam: float) -> float:
     return -det if swaps % 2 else det
 
 
-def _char_form(matrix: DenseMatrix) -> _Tridiagonal | _Hessenberg | float:
+def _char_form(matrix: DenseMatrix) -> _Tridiagonal | _Hessenberg | _HessenbergArray:
     """The cached form behind ``char_fn``: tridiagonal for an exactly symmetric
-    matrix, Hessenberg for a general one of order up to
-    ``_HESSENBERG_MAX_ORDER``, else ||M||_inf for the QR path."""
+    matrix, else the Hessenberg ``-G``, by rows up to order
+    ``_HESSENBERG_MAX_ORDER`` and as one array above it."""
     if matrix._form is None:
         a = matrix.entries
         if np.array_equal(a, a.T):
             matrix._form = _tridiagonalize(a)
-        elif matrix.order <= _HESSENBERG_MAX_ORDER:
-            matrix._form = _hessenberg(a)
         else:
-            matrix._form = _norm_inf(a)
+            neg, norm = _hessenberg(a), _norm_inf(a)
+            if matrix.order <= _HESSENBERG_MAX_ORDER:
+                rows = [neg[k, k - 1 :].tolist() for k in range(1, matrix.order)]
+                matrix._form = _Hessenberg(neg[0].tolist(), rows, norm)
+            else:
+                matrix._form = _HessenbergArray(neg, norm)
     return matrix._form
 
 
@@ -438,12 +464,13 @@ def char_fn(matrix: DenseMatrix, lam: float) -> float:
     evaluation.  The first call on a matrix fixes its path (see the module
     docstring) and caches what the path reuses: an exactly symmetric matrix
     pays O(n) per call after an O(n^3) reduction to tridiagonal form, a
-    general one of order up to ``_HESSENBERG_MAX_ORDER`` O(n^2) after an
-    O(n^3) reduction to Hessenberg form, and a larger general one an O(n^3)
-    QR factorization of a fresh ``lam*I - M``, built as ``-M`` plus ``lam``
-    on the diagonal.  Every path returns exactly 0.0 where ``lam*I - M`` is
-    singular by the ``PIVOT_RTOL`` rule; a nonzero determinant below the
-    float64 range reads as the smallest subnormal of its sign, never as 0.0.
+    general one O(n^2) after an O(n^3) reduction to the Hessenberg form G:
+    an elimination in Python up to ``_HESSENBERG_MAX_ORDER``, above it one
+    LAPACK QR of a fresh ``lam*I - G``, built as the cached ``-G`` plus
+    ``lam`` on the diagonal.  Every path returns exactly 0.0 where
+    ``lam*I - M`` is singular by the ``PIVOT_RTOL`` rule; a nonzero
+    determinant below the float64 range reads as the smallest subnormal of
+    its sign, never as 0.0.
     """
     lam = float(lam)
     if not math.isfinite(lam):
@@ -453,6 +480,6 @@ def char_fn(matrix: DenseMatrix, lam: float) -> float:
         return _hessenberg_det(form, lam)
     if isinstance(form, _Tridiagonal):
         return _sturm_det(form, lam)
-    a = np.negative(matrix.entries)
+    a = form.neg.copy()
     a.flat[:: matrix.order + 1] += lam
-    return _qr_det(a, abs(lam) + form)
+    return _qr_det(a, abs(lam) + form.norm)

@@ -141,8 +141,11 @@ def bisect(
     ``flo`` and ``fhi`` are f(lo) and f(hi), which the caller already has
     (a scan holds them), so f is never evaluated at the bracket ends.
     Halves the bracket keeping the sign change, stopping as soon as f is
-    exactly 0.0 at the midpoint or the surviving bracket is no wider than
-    width_tol.  Costs exactly ``iterations`` evaluations of f.
+    exactly 0.0 at the midpoint, the surviving bracket is no wider than
+    width_tol, or no float64 lies strictly inside it (so width_tol = 0
+    bisects down to adjacent floats).  The estimate is the last midpoint,
+    or, where the bracket could not be halved at all, the end with the
+    smaller |f|.  Costs exactly ``iterations`` evaluations of f.
     """
     if width_tol < 0.0:
         raise ValueError("width_tol must be non-negative")
@@ -153,27 +156,31 @@ def bisect(
             f"f({lo}) = {flo} and f({hi}) = {fhi} do not change sign"
         )
 
+    mid, fmid = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     iterations = 0
-    while iterations < max_iter:
+    while lo < 0.5 * (lo + hi) < hi:
+        if iterations == max_iter:
+            raise MaxIterExceededError(
+                f"no convergence within {max_iter} iterations (width_tol={width_tol})"
+            )
         mid = 0.5 * (lo + hi)
         fmid = float(f(mid))
         iterations += 1
-        if fmid != 0.0:
-            if _opposite_signs(flo, fmid):
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        if fmid == 0.0 or hi - lo <= width_tol:
-            return RootEstimate(
-                value=mid,
-                residual=abs(fmid),
-                bracket_lo=lo,
-                bracket_hi=hi,
-                iterations=iterations,
-                origin=RootOrigin.BISECTION,
-            )
-    raise MaxIterExceededError(
-        f"no convergence within {max_iter} iterations (width_tol={width_tol})"
+        if fmid == 0.0:
+            break
+        if _opposite_signs(flo, fmid):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+        if hi - lo <= width_tol:
+            break
+    return RootEstimate(
+        value=mid,
+        residual=abs(fmid),
+        bracket_lo=lo,
+        bracket_hi=hi,
+        iterations=iterations,
+        origin=RootOrigin.BISECTION,
     )
 
 

@@ -23,7 +23,13 @@ from common_eig import (
     render_matrix,
 )
 import common_eig.matrix as matrix_module
-from common_eig.matrix import _HESSENBERG_MAX_ORDER, _char_form, _Hessenberg, _Tridiagonal
+from common_eig.matrix import (
+    _HESSENBERG_MAX_ORDER,
+    _char_form,
+    _Hessenberg,
+    _HessenbergArray,
+    _Tridiagonal,
+)
 from conftest import A_TEXT
 from oracles import cofactor_determinant
 
@@ -203,7 +209,7 @@ def test_char_fn_exact_zero_on_inexact_grid_point():
     # 3 * 0.1 == 0.30000000000000004, a grid point one ulp off the
     # eigenvalue 0.3, where the unrounded determinant is about 6.6e-17.  The
     # singular tests of all three paths must still return exactly 0.0: the
-    # Hessenberg path on the 3x3 triangular matrix, the QR path on a
+    # elimination path on the 3x3 triangular matrix, the QR path on a
     # triangular matrix above _HESSENBERG_MAX_ORDER, the Sturm path on the
     # symmetric one.
     lam = 3 * 0.1
@@ -215,7 +221,9 @@ def test_char_fn_exact_zero_on_inexact_grid_point():
     big = np.triu(np.random.default_rng(5).uniform(-3.0, 3.0, (n, n)))
     big[0, 0] = 0.3
     assert np.linalg.det(lam * np.eye(n) - big) != 0.0
-    assert isinstance(_char_form(DenseMatrix(big)), float)
+    form = _char_form(DenseMatrix(big))
+    assert isinstance(form, _HessenbergArray)
+    assert form.norm == float(abs(big).sum(axis=1).max())
     assert char_fn(DenseMatrix(big), lam) == 0.0
     sym = _rotated_symmetric(np.random.default_rng(3), [0.3, -2.0, -1.0, 1.0, 2.5, 4.0])
     assert isinstance(_char_form(DenseMatrix(sym)), _Tridiagonal)
@@ -274,15 +282,23 @@ def test_tridiagonal_input_is_its_own_form(mat_b):
 
 def test_char_fn_one_ulp_asymmetry_takes_qr_path():
     # Above _HESSENBERG_MAX_ORDER a matrix one ulp from symmetric is
-    # general: QR, bitwise the determinant of lam*I - M.
+    # general: a QR of the shifted Hessenberg form, which agrees with the
+    # determinant of lam*I - M in sign and, where that is well conditioned,
+    # to rounding.
     n = _HESSENBERG_MAX_ORDER + 1
     rng = np.random.default_rng(71)
     a = _rotated_symmetric(rng, np.linspace(-1.0, 3.5, n))
     a[0, 1] = np.nextafter(a[0, 1], np.inf)
     m = DenseMatrix(a)
-    assert isinstance(_char_form(m), float)
+    form = _char_form(m)
+    assert isinstance(form, _HessenbergArray)
+    assert form.norm == float(abs(a).sum(axis=1).max())
     for lam in (-2.0, 0.25, 1.0, 4.0):
-        assert char_fn(m, lam) == determinant(DenseMatrix(lam * np.eye(n) - a))
+        shifted = lam * np.eye(n) - a
+        ref = determinant(DenseMatrix(shifted))
+        assert np.sign(char_fn(m, lam)) == np.sign(ref)
+        if np.linalg.cond(shifted) < 1e3:
+            assert char_fn(m, lam) == pytest.approx(ref, rel=1e-12)
 
 
 def test_char_fn_one_ulp_asymmetry_takes_hessenberg_path():
@@ -299,12 +315,11 @@ def test_char_fn_one_ulp_asymmetry_takes_hessenberg_path():
         assert char_fn(m, lam) == pytest.approx(ref, rel=1e-12)
 
 
-def test_char_fn_is_determinant_of_shifted_matrix_bitwise():
-    # Above _HESSENBERG_MAX_ORDER char_fn builds lam*I - M as -M plus lam on
-    # the diagonal, which is bitwise the matrix lam*eye(n) - M when M has no
-    # zero entry.  At or below it, char_fn eliminates a similar Hessenberg
-    # matrix instead: the same sign, and the same value to rounding wherever
-    # lam*I - M is well conditioned (away from eigenvalues).
+def test_char_fn_is_determinant_of_shifted_matrix():
+    # char_fn factors lam*I - G for a Hessenberg G with the characteristic
+    # polynomial of M, by elimination up to _HESSENBERG_MAX_ORDER and by QR
+    # above it: the same value as the determinant of lam*I - M to rounding
+    # wherever that is well conditioned (away from eigenvalues).
     rng = np.random.default_rng(73)
     for n in list(range(1, _HESSENBERG_MAX_ORDER + 2)) + [17, 30, 60]:
         a = rng.normal(size=(n, n))
@@ -313,17 +328,16 @@ def test_char_fn_is_determinant_of_shifted_matrix_bitwise():
             ours = char_fn(m, lam)
             shifted = lam * np.eye(n) - a
             ref = determinant(DenseMatrix(shifted))
-            if n > _HESSENBERG_MAX_ORDER:
-                assert ours.hex() == ref.hex()
-            elif np.linalg.cond(shifted) < 1e3:
+            if np.linalg.cond(shifted) < 1e3:
                 assert np.sign(ours) == np.sign(ref)
                 assert ours == pytest.approx(ref, rel=1e-12)
 
 
 def test_char_fn_agrees_with_determinant_on_exact_zeros():
-    # With exact zero entries the two operands may differ in the sign of a
-    # zero, which can steer a reflector differently; the values still
-    # agree in sign and to rounding.
+    # Exact zero entries, which can leave reflectors out of the reduction
+    # or steer them by the sign of a zero: the values still agree with the
+    # determinant in sign, to rounding where lam*I - M is well conditioned,
+    # and within a relative error of 1e-15 * cond elsewhere.
     rng = np.random.default_rng(79)
     mats = []
     for n in (2, 3, 5, 8, 12):
@@ -338,9 +352,11 @@ def test_char_fn_agrees_with_determinant_on_exact_zeros():
         n = m.order
         for lam in rng.uniform(-4, 4, 6):
             ours = char_fn(m, lam)
-            ref = determinant(DenseMatrix(lam * np.eye(n) - a))
+            shifted = lam * np.eye(n) - a
+            ref = determinant(DenseMatrix(shifted))
+            cond = np.linalg.cond(shifted)
             assert np.sign(ours) == np.sign(ref)
-            assert ours == pytest.approx(ref, rel=1e-12)
+            assert ours == pytest.approx(ref, rel=max(1e-12, 1e-15 * cond))
 
 
 def test_char_fn_reduces_a_column_whose_squares_underflow():
@@ -360,10 +376,11 @@ def test_char_fn_reduces_a_column_whose_squares_underflow():
 
 @pytest.mark.parametrize("path", ["qr", "hessenberg", "sturm"])
 def test_char_fn_fills_its_cache_slot_once(monkeypatch, path):
-    # ||M||_inf of a general matrix above _HESSENBERG_MAX_ORDER, the
-    # Hessenberg form of a smaller one, the tridiagonal form of a symmetric
-    # one: computed on the first call, then read; the entries stay as given.
-    name = {"qr": "_norm_inf", "hessenberg": "_hessenberg", "sturm": "_tridiagonalize"}[path]
+    # The Hessenberg form of a general matrix, as one array above
+    # _HESSENBERG_MAX_ORDER and by rows at or below it, the tridiagonal form
+    # of a symmetric one: computed on the first call, then read; the entries
+    # stay as given.
+    name = "_tridiagonalize" if path == "sturm" else "_hessenberg"
     calls = []
     compute = getattr(matrix_module, name)
     monkeypatch.setattr(matrix_module, name, lambda a: calls.append(a) or compute(a))
@@ -379,7 +396,8 @@ def test_char_fn_fills_its_cache_slot_once(monkeypatch, path):
     form = m._form
     assert len(calls) == 1
     if path == "qr":
-        assert form == 7.0
+        assert isinstance(form, _HessenbergArray) and form.norm == 7.0
+        assert form.neg.flags.c_contiguous
     elif path == "hessenberg":
         assert isinstance(form, _Hessenberg) and form.norm == 7.0
     else:
@@ -393,11 +411,12 @@ def test_char_fn_fills_its_cache_slot_once(monkeypatch, path):
 
 def test_hessenberg_input_is_its_own_form(mat_a):
     # No reflector touches a column that is already zero below the
-    # subdiagonal, so the triangular A's cached form holds A itself.
+    # subdiagonal, so the triangular A's cached form holds -J*A^T*J, A
+    # transposed with its index order reversed.
     form = _char_form(mat_a)
     assert isinstance(form, _Hessenberg)
-    assert form.head == [-3.0, -1.0, -4.0]
-    assert form.rows == [[0.0, -2.0, -6.0], [0.0, -5.0]]
+    assert form.head == [-5.0, -6.0, -4.0]
+    assert form.rows == [[0.0, -2.0, -1.0], [0.0, -3.0]]
     assert form.norm == 8.0
 
 
@@ -426,31 +445,76 @@ def test_char_fn_sign_and_value_at_every_scale(n, seed, exponent, lam):
         assert ours == pytest.approx(sign * math.exp(log_expected), rel=1e-9, abs=0.0)
 
 
+def _on_grid_general(rng, n, multiplicity, lo, step):
+    """A general matrix of order n with real eigenvalues, each of the given
+    multiplicity, on distinct interior grid points lo + k*step (k = 1..59),
+    beside complex pairs, at least as many as leave at most 59 on-grid
+    reals; any real left over sits past lo + 61*step.  Returns the
+    DenseMatrix and its on-grid eigenvalues."""
+    fewest = max(0, (n - 59 * multiplicity + 1) // 2)
+    pairs = int(rng.integers(fewest, (n - multiplicity) // 2 + 1))
+    count = (n - 2 * pairs) // multiplicity
+    grid = [lo + int(k) * step for k in 1 + rng.choice(59, size=count, replace=False)]
+    reals = [x for x in grid for _ in range(multiplicity)]
+    reals += [lo + step * 61 + 1.0] * (n - 2 * pairs - len(reals))
+    return DenseMatrix(_planted_general(rng, reals, pairs)), grid
+
+
 @pytest.mark.parametrize("multiplicity", [1, 2], ids=["simple", "double"])
 def test_on_grid_eigenvalues_of_small_general_matrices_are_found(multiplicity):
-    # Real eigenvalues planted on interior scan grid points lo + k*step,
-    # beside complex pairs.  The Hessenberg path reads some simple ones as
-    # tiny nonzero values rather than exact zeros; bisection of the cell
-    # beside such a point must still find the eigenvalue.  (At an endpoint
-    # of the interval that cell lies outside it, so there only an exact
-    # zero is found.)  A double eigenvalue has no sign change around it,
-    # so it must read as an exact zero.
+    # Real eigenvalues planted on interior scan grid points, beside complex
+    # pairs.  The elimination path reads almost all of them as exact zeros;
+    # bisection of the cell beside a simple one read as a tiny nonzero value
+    # must still find it.  A double eigenvalue has no sign change around
+    # it, so it must read as an exact zero.
     rng = np.random.default_rng(89)
     lo, step, width_tol = -3.0, 0.1, 1e-10
     for n in range(3, 9):
         for _ in range(10):
-            pairs = int(rng.integers(0, (n - multiplicity) // 2 + 1))
-            count = (n - 2 * pairs) // multiplicity
-            grid = [lo + int(k) * step for k in 1 + rng.choice(59, size=count, replace=False)]
-            reals = [x for x in grid for _ in range(multiplicity)]
-            reals += [lo + step * 61 + 1.0] * (n - 2 * pairs - len(reals))
-            m = DenseMatrix(_planted_general(rng, reals, pairs))
+            m, grid = _on_grid_general(rng, n, multiplicity, lo, step)
             assert isinstance(_char_form(m), _Hessenberg)
             roots = find_real_roots(
                 lambda x: char_fn(m, x), RealInterval(lo, lo + 60 * step), step, width_tol
             )
             for x in grid:
                 assert min(abs(r.value - x) for r in roots) <= width_tol
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2], ids=["simple", "double"])
+def test_on_grid_eigenvalues_of_large_general_matrices_are_exact_zeros(multiplicity):
+    # The same above _HESSENBERG_MAX_ORDER, where the QR of lam*I - G reads
+    # every planted eigenvalue as exactly singular.  (A QR of lam*I - H, the
+    # Hessenberg form itself, misses many: see _hessenberg.)
+    rng = np.random.default_rng(97)
+    lo, step, width_tol = -3.0, 0.1, 1e-10
+    for n, reps in ((12, 6), (17, 5), (30, 4), (60, 2)):
+        for _ in range(reps):
+            m, grid = _on_grid_general(rng, n, multiplicity, lo, step)
+            assert isinstance(_char_form(m), _HessenbergArray)
+            assert [char_fn(m, x) for x in grid] == [0.0] * len(grid)
+            roots = find_real_roots(
+                lambda x: char_fn(m, x), RealInterval(lo, lo + 60 * step), step, width_tol
+            )
+            for x in grid:
+                assert min(abs(r.value - x) for r in roots) <= width_tol
+
+
+def test_eigenvalues_on_both_ends_of_the_interval_are_found():
+    # An eigenvalue on an end of the search interval has its sign change in
+    # the grid cell outside it, so only an exact zero there finds it.
+    # Planted on both ends of [-3, 3] beside on-grid reals and complex
+    # pairs, orders 3 to 8: every one must read as a root.
+    rng = np.random.default_rng(101)
+    lo, hi, step, width_tol = -3.0, 3.0, 0.1, 1e-10
+    for _ in range(100):
+        n = int(rng.integers(3, 9))
+        pairs = int(rng.integers(0, (n - 2) // 2 + 1))
+        inner = 1 + rng.choice(59, size=n - 2 * pairs - 2, replace=False)
+        reals = [lo, hi, *(lo + int(k) * step for k in inner)]
+        m = DenseMatrix(_planted_general(rng, reals, pairs))
+        roots = find_real_roots(lambda x: char_fn(m, x), RealInterval(lo, hi), step, width_tol)
+        for x in reals:
+            assert min(abs(r.value - x) for r in roots) <= width_tol
 
 
 def test_singular_rule_is_relative_at_every_scale():

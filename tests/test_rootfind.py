@@ -162,6 +162,27 @@ def test_bisect_max_iter_exhaustion():
         )
 
 
+def test_bisect_with_zero_width_tol_stops_at_adjacent_floats():
+    # Below the float spacing the midpoint of lo and hi is one of them, so
+    # the bracket stops shrinking; bisection ends there, without evaluating
+    # f at a bracket end.
+    target = math.asin(0.3)
+    counted = Counted(lambda x: math.sin(x) - 0.3)
+    roots = find_real_roots(counted, RealInterval(0.0, 3.0), 0.1, 0.0)
+    assert [r.value for r in roots] == pytest.approx([target, math.pi - target], abs=1e-12)
+    for r in roots:
+        assert r.origin is RootOrigin.BISECTION
+        assert r.residual == 0.0 or math.nextafter(r.bracket_lo, math.inf) == r.bracket_hi
+        assert r.bracket_lo <= r.value <= r.bracket_hi
+    assert counted.calls == len(scan(counted.fn, RealInterval(0.0, 3.0))) + sum(
+        r.iterations for r in roots
+    )
+    # A bracket with no float inside costs nothing and reports the end
+    # where |f| is smaller.
+    est = bisect(lambda x: x - 1e-300, 0.0, 5e-324, -1.0, 0.5)
+    assert (est.value, est.residual, est.iterations) == (5e-324, 0.5, 0)
+
+
 # --------------------------------------------------------- find_real_roots
 
 def test_find_roots_reference_a(mat_a):
