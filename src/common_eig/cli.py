@@ -154,7 +154,8 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
 
 
 def _load(path: str) -> DenseMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte order mark some editors write first
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_matrix(fh.read())
 
 
@@ -229,7 +230,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     for path in (invocation.path_a, invocation.path_b):
         try:
             matrices.append(_load(path))
-        except (OSError, MatrixFormatError) as exc:
+        except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 1
     matrix_a, matrix_b = matrices

@@ -115,13 +115,31 @@ def _significant_lines(text: str):
         yield lineno, raw
 
 
+def _check_tokens(lineno: int, raw: str) -> None:
+    """Raise for the first token of a row that is not a finite number."""
+    for tok in _TOKEN.finditer(raw):
+        try:
+            value = float(tok.group())
+        except ValueError:
+            raise NonNumericTokenError(
+                f"{tok.group()!r} is not a number", lineno, tok.start() + 1
+            ) from None
+        if not math.isfinite(value):
+            raise NonFiniteValueError(
+                f"line {lineno}: non-finite value {tok.group()!r}"
+            )
+
+
 def parse_matrix(text: str) -> DenseMatrix:
     """Parse the plain-text matrix format.
 
-    Blank lines and lines starting with ``#`` are ignored.  The first
-    significant line holds the order n; the next n significant lines hold n
-    whitespace-separated reals each (scientific notation accepted).  Any
-    significant content after the n-th row is an error.
+    Blank lines and lines whose first non-blank character is ``#`` are
+    ignored; a ``#`` after a value is not a comment.  The first significant
+    line holds the order n; the next n significant lines hold n
+    whitespace-separated reals each, read by Python's ``float()``
+    (scientific notation accepted).  Any significant content after the
+    n-th row is an error.  The first error in file order is the one
+    raised; only ``NonNumericTokenError`` carries a column.
     """
     lines = list(_significant_lines(text))
     if not lines:
@@ -152,26 +170,23 @@ def parse_matrix(text: str) -> DenseMatrix:
         extra_no, _ = row_lines[n]
         raise TrailingContentError(f"unexpected content on line {extra_no} after row {n}")
 
-    rows = []
+    # Each row is split and converted whole; str.split() and _TOKEN cut a
+    # line into the same tokens.  Only a row that float() rejects, or whose
+    # sum is not finite, is walked token by token to place the error; a sum
+    # of finite values can overflow, and such a row passes the walk.
+    values = []
     for lineno, raw in row_lines:
-        toks = list(_TOKEN.finditer(raw))
+        toks = raw.split()
         if len(toks) != n:
             raise NonSquareError(f"line {lineno}: expected {n} values, found {len(toks)}")
-        row = []
-        for tok in toks:
-            try:
-                value = float(tok.group())
-            except ValueError:
-                raise NonNumericTokenError(
-                    f"{tok.group()!r} is not a number", lineno, tok.start() + 1
-                ) from None
-            if not math.isfinite(value):
-                raise NonFiniteValueError(
-                    f"line {lineno}: non-finite value {tok.group()!r}"
-                )
-            row.append(value)
-        rows.append(row)
-    return DenseMatrix(rows)
+        try:
+            row = list(map(float, toks))
+        except ValueError:
+            row = None
+        if row is None or not math.isfinite(sum(row)):
+            _check_tokens(lineno, raw)
+        values += row
+    return DenseMatrix(np.fromiter(values, np.float64, n * n).reshape(n, n))
 
 
 def render_matrix(matrix: DenseMatrix) -> str:

@@ -2,10 +2,23 @@
 
 Deliberately naive and deliberately different from the library:
 determinants by cofactor expansion in pure Python arithmetic, symmetric
-eigenvalues by cyclic Jacobi rotations with explicit J^T A J products.
+eigenvalues by cyclic Jacobi rotations with explicit J^T A J products, and
+matrix files read token by token with one regex match and one float() per
+token.
 """
 
+import math
+import re
+
 import numpy as np
+
+from common_eig.errors import (
+    EmptyInputError,
+    NonFiniteValueError,
+    NonNumericTokenError,
+    NonSquareError,
+    TrailingContentError,
+)
 
 
 def cofactor_determinant(matrix) -> float:
@@ -60,3 +73,66 @@ def jacobi_eigenvalues(matrix, tol: float = 1e-12, max_sweeps: int = 100) -> np.
                 rot[q, p] = -s
                 a = rot.T @ a @ rot
     return np.sort(np.diag(a))
+
+
+_TOKEN = re.compile(r"\S+")
+_ORDER = re.compile(r"\+?\d+")
+
+
+def token_walk_parse(text: str) -> np.ndarray:
+    """The matrix file format read one token at a time: the entries as an
+    (n, n) float64 array, or the library's exception for the first error in
+    file order, with the library's message."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            lines.append((lineno, raw))
+    if not lines:
+        raise EmptyInputError("no matrix data found")
+
+    header_no, header = lines[0]
+    tokens = list(_TOKEN.finditer(header))
+    if len(tokens) != 1:
+        raise NonNumericTokenError(
+            "matrix order line must hold a single positive integer",
+            header_no,
+            tokens[1].start() + 1,
+        )
+    order_tok = tokens[0]
+    if not _ORDER.fullmatch(order_tok.group()) or int(order_tok.group()) < 1:
+        raise NonNumericTokenError(
+            f"{order_tok.group()!r} is not a positive integer order",
+            header_no,
+            order_tok.start() + 1,
+        )
+    n = int(order_tok.group())
+
+    row_lines = lines[1:]
+    if len(row_lines) < n:
+        raise NonSquareError(f"expected {n} rows, found {len(row_lines)}")
+    if len(row_lines) > n:
+        raise TrailingContentError(
+            f"unexpected content on line {row_lines[n][0]} after row {n}"
+        )
+
+    rows = []
+    for lineno, raw in row_lines:
+        toks = list(_TOKEN.finditer(raw))
+        if len(toks) != n:
+            raise NonSquareError(f"line {lineno}: expected {n} values, found {len(toks)}")
+        row = []
+        for tok in toks:
+            try:
+                value = float(tok.group())
+            except ValueError:
+                raise NonNumericTokenError(
+                    f"{tok.group()!r} is not a number", lineno, tok.start() + 1
+                ) from None
+            if not math.isfinite(value):
+                raise NonFiniteValueError(
+                    f"line {lineno}: non-finite value {tok.group()!r}"
+                )
+            row.append(value)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,34 @@ def test_cli_malformed_matrix(tmp_path, matrix_files, capsys):
     assert run_cli([str(bad), path_b]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def _summary_and_tables(path_a, path_b, prefix, capsys):
+    assert run_cli([path_a, path_b, "--mode", "both", "--scan-table", prefix]) == 0
+    out = capsys.readouterr().out
+    summary = [line for line in out.splitlines() if not line.startswith("wall time:")]
+    return summary, [Path(f"{prefix}_{name}.csv").read_bytes() for name in "AB"]
+
+
+def test_cli_reads_files_with_byte_order_mark(matrix_files, tmp_path, capsys):
+    # as some Windows editors save them: a UTF-8 BOM and CRLF line ends
+    copies = []
+    for path in map(Path, matrix_files):
+        copy = tmp_path / f"bom_{path.name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
+        copies.append(str(copy))
+    plain = _summary_and_tables(*matrix_files, str(tmp_path / "plain"), capsys)
+    assert _summary_and_tables(*copies, str(tmp_path / "bom"), capsys) == plain
+
+
+def test_cli_non_utf8_file_is_input_error(tmp_path, matrix_files, capsys):
+    _, path_b = matrix_files
+    latin = tmp_path / "latin1.mat"
+    latin.write_bytes("# r\u00e9sum\u00e9\n1\n7\n".encode("latin-1"))
+    assert run_cli([str(latin), path_b]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {latin}: ")
+    assert "can't decode byte 0xe9" in err
 
 
 def test_cli_invalid_flag_value(matrix_files, capsys):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from common_eig import (
     DenseMatrix,
     EmptyInputError,
+    MatrixFormatError,
     NonFiniteValueError,
     NonNumericTokenError,
     NonSquareError,
@@ -31,7 +32,7 @@ from common_eig.matrix import (
     _Tridiagonal,
 )
 from conftest import A_TEXT
-from oracles import cofactor_determinant
+from oracles import cofactor_determinant, token_walk_parse
 
 
 def _rotated_symmetric(rng, spectrum):
@@ -131,10 +132,86 @@ def test_parse_scientific_notation():
 
 def test_render_parse_round_trip():
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        m = DenseMatrix(rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 9))
-        assert parse_matrix(render_matrix(m)) == m
+    matrices = [
+        DenseMatrix(rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 9))
+        for n in rng.integers(1, 7, size=20).tolist()
+    ]
+    # -0.0, subnormals, the smallest normal and the largest finite doubles
+    top = sys.float_info.max
+    matrices.append(
+        DenseMatrix(
+            [[-0.0, 5e-324, -2.5e-310], [top, -top, sys.float_info.min], [0.0, -5e-324, 1.0]]
+        )
+    )
+    for m in matrices:
+        # bitwise: == reads -0.0 as 0.0
+        assert parse_matrix(render_matrix(m)).entries.tobytes() == m.entries.tobytes()
+
+
+def _parse_outcome(parse, text):
+    """(shape, entry bytes) of a parse, or (exception type, message)."""
+    try:
+        entries = parse(text)
+    except MatrixFormatError as exc:
+        return type(exc), str(exc)
+    return entries.shape, entries.tobytes()
+
+
+def _library_parse(text):
+    return parse_matrix(text).entries
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# mostly finite values, as shortest and as 17-digit reprs; now and then a
+# token float() rejects, a non-finite one, or one float() reads in a way a
+# regex for numbers might not (1_0 is 10.0, 1e-400 is 0.0)
+_TOKENS = st.one_of(
+    *[_FINITE.map(repr)] * 3,
+    *[_FINITE.map("{:.17g}".format)] * 3,
+    st.sampled_from(["1e999", "1e-400", "inf", "-inf", "nan", "x", "1_0"]),
+)
+_SEPARATORS = st.sampled_from([" ", "\t", "\u00a0", " \t ", "\u00a0 "])
+_FILLER = st.sampled_from(["", "   ", "\t", "\u00a0", "#", "# note", "  # 1 2 3"])
+
+
+@st.composite
+def _matrix_texts(draw):
+    n = draw(st.integers(1, 4))
+    lines = [draw(st.sampled_from([str(n), f" {n}\t", f"+{n}"]))]
+    lines += draw(st.lists(_FILLER, max_size=2))
+    # a missing row, extra rows, short, long and ragged rows
+    for _ in range(n + draw(st.sampled_from([0] * 6 + [-1, 1, 2]))):
+        width = n + draw(st.sampled_from([0] * 6 + [-1, 1]))
+        sep = draw(_SEPARATORS)
+        row = sep.join(draw(st.lists(_TOKENS, min_size=width, max_size=width)))
+        lines.append(draw(st.sampled_from(["", sep])) + row + draw(st.sampled_from(["", sep])))
+        lines += draw(st.lists(_FILLER, max_size=1))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_texts())
+def test_parse_matches_token_walk_oracle(text):
+    assert _parse_outcome(_library_parse, text) == _parse_outcome(token_walk_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        # a sum of finite values that overflows is no error
+        ("2\n1e308 1e308\n1 2\n", ((2, 2), np.array([[1e308, 1e308], [1, 2]]).tobytes())),
+        ("2\ninf x\n1 2\n", (NonFiniteValueError, "line 2: non-finite value 'inf'")),
+        ("2\nx inf\n1 2\n", (NonNumericTokenError, "line 2, column 1: 'x' is not a number")),
+        (" 2\n 1\u00a0\tx\n1 2\n", (NonNumericTokenError, "line 2, column 5: 'x' is not a number")),
+        # the first error in file order: row 2's value before row 3's length,
+        # and a row's length before its values
+        ("3\n1 2 3\n4 nan 6\n7 8\n", (NonFiniteValueError, "line 3: non-finite value 'nan'")),
+        ("3\n1 2 3\n4 5 6\n7 1e999 9 1\n", (NonSquareError, "line 4: expected 3 values, found 4")),
+    ],
+)
+def test_parse_pinned_cases(text, outcome):
+    assert _parse_outcome(_library_parse, text) == outcome
+    assert _parse_outcome(token_walk_parse, text) == outcome
 
 
 # ---------------------------------------------------------- DenseMatrix
