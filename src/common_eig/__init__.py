@@ -9,13 +9,11 @@ only the intersection of their inclusion intervals.
 
 from .errors import (
     CommonEigError,
-    EmptyDiscListError,
     EmptyInputError,
     EmptyIntervalError,
     InconsistentModesError,
     InvalidBracketError,
     MatrixFormatError,
-    MaxIterExceededError,
     NonFiniteValueError,
     NonNumericTokenError,
     NonPositiveStepError,
@@ -71,11 +69,9 @@ __all__ = [
     "NonNumericTokenError",
     "NonFiniteValueError",
     "TrailingContentError",
-    "EmptyDiscListError",
     "EmptyIntervalError",
     "NonPositiveStepError",
     "InvalidBracketError",
-    "MaxIterExceededError",
     "InconsistentModesError",
     # matrices and determinants
     "DenseMatrix",

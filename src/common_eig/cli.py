@@ -154,8 +154,7 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
 
 
 def _load(path: str) -> DenseMatrix:
-    # utf-8-sig drops the byte order mark some editors write first
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return parse_matrix(fh.read())
 
 

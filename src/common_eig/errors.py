@@ -15,11 +15,9 @@ __all__ = [
     "NonNumericTokenError",
     "NonFiniteValueError",
     "TrailingContentError",
-    "EmptyDiscListError",
     "EmptyIntervalError",
     "NonPositiveStepError",
     "InvalidBracketError",
-    "MaxIterExceededError",
     "InconsistentModesError",
 ]
 
@@ -60,10 +58,6 @@ class TrailingContentError(MatrixFormatError):
     """Significant content present after the final matrix row."""
 
 
-class EmptyDiscListError(CommonEigError):
-    """An inclusion interval was requested for zero discs."""
-
-
 class EmptyIntervalError(CommonEigError):
     """A scan was requested over an empty interval."""
 
@@ -74,10 +68,6 @@ class NonPositiveStepError(CommonEigError):
 
 class InvalidBracketError(CommonEigError):
     """Bisection was started without a strict sign change."""
-
-
-class MaxIterExceededError(CommonEigError):
-    """Bisection hit its iteration cap before meeting a tolerance."""
 
 
 class InconsistentModesError(CommonEigError):

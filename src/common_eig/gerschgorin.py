@@ -13,10 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .errors import EmptyDiscListError
-from .matrix import DenseMatrix
+from .matrix import DenseMatrix, _abs_sums
 
 __all__ = [
     "Axis",
@@ -106,14 +103,14 @@ EMPTY_INTERVAL = RealInterval(math.nan, math.nan, empty=True)
 def discs_of(matrix: DenseMatrix, axis: Axis) -> list[Disc]:
     """Discs from off-diagonal absolute row or column sums, in matrix index order."""
     diag = matrix.entries.diagonal()
-    radii = abs(matrix.entries).sum(axis=1 if axis is Axis.ROW else 0) - abs(diag)
+    radii = _abs_sums(matrix.entries, 1 if axis is Axis.ROW else 0) - abs(diag)
     return [Disc(float(c), float(r), k, axis) for k, (c, r) in enumerate(zip(diag, radii))]
 
 
 def interval_of(discs: list[Disc]) -> RealInterval:
     """Real-axis span of a disc union: [min(c - r), max(c + r)]."""
     if not discs:
-        raise EmptyDiscListError("cannot take the interval of zero discs")
+        raise ValueError("cannot take the interval of zero discs")
     lo = min(d.center - d.radius for d in discs)
     hi = max(d.center + d.radius for d in discs)
     return RealInterval(lo, hi)

@@ -2,20 +2,21 @@
 
 The characteristic function ``f(lam) = det(lam*I - M)`` is the scalar whose
 real roots are the real eigenvalues of ``M``.  Each call evaluates it at one
-``lam``, so call counts are evaluation counts.  ``char_fn`` takes one of
-three paths, fixed by the matrix's first call, whose one-time work the
-immutable ``DenseMatrix`` caches:
+``lam``, so call counts are evaluation counts.  The first call on a matrix
+reduces it once by Householder similarity to upper Hessenberg form H
+(``_householder``) and caches an evaluator bound to the result; which one
+depends on the matrix alone:
 
-* an exactly symmetric matrix is reduced once to a similar tridiagonal
-  matrix; each call then costs one O(n) pass of LDL^T pivots (Sturm
-  sequences);
-* a general matrix is reduced once to an upper Hessenberg matrix G with
-  the same characteristic polynomial (see ``_hessenberg``).  Up to order
-  ``_HESSENBERG_MAX_ORDER`` each call then costs one O(n^2) Gaussian
-  elimination with partial pivoting of ``lam*I - G``, in plain Python;
-  above it, one Householder QR of ``lam*I - G`` (a single LAPACK call made
-  by numpy).  Each of its reflectors has two nonzero entries, and LAPACK
-  skips the zero tail, so most of a dense QR's O(n^3) work goes.
+* an exactly symmetric matrix has a tridiagonal H; each call costs one
+  O(n) pass of LDL^T pivots (Sturm sequences, ``_sturm_det``);
+* any other matrix keeps the upper Hessenberg G = J*H^T*J, with the
+  characteristic polynomial of M (see ``_hessenberg``).  Up to order
+  ``_HESSENBERG_MAX_ORDER`` each call costs one O(n^2) Gaussian elimination
+  with partial pivoting of ``lam*I - G`` in plain Python
+  (``_hessenberg_det``); above it, one Householder QR of ``lam*I - G`` (a
+  single LAPACK call made by numpy, ``_shifted_qr_det``).  Each of its
+  reflectors has two nonzero entries, and LAPACK skips the zero tail, so
+  most of a dense QR's O(n^3) work goes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -78,10 +80,8 @@ class DenseMatrix:
             raise ValueError("matrix entries must all be finite")
         arr.flags.writeable = False
         self._entries = arr
-        # None until the first char_fn call; then the cached _Tridiagonal
-        # form of an exactly symmetric matrix, or the Hessenberg form of any
-        # other: by rows (_Hessenberg) up to _HESSENBERG_MAX_ORDER, as one
-        # array (_HessenbergArray) above it.
+        # None until the first char_fn call; then the cached evaluator
+        # lam -> det(lam*I - M) that _char_form builds.
         self._form = None
 
     @classmethod
@@ -139,9 +139,10 @@ def parse_matrix(text: str) -> DenseMatrix:
     whitespace-separated reals each, read by Python's ``float()``
     (scientific notation accepted).  Any significant content after the
     n-th row is an error.  The first error in file order is the one
-    raised; only ``NonNumericTokenError`` carries a column.
+    raised; only ``NonNumericTokenError`` carries a column.  One leading
+    byte order mark (U+FEFF), as some editors write, is dropped.
     """
-    lines = list(_significant_lines(text))
+    lines = list(_significant_lines(text.removeprefix("\ufeff")))
     if not lines:
         raise EmptyInputError("no matrix data found")
 
@@ -221,8 +222,18 @@ def _qr_det(a: np.ndarray, scale: float) -> float:
     return -det if np.count_nonzero(tau) % 2 else det
 
 
+def _abs_sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of ``|a|`` along ``axis`` (1: rows, 0: columns); a ValueError
+    rather than inf where one overflows float64."""
+    with np.errstate(over="ignore"):
+        sums = abs(a).sum(axis=axis)
+    if math.isinf(sums.max()):
+        raise ValueError("an absolute row or column sum of the matrix overflows float64")
+    return sums
+
+
 def _norm_inf(a: np.ndarray) -> float:
-    return float(abs(a).sum(axis=1).max())
+    return float(_abs_sums(a, 1).max())
 
 
 def determinant(matrix: DenseMatrix) -> float:
@@ -245,7 +256,7 @@ def _reflector(x: np.ndarray):
     """Householder ``P = I - tau*v*v^T`` with ``v[0] == 1`` and ``P*x = beta*e1``.
 
     None where ``x[1:]`` is already zero, for which LAPACK ``dlarfg`` takes
-    ``tau == 0``, so the reductions leave such a column as it is.
+    ``tau == 0``, so the reduction leaves such a column as it is.
     """
     rest = x[1:].ravel()
     if not np.count_nonzero(rest):
@@ -261,97 +272,15 @@ def _reflector(x: np.ndarray):
     return v, (beta - alpha) / beta, beta
 
 
-class _Tridiagonal(NamedTuple):
-    """Symmetric tridiagonal T similar to ``M / scale``.
+def _householder(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(H^T, scale)``: H upper Hessenberg and similar to ``a / scale``.
 
-    ``offdiag_sq[k]`` is the squared entry coupling rows k-1 and k of T, with
-    ``offdiag_sq[0] == 0.0``, so the pivot recurrence zips it with ``diag``.
-    """
-
-    diag: list[float]
-    offdiag_sq: list[float]
-    norm: float  # ||T||_inf
-    scale: float  # a power of two, so M / scale is exact
-    pivmin: float  # smallest pivot magnitude the recurrence lets through
-
-
-def _tridiagonalize(a: np.ndarray) -> _Tridiagonal:
-    """Householder similarity reduction of the symmetric ``a`` to tridiagonal form.
-
-    Works on ``a / scale`` (``_unit_scale``), which keeps every later pivot
-    and norm in range.  A column already zero below its subdiagonal gets no
-    reflector, so a tridiagonal input comes back unchanged.
-    """
-    n = a.shape[0]
-    scale = _unit_scale(a)
-    t = a / scale
-    off = np.zeros(n)
-    for k in range(n - 2):
-        x = t[k + 1 :, k]
-        reflector = _reflector(x)
-        if reflector is None:
-            off[k + 1] = x[0]
-            continue
-        v, tau, off[k + 1] = reflector
-        # P*S*P as a symmetric rank-2 update of S.
-        sub = t[k + 1 :, k + 1 :]
-        p = tau * (sub @ v)
-        w = p - (0.5 * tau * float(p @ v)) * v
-        sub -= np.outer(v, w) + np.outer(w, v)
-    if n > 1:
-        off[n - 1] = t[n - 1, n - 2]
-    diag = t.diagonal()
-    norm = float((abs(diag) + abs(off) + abs(np.append(off[1:], 0.0))).max())
-    offdiag_sq = (off * off).tolist()
-    # As in LAPACK xSTEBZ, a pivot smaller than pivmin becomes -pivmin,
-    # which keeps e^2/q finite.  Taking the square root of the smallest
-    # normal float keeps |q| < 1e154, so scale*q overflows only where the
-    # pivot pair it belongs to, about -scale^2*e^2, overflows too.  The
-    # shift is far below rounding at the unit scale of T.  The zero matrix
-    # has no unit scale, and its T divides nothing by a pivot, so its floor
-    # only keeps q off zero: the smallest subnormal, which lets every pivot
-    # mu through and so reads mu**n at every mu != 0.
-    pivmin = math.sqrt(sys.float_info.min) * max(1.0, max(offdiag_sq)) if norm else 5e-324
-    return _Tridiagonal(diag.tolist(), offdiag_sq, norm, scale, pivmin)
-
-
-class _Hessenberg(NamedTuple):
-    """Upper Hessenberg G with the characteristic polynomial of a general M,
-    kept as ``-G`` by rows for the elimination path.
-
-    ``head`` is row 0 of ``-G``; ``rows[k]`` is row k+1 of ``-G`` from its
-    subdiagonal entry on, so ``rows[k][1]`` is on the diagonal.
-    """
-
-    head: list[float]
-    rows: list[list[float]]
-    norm: float  # ||M||_inf
-
-
-class _HessenbergArray(NamedTuple):
-    """The same ``-G`` as one C-contiguous array, for the QR path."""
-
-    neg: np.ndarray
-    norm: float  # ||M||_inf
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """``-G`` for ``G = J*H^T*J``, H upper Hessenberg and similar to ``a``.
-
-    H comes from a Householder similarity reduction of ``a / scale``, as
-    ``_tridiagonalize`` does it, so every norm stays in range at any scale
-    float64 holds; the result is multiplied back by the power of two
-    ``scale``, exactly but for results below the normal range.  J reverses
-    the index order, so G is upper Hessenberg too, with the characteristic
-    polynomial of ``a``.  A column already zero below its subdiagonal gets
-    no reflector, so a Hessenberg or triangular ``a`` gives ``G = J*a^T*J``.
-
-    Why G and not H: an elimination or QR of ``lam*I - X`` shows a
-    singular matrix only as sharply as the last component of its null
-    vector allows.  For H that is the last component of a right
-    eigenvector in the Krylov basis started from e1, which decays along
-    the reduction; for G it is the first component of a left eigenvector
-    of ``a``, which the reduction leaves unchanged since it fixes e1.
+    A Householder similarity reduction of ``a / scale`` (``_unit_scale``),
+    which keeps every norm in range at any scale float64 holds.  A column
+    already zero below its subdiagonal gets no reflector, so an upper
+    Hessenberg ``a`` gives ``H = a / scale``.  For a symmetric ``a``, H is
+    the tridiagonal T: ``_tridiagonalize`` reads its diagonal and
+    subdiagonal, and the rest of its upper part is rounding noise.
     """
     n = a.shape[0]
     scale = _unit_scale(a)
@@ -372,24 +301,84 @@ def _hessenberg(a: np.ndarray) -> np.ndarray:
         right -= tv[:, None] * (v @ right)
         g[k, k + 1] = beta
         g[k, k + 2 :] = 0.0
+    return g, scale
+
+
+class _Tridiagonal(NamedTuple):
+    """Symmetric tridiagonal T similar to ``M / scale``.
+
+    ``offdiag_sq[k]`` is the squared entry coupling rows k-1 and k of T, with
+    ``offdiag_sq[0] == 0.0``, so the pivot recurrence zips it with ``diag``.
+    """
+
+    diag: list[float]
+    offdiag_sq: list[float]
+    norm: float  # ||T||_inf
+    scale: float  # a power of two, so M / scale is exact
+    pivmin: float  # smallest pivot magnitude the recurrence lets through
+
+
+def _tridiagonalize(a: np.ndarray) -> _Tridiagonal:
+    """The tridiagonal T of the symmetric ``a``, read off ``_householder``'s
+    H^T: its diagonal and first superdiagonal.  A tridiagonal input comes
+    back unchanged."""
+    g, scale = _householder(a)
+    diag = g.diagonal()
+    off = np.append(0.0, g.diagonal(1))
+    norm = float((abs(diag) + abs(off) + abs(np.append(off[1:], 0.0))).max())
+    offdiag_sq = (off * off).tolist()
+    # As in LAPACK xSTEBZ, a pivot smaller than pivmin becomes -pivmin,
+    # which keeps e^2/q finite.  Taking the square root of the smallest
+    # normal float keeps |q| < 1e154, so scale*q overflows only where the
+    # pivot pair it belongs to, about -scale^2*e^2, overflows too.  The
+    # shift is far below rounding at the unit scale of T.  The zero matrix
+    # has no unit scale, and its T divides nothing by a pivot, so its floor
+    # only keeps q off zero: the smallest subnormal, which lets every pivot
+    # mu through and so reads mu**n at every mu != 0.
+    pivmin = math.sqrt(sys.float_info.min) * max(1.0, max(offdiag_sq)) if norm else 5e-324
+    return _Tridiagonal(diag.tolist(), offdiag_sq, norm, scale, pivmin)
+
+
+def _hessenberg(a: np.ndarray) -> np.ndarray:
+    """``-G`` for ``G = J*H^T*J``, with H from ``_householder``, as one
+    C-contiguous array.
+
+    The result is multiplied back by the power of two ``scale``, exactly
+    but for results below the normal range; a ValueError rather than inf
+    where that overflows float64.  J reverses the index order, so G is
+    upper Hessenberg too, with the characteristic polynomial of ``a``; an
+    upper Hessenberg ``a`` gives ``G = J*a^T*J``.
+
+    Why G and not H: an elimination or QR of ``lam*I - X`` shows a
+    singular matrix only as sharply as the last component of its null
+    vector allows.  For H that is the last component of a right
+    eigenvector in the Krylov basis started from e1, which decays along
+    the reduction; for G it is the first component of a left eigenvector
+    of ``a``, which the reduction leaves unchanged since it fixes e1.
+    """
+    g, scale = _householder(a)
+    if math.isinf(float(abs(g).max()) * scale):
+        raise ValueError("the Hessenberg form of the matrix overflows float64")
     # g holds H^T, so -G = -J*H^T*J is g times -scale with both axes reversed.
     return np.ascontiguousarray((g * -scale)[::-1, ::-1])
 
 
-def _hessenberg_det(form: _Hessenberg, lam: float) -> float:
-    # Gaussian elimination with partial pivoting on lam*I - G.  Column k of
-    # an upper Hessenberg matrix is nonzero only down to row k+1, so step k
-    # chooses its pivot between two rows, the reduced row r and row k+1, and
-    # updates one row: O(n) per step, O(n^2) per lam.  det(lam*I - M) is
+def _hessenberg_det(head: list[float], rows: list[list[float]], norm: float, lam: float) -> float:
+    # Gaussian elimination with partial pivoting on lam*I - G, given -G by
+    # rows: head is its row 0, rows[k] its row k+1 from the subdiagonal
+    # entry on, so rows[k][1] is on the diagonal.  Column k of an upper
+    # Hessenberg matrix is nonzero only down to row k+1, so step k chooses
+    # its pivot between two rows, the reduced row r and row k+1, and updates
+    # one row: O(n) per step, O(n^2) per lam.  det(lam*I - M) is
     # (-1)^swaps * prod(pivots); lam*I - M is singular by PIVOT_RTOL, and the
     # value exactly 0.0, as soon as a pivot is at most
     # PIVOT_RTOL * (|lam| + ||M||_inf).
-    tol = PIVOT_RTOL * (abs(lam) + form.norm)
-    r = form.head[:]
+    tol = PIVOT_RTOL * (abs(lam) + norm)
+    r = head[:]
     r[0] += lam
     pivots = []
     swaps = 0
-    for row in form.rows:
+    for row in rows:
         p = row[:]
         p[1] += lam
         if abs(p[0]) > abs(r[0]):
@@ -407,22 +396,12 @@ def _hessenberg_det(form: _Hessenberg, lam: float) -> float:
     return -det if swaps % 2 else det
 
 
-def _char_form(matrix: DenseMatrix) -> _Tridiagonal | _Hessenberg | _HessenbergArray:
-    """The cached form behind ``char_fn``: tridiagonal for an exactly symmetric
-    matrix, else the Hessenberg ``-G``, by rows up to order
-    ``_HESSENBERG_MAX_ORDER`` and as one array above it."""
-    if matrix._form is None:
-        a = matrix.entries
-        if np.array_equal(a, a.T):
-            matrix._form = _tridiagonalize(a)
-        else:
-            neg, norm = _hessenberg(a), _norm_inf(a)
-            if matrix.order <= _HESSENBERG_MAX_ORDER:
-                rows = [neg[k, k - 1 :].tolist() for k in range(1, matrix.order)]
-                matrix._form = _Hessenberg(neg[0].tolist(), rows, norm)
-            else:
-                matrix._form = _HessenbergArray(neg, norm)
-    return matrix._form
+def _shifted_qr_det(neg: np.ndarray, norm: float, lam: float) -> float:
+    # One LAPACK QR of a fresh lam*I - G: the cached -G plus lam on the
+    # diagonal; norm is ||M||_inf.
+    a = neg.copy()
+    a.flat[:: a.shape[0] + 1] += lam
+    return _qr_det(a, abs(lam) + norm)
 
 
 def _pivots(form: _Tridiagonal, mu: float):
@@ -471,30 +450,41 @@ def _sturm_det(form: _Tridiagonal, lam: float) -> float:
     return det or _full_prod(_pivots(form, mu), len(form.diag) * (math.frexp(scale)[1] - 1))
 
 
+def _char_form(matrix: DenseMatrix) -> partial:
+    """The cached evaluator behind ``char_fn``, a ``partial`` of one kernel
+    bound to the matrix's reduced form: ``_sturm_det`` for an exactly
+    symmetric matrix, else ``_hessenberg_det`` up to order
+    ``_HESSENBERG_MAX_ORDER`` and ``_shifted_qr_det`` above it."""
+    if matrix._form is None:
+        a = matrix.entries
+        if np.array_equal(a, a.T):
+            matrix._form = partial(_sturm_det, _tridiagonalize(a))
+        else:
+            norm, neg = _norm_inf(a), _hessenberg(a)
+            if matrix.order <= _HESSENBERG_MAX_ORDER:
+                rows = [neg[k, k - 1 :].tolist() for k in range(1, matrix.order)]
+                matrix._form = partial(_hessenberg_det, neg[0].tolist(), rows, norm)
+            else:
+                matrix._form = partial(_shifted_qr_det, neg, norm)
+    return matrix._form
+
+
 def char_fn(matrix: DenseMatrix, lam: float) -> float:
     """Evaluate ``det(lam*I - M)`` at a single real ``lam``.
 
     Monic convention: for ``lam`` above every Gerschgorin upper bound the
     value is strictly positive.  Each call is exactly one determinant
-    evaluation.  The first call on a matrix fixes its path (see the module
-    docstring) and caches what the path reuses: an exactly symmetric matrix
-    pays O(n) per call after an O(n^3) reduction to tridiagonal form, a
-    general one O(n^2) after an O(n^3) reduction to the Hessenberg form G:
-    an elimination in Python up to ``_HESSENBERG_MAX_ORDER``, above it one
-    LAPACK QR of a fresh ``lam*I - G``, built as the cached ``-G`` plus
-    ``lam`` on the diagonal.  Every path returns exactly 0.0 where
-    ``lam*I - M`` is singular by the ``PIVOT_RTOL`` rule; a nonzero
-    determinant below the float64 range reads as the smallest subnormal of
-    its sign, never as 0.0.
+    evaluation.  The first call on a matrix reduces it and caches its
+    evaluator (see the module docstring): an exactly symmetric matrix then
+    pays O(n) per call, a general one O(n^2), in Python up to
+    ``_HESSENBERG_MAX_ORDER`` and as one LAPACK QR above it.  Every path
+    returns exactly 0.0 where ``lam*I - M`` is singular by the
+    ``PIVOT_RTOL`` rule; a nonzero determinant below the float64 range reads
+    as the smallest subnormal of its sign, never as 0.0.  A general matrix
+    whose ``||M||_inf`` or Hessenberg form overflows float64 raises
+    ValueError.
     """
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
-    form = _char_form(matrix)
-    if isinstance(form, _Hessenberg):
-        return _hessenberg_det(form, lam)
-    if isinstance(form, _Tridiagonal):
-        return _sturm_det(form, lam)
-    a = form.neg.copy()
-    a.flat[:: matrix.order + 1] += lam
-    return _qr_det(a, abs(lam) + form.norm)
+    return _char_form(matrix)(lam)

@@ -84,6 +84,7 @@ def token_walk_parse(text: str) -> np.ndarray:
     (n, n) float64 array, or the library's exception for the first error in
     file order, with the library's message."""
     lines = []
+    text = text[1:] if text.startswith("\ufeff") else text
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):

@@ -90,6 +90,14 @@ def test_cli_non_utf8_file_is_input_error(tmp_path, matrix_files, capsys):
     assert "can't decode byte 0xe9" in err
 
 
+def test_cli_overflowing_matrix_is_numeric_error(tmp_path, matrix_files, capsys):
+    _, path_b = matrix_files
+    big = tmp_path / "big.mat"
+    big.write_text("2\n1e308 1e308\n0 1e308\n", encoding="utf-8")
+    assert run_cli([str(big), path_b]) == 2
+    assert "overflows float64" in capsys.readouterr().err
+
+
 def test_cli_invalid_flag_value(matrix_files, capsys):
     path_a, path_b = matrix_files
     assert run_cli([path_a, path_b, "--step", "-1"]) == 1

@@ -10,7 +10,6 @@ from common_eig import (
     Axis,
     DenseMatrix,
     Disc,
-    EmptyDiscListError,
     RealInterval,
     discs_of,
     intersect,
@@ -74,7 +73,7 @@ def test_interval_of_zero_radius_disc():
 
 
 def test_interval_of_rejects_empty_list():
-    with pytest.raises(EmptyDiscListError):
+    with pytest.raises(ValueError, match="zero discs"):
         interval_of([])
 
 

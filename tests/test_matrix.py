@@ -27,9 +27,9 @@ import common_eig.matrix as matrix_module
 from common_eig.matrix import (
     _HESSENBERG_MAX_ORDER,
     _char_form,
-    _Hessenberg,
-    _HessenbergArray,
-    _Tridiagonal,
+    _hessenberg_det,
+    _shifted_qr_det,
+    _sturm_det,
 )
 from conftest import A_TEXT
 from oracles import cofactor_determinant, token_walk_parse
@@ -214,6 +214,18 @@ def test_parse_pinned_cases(text, outcome):
     assert _parse_outcome(token_walk_parse, text) == outcome
 
 
+@pytest.mark.parametrize("parse", [_library_parse, token_walk_parse])
+def test_parse_drops_one_leading_byte_order_mark(parse):
+    # as some editors save files: U+FEFF first, here before a comment too
+    for text in (A_TEXT, "# note\n2\n1 2\n3 4\n"):
+        assert _parse_outcome(parse, "\ufeff" + text) == _parse_outcome(parse, text)
+    assert _parse_outcome(parse, "\ufeff\ufeff1\n2\n") == (
+        NonNumericTokenError,
+        # the message shows the token's repr, which escapes U+FEFF
+        "line 1, column 1: '\\ufeff1' is not a positive integer order",
+    )
+
+
 # ---------------------------------------------------------- DenseMatrix
 
 def test_dense_matrix_rejects_bad_shapes():
@@ -292,18 +304,18 @@ def test_char_fn_exact_zero_on_inexact_grid_point():
     lam = 3 * 0.1
     tri = np.array([[0.3, 1.0, 4.0], [0.0, 1.0, 6.0], [0.0, 0.0, 2.0]])
     assert np.linalg.det(lam * np.eye(3) - tri) != 0.0
-    assert isinstance(_char_form(DenseMatrix(tri)), _Hessenberg)
+    assert _char_form(DenseMatrix(tri)).func is _hessenberg_det
     assert char_fn(DenseMatrix(tri), lam) == 0.0
     n = _HESSENBERG_MAX_ORDER + 1
     big = np.triu(np.random.default_rng(5).uniform(-3.0, 3.0, (n, n)))
     big[0, 0] = 0.3
     assert np.linalg.det(lam * np.eye(n) - big) != 0.0
     form = _char_form(DenseMatrix(big))
-    assert isinstance(form, _HessenbergArray)
-    assert form.norm == float(abs(big).sum(axis=1).max())
+    assert form.func is _shifted_qr_det
+    assert form.args[1] == float(abs(big).sum(axis=1).max())
     assert char_fn(DenseMatrix(big), lam) == 0.0
     sym = _rotated_symmetric(np.random.default_rng(3), [0.3, -2.0, -1.0, 1.0, 2.5, 4.0])
-    assert isinstance(_char_form(DenseMatrix(sym)), _Tridiagonal)
+    assert _char_form(DenseMatrix(sym)).func is _sturm_det
     assert char_fn(DenseMatrix(sym), lam) == 0.0
 
 
@@ -351,10 +363,12 @@ def test_char_fn_symmetric_on_grid_eigenvalues_are_exact_zeros():
 def test_tridiagonal_input_is_its_own_form(mat_b):
     # No reflector touches a column that is already zero below the
     # subdiagonal, so B's cached form is B itself, scaled by a power of two.
-    form = _char_form(mat_b)
+    evaluator = _char_form(mat_b)
+    assert evaluator.func is _sturm_det
+    (form,) = evaluator.args
     assert [d * form.scale for d in form.diag] == [3.0, 2.0, 3.0]
     assert [e2 * form.scale**2 for e2 in form.offdiag_sq] == [0.0, 1.0, 1.0]
-    assert mat_b._form is form
+    assert mat_b._form is evaluator
 
 
 def test_char_fn_one_ulp_asymmetry_takes_qr_path():
@@ -368,8 +382,8 @@ def test_char_fn_one_ulp_asymmetry_takes_qr_path():
     a[0, 1] = np.nextafter(a[0, 1], np.inf)
     m = DenseMatrix(a)
     form = _char_form(m)
-    assert isinstance(form, _HessenbergArray)
-    assert form.norm == float(abs(a).sum(axis=1).max())
+    assert form.func is _shifted_qr_det
+    assert form.args[1] == float(abs(a).sum(axis=1).max())
     for lam in (-2.0, 0.25, 1.0, 4.0):
         shifted = lam * np.eye(n) - a
         ref = determinant(DenseMatrix(shifted))
@@ -385,7 +399,7 @@ def test_char_fn_one_ulp_asymmetry_takes_hessenberg_path():
     a = _rotated_symmetric(rng, [-1.0, 0.5, 2.0, 3.5])
     a[0, 1] = np.nextafter(a[0, 1], np.inf)
     m = DenseMatrix(a)
-    assert isinstance(_char_form(m), _Hessenberg)
+    assert _char_form(m).func is _hessenberg_det
     for lam in (-2.0, 0.25, 1.0, 4.0):
         ref = determinant(DenseMatrix(lam * np.eye(4) - a))
         assert np.sign(char_fn(m, lam)) == np.sign(ref)
@@ -447,8 +461,8 @@ def test_char_fn_reduces_a_column_whose_squares_underflow():
         for lam in (0.5, 1.5, 2.5, 3.5):
             ref = float(np.linalg.det(lam * np.eye(3) - entries))
             assert char_fn(m, lam) == pytest.approx(ref, rel=1e-12, abs=0.0)
-    assert isinstance(_char_form(DenseMatrix(a)), _Tridiagonal)
-    assert isinstance(_char_form(DenseMatrix(general)), _Hessenberg)
+    assert _char_form(DenseMatrix(a)).func is _sturm_det
+    assert _char_form(DenseMatrix(general)).func is _hessenberg_det
 
 
 @pytest.mark.parametrize("path", ["qr", "hessenberg", "sturm"])
@@ -473,12 +487,13 @@ def test_char_fn_fills_its_cache_slot_once(monkeypatch, path):
     form = m._form
     assert len(calls) == 1
     if path == "qr":
-        assert isinstance(form, _HessenbergArray) and form.norm == 7.0
-        assert form.neg.flags.c_contiguous
+        neg, norm = form.args
+        assert form.func is _shifted_qr_det and norm == 7.0
+        assert neg.flags.c_contiguous
     elif path == "hessenberg":
-        assert isinstance(form, _Hessenberg) and form.norm == 7.0
+        assert form.func is _hessenberg_det and form.args[2] == 7.0
     else:
-        assert isinstance(form, _Tridiagonal)
+        assert form.func is _sturm_det
     assert [char_fn(m, lam) for lam in (-1.0, 0.25, 3.0)] == values
     assert len(calls) == 1
     assert m._form is form
@@ -491,10 +506,11 @@ def test_hessenberg_input_is_its_own_form(mat_a):
     # subdiagonal, so the triangular A's cached form holds -J*A^T*J, A
     # transposed with its index order reversed.
     form = _char_form(mat_a)
-    assert isinstance(form, _Hessenberg)
-    assert form.head == [-5.0, -6.0, -4.0]
-    assert form.rows == [[0.0, -2.0, -1.0], [0.0, -3.0]]
-    assert form.norm == 8.0
+    assert form.func is _hessenberg_det
+    head, rows, norm = form.args
+    assert head == [-5.0, -6.0, -4.0]
+    assert rows == [[0.0, -2.0, -1.0], [0.0, -3.0]]
+    assert norm == 8.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -549,7 +565,7 @@ def test_on_grid_eigenvalues_of_small_general_matrices_are_found(multiplicity):
     for n in range(3, 9):
         for _ in range(10):
             m, grid = _on_grid_general(rng, n, multiplicity, lo, step)
-            assert isinstance(_char_form(m), _Hessenberg)
+            assert _char_form(m).func is _hessenberg_det
             roots = find_real_roots(
                 lambda x: char_fn(m, x), RealInterval(lo, lo + 60 * step), step, width_tol
             )
@@ -567,7 +583,7 @@ def test_on_grid_eigenvalues_of_large_general_matrices_are_exact_zeros(multiplic
     for n, reps in ((12, 6), (17, 5), (30, 4), (60, 2)):
         for _ in range(reps):
             m, grid = _on_grid_general(rng, n, multiplicity, lo, step)
-            assert isinstance(_char_form(m), _HessenbergArray)
+            assert _char_form(m).func is _shifted_qr_det
             assert [char_fn(m, x) for x in grid] == [0.0] * len(grid)
             roots = find_real_roots(
                 lambda x: char_fn(m, x), RealInterval(lo, lo + 60 * step), step, width_tol
@@ -647,6 +663,27 @@ def test_char_fn_triangular_closed_form():
         for lam in rng.uniform(-6, 6, 5):
             ref = float((lam - d[0]) * (lam - d[1]) * (lam - d[2]))
             assert char_fn(m, lam) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+
+def test_norm_overflow_raises_instead_of_reading_zero():
+    # ||M||_inf overflows float64, so the PIVOT_RTOL tolerance would be inf
+    # and every value 0.0, where det(-I - M) is about +1e616: char_fn,
+    # determinant and matrix_bounds raise one ValueError naming the overflow.
+    m = DenseMatrix([[1e308, 1e308], [0.0, 1e308]])
+    for call in (lambda: char_fn(m, -1.0), lambda: determinant(m), lambda: matrix_bounds(m)):
+        with pytest.raises(ValueError, match="overflows float64"):
+            call()
+
+
+@pytest.mark.parametrize("n", [4, _HESSENBERG_MAX_ORDER + 1])
+def test_hessenberg_overflow_raises_instead_of_reading_zero(n):
+    # Finite row sums but a column whose norm overflows float64: its
+    # reflector's beta does too, so the Hessenberg form cannot be held,
+    # though det(I - M) is about -1.5e308.
+    a = np.zeros((n, n))
+    a[:, 0] = 1.5e308
+    with pytest.raises(ValueError, match="Hessenberg form of the matrix overflows"):
+        char_fn(DenseMatrix(a), 1.0)
 
 
 def test_char_fn_rejects_non_finite_argument(mat_a):

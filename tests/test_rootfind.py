@@ -1,6 +1,7 @@
 """Grid scanning, bisection, and root collection over an interval."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from common_eig import (
     DenseMatrix,
     EmptyIntervalError,
     InvalidBracketError,
-    MaxIterExceededError,
     NonPositiveStepError,
     RealInterval,
     RootOrigin,
@@ -154,12 +154,16 @@ def test_bisect_rejects_bad_brackets():
         bisect(lambda x: x, -1.0, 1.0, -1.0, 1.0, width_tol=-1.0)
 
 
-def test_bisect_max_iter_exhaustion():
-    with pytest.raises(MaxIterExceededError):
-        bisect(
-            lambda x: x - 1.0 / 3.0, 0.0, 1.0, -1.0 / 3.0, 2.0 / 3.0,
-            width_tol=0.0, max_iter=50,
-        )
+def test_bisect_ends_by_itself_across_the_float_range():
+    # With no width tolerance, bisection runs until no double lies strictly
+    # inside the bracket.  A root at 1e-300 inside [-1, 1] takes 1050 halvings;
+    # the longest run over all doubles, a root at the smallest subnormal
+    # inside [-max, max], takes 2099, and both end on the root itself.
+    top = sys.float_info.max
+    for root, lo, hi, iterations in ((1e-300, -1.0, 1.0, 1050), (5e-324, -top, top, 2099)):
+        f = lambda x: x - root
+        est = bisect(f, lo, hi, f(lo), f(hi), width_tol=0.0)
+        assert (est.value, est.residual, est.iterations) == (root, 0.0, iterations)
 
 
 def test_bisect_with_zero_width_tol_stops_at_adjacent_floats():
