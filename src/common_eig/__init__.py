@@ -10,13 +10,10 @@ only the intersection of their inclusion intervals.
 from .errors import (
     CommonEigError,
     EmptyInputError,
-    EmptyIntervalError,
     InconsistentModesError,
-    InvalidBracketError,
     MatrixFormatError,
     NonFiniteValueError,
     NonNumericTokenError,
-    NonPositiveStepError,
     NonSquareError,
     TrailingContentError,
 )
@@ -69,9 +66,6 @@ __all__ = [
     "NonNumericTokenError",
     "NonFiniteValueError",
     "TrailingContentError",
-    "EmptyIntervalError",
-    "NonPositiveStepError",
-    "InvalidBracketError",
     "InconsistentModesError",
     # matrices and determinants
     "DenseMatrix",

@@ -2,9 +2,11 @@
 
 Loads two matrix files, runs the pipeline in the requested mode(s), prints
 a plain-text summary, and optionally writes the JSON report, per-matrix
-CSV scan tables, and the SVG disc diagram.  Exit codes: 0 on success
-(an empty common set is a success), 1 on input or usage errors, 2 on
-internal numeric failures.
+CSV scan tables, and the SVG disc diagram.  The tuning flags map straight
+onto one AnalysisConfig and take their defaults from it, so a value that
+AnalysisConfig rejects with ValueError is a usage error here too.  Exit
+codes: 0 on success (an empty common set is a success), 1 on input or
+usage errors, 2 on internal numeric failures.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .errors import CommonEigError, MatrixFormatError
 from .gerschgorin import Axis, discs_of, intersect
 from .matrix import DenseMatrix, char_fn, parse_matrix
 from .pipeline import (
-    DEFAULT_MATCH_TOL,
     AnalysisConfig,
     BenchmarkSummary,
     CommonEigenReport,
@@ -28,33 +29,18 @@ from .pipeline import (
     run_benchmark,
 )
 from .reporting import emit_json_report, emit_scan_table, render_svg
-from .rootfind import (
-    DEFAULT_DEDUPE_TOL,
-    DEFAULT_STEP,
-    DEFAULT_WIDTH_TOL,
-    RootEstimate,
-    scan,
+from .rootfind import RootEstimate, scan
+
+__all__ = ["run_cli", "main"]
+
+# The AnalysisConfig fields each set by the flag of the same name, with
+# that flag's help text; their defaults are AnalysisConfig's own.
+_TUNING_FLAGS = (
+    ("step", "scan grid spacing"),
+    ("width_tol", "bisection bracket width target"),
+    ("match_tol", "max distance for pairing roots across matrices"),
+    ("dedupe_tol", "min gap between distinct roots of one matrix"),
 )
-
-__all__ = ["CliInvocation", "parse_invocation", "run_cli", "main"]
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    """Everything one invocation asked for, flags already validated.
-
-    ``modes`` are the library modes to run, in order: ``--mode both`` is
-    proposed then conventional.  ``config.mode`` is the first of them.
-    """
-
-    path_a: str
-    path_b: str
-    config: AnalysisConfig
-    modes: tuple[Mode, ...]
-    svg_path: str | None = None
-    scan_table_prefix: str | None = None
-    json_path: str | None = None
-    bench: int = 0
 
 
 @functools.cache
@@ -78,32 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="search the intersected interval, each full interval, or both "
         "(default: %(default)s)",
     )
-    parser.add_argument(
-        "--step",
-        type=float,
-        default=DEFAULT_STEP,
-        help="scan grid spacing (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--width-tol",
-        type=float,
-        default=DEFAULT_WIDTH_TOL,
-        help="bisection bracket width target (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--match-tol",
-        type=float,
-        default=DEFAULT_MATCH_TOL,
-        help="max distance for pairing roots across matrices "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--dedupe-tol",
-        type=float,
-        default=DEFAULT_DEDUPE_TOL,
-        help="min gap between distinct roots of one matrix "
-        "(default: %(default)s)",
-    )
+    defaults = AnalysisConfig()
+    for field, meaning in _TUNING_FLAGS:
+        parser.add_argument(
+            "--" + field.replace("_", "-"),
+            type=float,
+            default=getattr(defaults, field),
+            help=f"{meaning} (default: %(default)s)",
+        )
     parser.add_argument("--svg", metavar="PATH", help="write the disc diagram here")
     parser.add_argument(
         "--scan-table",
@@ -119,38 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also time both modes over N repetitions (0 = off)",
     )
     return parser
-
-
-def parse_invocation(argv: Sequence[str]) -> CliInvocation:
-    """Map raw arguments onto a validated CliInvocation.
-
-    Raises SystemExit for argparse-level problems and ValueError for
-    out-of-range numeric flags.
-    """
-    ns = _build_parser().parse_args(list(argv))
-    if ns.mode == "both":
-        modes = (Mode.PROPOSED, Mode.CONVENTIONAL)
-    else:
-        modes = (Mode(ns.mode),)
-    config = AnalysisConfig(
-        mode=modes[0],
-        step=ns.step,
-        width_tol=ns.width_tol,
-        match_tol=ns.match_tol,
-        dedupe_tol=ns.dedupe_tol,
-    )
-    if ns.bench < 0:
-        raise ValueError("--bench must be non-negative")
-    return CliInvocation(
-        path_a=ns.path_a,
-        path_b=ns.path_b,
-        config=config,
-        modes=modes,
-        svg_path=ns.svg,
-        scan_table_prefix=ns.scan_table,
-        json_path=ns.json,
-        bench=ns.bench,
-    )
 
 
 def _load(path: str) -> DenseMatrix:
@@ -212,11 +148,22 @@ def _scan_table_text(
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
-    """Run one invocation end to end; return the process exit code."""
+    """Run one invocation end to end; return the process exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  The flags map onto one
+    AnalysisConfig; ``--mode both`` runs proposed, then conventional.
+    """
     try:
-        invocation = parse_invocation(
-            argv if argv is not None else sys.argv[1:]
+        args = _build_parser().parse_args(argv)
+        if args.mode == "both":
+            modes = (Mode.PROPOSED, Mode.CONVENTIONAL)
+        else:
+            modes = (Mode(args.mode),)
+        config = AnalysisConfig(
+            mode=modes[0], **{field: getattr(args, field) for field, _ in _TUNING_FLAGS}
         )
+        if args.bench < 0:
+            raise ValueError("--bench must be non-negative")
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; fold the
         # latter into the input-error code
@@ -226,7 +173,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return 1
 
     matrices = []
-    for path in (invocation.path_a, invocation.path_b):
+    for path in (args.path_a, args.path_b):
         try:
             matrices.append(_load(path))
         except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
@@ -234,11 +181,10 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
             return 1
     matrix_a, matrix_b = matrices
 
-    config = invocation.config
     try:
         reports = [
             common_eigenvalues(matrix_a, matrix_b, replace(config, mode=mode))
-            for mode in invocation.modes
+            for mode in modes
         ]
         for i, report in enumerate(reports):
             if i:
@@ -247,25 +193,23 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
         # file outputs describe the intersected-interval run when both ran
         report = reports[0]
-        if invocation.json_path is not None:
-            _write_text(invocation.json_path, emit_json_report(report))
-        if invocation.svg_path is not None:
+        if args.json is not None:
+            _write_text(args.json, emit_json_report(report))
+        if args.svg is not None:
             band = intersect(report.interval_a, report.interval_b)
             svg = render_svg(discs_of(matrix_a, Axis.ROW), discs_of(matrix_b, Axis.ROW), band)
-            _write_text(invocation.svg_path, svg)
-        if invocation.scan_table_prefix is not None:
+            _write_text(args.svg, svg)
+        if args.scan_table is not None:
             for name, matrix, interval, roots in (
                 ("A", matrix_a, report.search_interval_a, report.roots_a),
                 ("B", matrix_b, report.search_interval_b, report.roots_b),
             ):
                 _write_text(
-                    f"{invocation.scan_table_prefix}_{name}.csv",
+                    f"{args.scan_table}_{name}.csv",
                     _scan_table_text(matrix, interval, roots, config.step),
                 )
-        if invocation.bench > 0:
-            _print_benchmark(
-                run_benchmark(matrix_a, matrix_b, config, invocation.bench)
-            )
+        if args.bench > 0:
+            _print_benchmark(run_benchmark(matrix_a, matrix_b, config, args.bench))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

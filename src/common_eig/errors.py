@@ -1,8 +1,9 @@
 """Exception types raised by the library.
 
-Everything derives from :class:`CommonEigError` so callers can catch the
-whole family at once; matrix-file problems additionally share
-:class:`MatrixFormatError`.
+:class:`CommonEigError` covers matrix-file problems, which share
+:class:`MatrixFormatError`, and :class:`InconsistentModesError`.  A bad
+argument to a function or to ``AnalysisConfig`` (an empty interval, a
+step, bracket or tolerance out of range) raises ``ValueError`` instead.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ __all__ = [
     "NonNumericTokenError",
     "NonFiniteValueError",
     "TrailingContentError",
-    "EmptyIntervalError",
-    "NonPositiveStepError",
-    "InvalidBracketError",
     "InconsistentModesError",
 ]
 
@@ -56,18 +54,6 @@ class NonFiniteValueError(MatrixFormatError):
 
 class TrailingContentError(MatrixFormatError):
     """Significant content present after the final matrix row."""
-
-
-class EmptyIntervalError(CommonEigError):
-    """A scan was requested over an empty interval."""
-
-
-class NonPositiveStepError(CommonEigError):
-    """The scan step must be strictly positive."""
-
-
-class InvalidBracketError(CommonEigError):
-    """Bisection was started without a strict sign change."""
 
 
 class InconsistentModesError(CommonEigError):

@@ -18,11 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .errors import (
-    EmptyIntervalError,
-    InvalidBracketError,
-    NonPositiveStepError,
-)
 from .gerschgorin import RealInterval
 
 __all__ = [
@@ -96,12 +91,13 @@ def scan(
     Each record carries at most one event, zero hits taking precedence:
     ZERO_HIT where f is exactly 0.0, SIGN_CHANGE_AHEAD where f flips sign
     strictly between a grid point and its successor and neither cell
-    endpoint is itself a zero hit.
+    endpoint is itself a zero hit.  Raises ValueError for an empty
+    interval or a step that is not finite and positive.
     """
     if interval.empty:
-        raise EmptyIntervalError("cannot scan an empty interval")
+        raise ValueError("cannot scan an empty interval")
     if not 0.0 < step < math.inf:
-        raise NonPositiveStepError(f"step must be finite and positive, got {step}")
+        raise ValueError(f"step must be finite and positive, got {step}")
 
     grid = []
     i = 0
@@ -141,36 +137,36 @@ def bisect(
     exactly 0.0 at the midpoint, the surviving bracket is no wider than
     width_tol, or no float64 lies strictly inside it (so width_tol = 0
     bisects down to adjacent floats, in at most 2099 halvings over the
-    whole float64 range).  The estimate is the last midpoint, or, where
-    the bracket could not be halved at all, the end with the smaller |f|.
-    Costs exactly ``iterations`` evaluations of f.
+    whole float64 range, brackets out to ±max included: the midpoint is
+    taken as 0.5·lo + 0.5·hi, which cannot overflow).  The estimate is the
+    last midpoint, or, where the bracket could not be halved at all, the
+    end with the smaller |f|.  Costs exactly ``iterations`` evaluations of
+    f.  Raises ValueError for a negative width_tol, an empty or reversed
+    bracket, or bracket values that do not change sign.
     """
     if width_tol < 0.0:
         raise ValueError("width_tol must be non-negative")
     if not lo < hi:
-        raise InvalidBracketError(f"bracket is empty or reversed: [{lo}, {hi}]")
+        raise ValueError(f"bracket is empty or reversed: [{lo}, {hi}]")
     if not _opposite_signs(flo, fhi):
-        raise InvalidBracketError(
-            f"f({lo}) = {flo} and f({hi}) = {fhi} do not change sign"
-        )
+        raise ValueError(f"f({lo}) = {flo} and f({hi}) = {fhi} do not change sign")
 
-    mid, fmid = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    est, fest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     iterations = 0
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        fmid = float(f(mid))
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        est, fest = mid, float(f(mid))
         iterations += 1
-        if fmid == 0.0:
+        if fest == 0.0:
             break
-        if _opposite_signs(flo, fmid):
+        if _opposite_signs(flo, fest):
             hi = mid
         else:
-            lo, flo = mid, fmid
+            lo, flo = mid, fest
         if hi - lo <= width_tol:
             break
     return RootEstimate(
-        value=mid,
-        residual=abs(fmid),
+        value=est,
+        residual=abs(fest),
         bracket_lo=lo,
         bracket_hi=hi,
         iterations=iterations,
@@ -193,7 +189,8 @@ def find_real_roots(
     is one evaluation per grid point plus one per bisection iteration.
     Clusters of near-identical results are merged, keeping the
     smallest-residual representative, so consecutive returned roots are
-    always more than dedupe_tol apart.
+    always more than dedupe_tol apart.  Raises ValueError as scan does,
+    and for a negative dedupe_tol.
     """
     if dedupe_tol < 0.0:
         raise ValueError("dedupe_tol must be non-negative")

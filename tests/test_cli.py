@@ -6,8 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from common_eig import Mode
-from common_eig.cli import parse_invocation, run_cli
+from common_eig import (
+    AnalysisConfig,
+    Mode,
+    common_eigenvalues,
+    emit_json_report,
+    parse_matrix,
+)
+from common_eig import cli
+from common_eig.cli import run_cli
 
 
 def test_cli_reference_pair_summary(matrix_files, capsys):
@@ -164,27 +171,42 @@ def test_cli_empty_intersection(tmp_path, capsys):
     assert (tmp_path / "scan_A.csv").read_text() == "sr_no,lambda,det,remark\n"
 
 
-def test_parse_invocation_maps_flags(matrix_files):
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        ([], AnalysisConfig()),
+        (
+            ["--mode", "conventional", "--step", "0.05", "--width-tol", "1e-9",
+             "--match-tol", "1e-5", "--dedupe-tol", "1e-5"],
+            AnalysisConfig(mode=Mode.CONVENTIONAL, step=0.05, width_tol=1e-9,
+                           match_tol=1e-5, dedupe_tol=1e-5),
+        ),
+    ],
+    ids=["defaults", "every-flag"],
+)
+def test_cli_flags_reach_the_run(matrix_files, tmp_path, capsys, monkeypatch, flags, config):
+    # Every flag, and every default (AnalysisConfig's own), reaches the one
+    # run, and the JSON report is that run's.  The reference pair's roots
+    # sit on grid points, so the tolerances do not show in the report; the
+    # config the pipeline received is checked as well.
+    seen = []
+
+    def spy(a, b, cfg):
+        seen.append(cfg)
+        return common_eigenvalues(a, b, cfg)
+
+    monkeypatch.setattr(cli, "common_eigenvalues", spy)
     path_a, path_b = matrix_files
-    inv = parse_invocation(
-        [
-            path_a, path_b,
-            "--mode", "conventional",
-            "--step", "0.05",
-            "--width-tol", "1e-9",
-            "--match-tol", "1e-5",
-            "--dedupe-tol", "1e-5",
-            "--bench", "4",
-        ]
-    )
-    assert inv.config.mode is Mode.CONVENTIONAL
-    assert inv.config.step == 0.05
-    assert inv.config.width_tol == 1e-9
-    assert inv.config.match_tol == 1e-5
-    assert inv.config.dedupe_tol == 1e-5
-    assert inv.bench == 4
-    assert inv.svg_path is None
-    assert inv.json_path is None
+    out_path = tmp_path / "out.json"
+    assert run_cli([path_a, path_b, *flags, "--json", str(out_path)]) == 0
+    capsys.readouterr()
+    assert seen == [config]
+    a, b = (parse_matrix(Path(p).read_text(encoding="utf-8")) for p in matrix_files)
+    expected = json.loads(emit_json_report(common_eigenvalues(a, b, config)))
+    written = json.loads(out_path.read_text())
+    for payload in (expected, written):
+        del payload["wall_time_seconds"]
+    assert written == expected
 
 
 def test_unreadable_output_path_is_io_error(matrix_files, tmp_path, capsys):

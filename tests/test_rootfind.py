@@ -9,9 +9,6 @@ import pytest
 from common_eig import (
     EMPTY_INTERVAL,
     DenseMatrix,
-    EmptyIntervalError,
-    InvalidBracketError,
-    NonPositiveStepError,
     RealInterval,
     RootOrigin,
     ScanEvent,
@@ -96,11 +93,11 @@ def test_scan_degenerate_interval_single_point():
 
 
 def test_scan_input_validation():
-    with pytest.raises(EmptyIntervalError):
+    with pytest.raises(ValueError, match="empty interval"):
         scan(lambda x: x, EMPTY_INTERVAL)
-    with pytest.raises(NonPositiveStepError):
+    with pytest.raises(ValueError, match="step must be finite and positive"):
         scan(lambda x: x, RealInterval(0, 1), step=0.0)
-    with pytest.raises(NonPositiveStepError):
+    with pytest.raises(ValueError, match="step must be finite and positive"):
         # the first grid point would be lo + 0 * inf = nan
         scan(lambda x: x, RealInterval(0, 1), step=math.inf)
 
@@ -143,11 +140,11 @@ def test_bisect_costs_iterations_evaluations():
 
 
 def test_bisect_rejects_bad_brackets():
-    with pytest.raises(InvalidBracketError):
+    with pytest.raises(ValueError, match="empty or reversed"):
         bisect(lambda x: x, 1.0, -1.0, 1.0, -1.0)
-    with pytest.raises(InvalidBracketError):
+    with pytest.raises(ValueError, match="do not change sign"):
         bisect(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0)
-    with pytest.raises(InvalidBracketError):
+    with pytest.raises(ValueError, match="do not change sign"):
         # a zero at a bracket end is the scan's zero hit, not a bracket
         bisect(lambda x: x, 0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -164,6 +161,25 @@ def test_bisect_ends_by_itself_across_the_float_range():
         f = lambda x: x - root
         est = bisect(f, lo, hi, f(lo), f(hi), width_tol=0.0)
         assert (est.value, est.residual, est.iterations) == (root, 0.0, iterations)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, root",
+    [
+        (-sys.float_info.max, sys.float_info.max, 0.75 * sys.float_info.max),
+        (0.25 * sys.float_info.max, sys.float_info.max, 0.75 * sys.float_info.max),
+        (-sys.float_info.max, -0.25 * sys.float_info.max, -0.6 * sys.float_info.max),
+    ],
+    ids=["whole-range", "upper-quarter", "lower-quarter"],
+)
+def test_bisect_near_the_largest_floats_reaches_adjacent_floats(lo, hi, root):
+    # lo + hi overflows to inf here; the midpoint must not, or bisection
+    # stops at once and reports a bracket ~1e308 wide as a root.
+    f = lambda x: 1.0 if x > root else -1.0  # noqa: E731
+    est = bisect(f, lo, hi, f(lo), f(hi), width_tol=0.0)
+    assert math.nextafter(est.bracket_lo, math.inf) == est.bracket_hi
+    assert est.bracket_lo <= root <= est.bracket_hi
+    assert est.iterations <= 2099
 
 
 def test_bisect_with_zero_width_tol_stops_at_adjacent_floats():
@@ -228,7 +244,7 @@ def test_find_roots_costs_one_evaluation_per_grid_point_and_iteration():
 
 
 def test_find_roots_empty_interval():
-    with pytest.raises(EmptyIntervalError):
+    with pytest.raises(ValueError, match="empty interval"):
         find_real_roots(lambda x: x, EMPTY_INTERVAL)
 
 
