@@ -5,6 +5,9 @@ Scanning the characteristic function and refining brackets
 det(lambda I - M) changes sign whenever lambda crosses a simple real
 eigenvalue.  A fixed-step sweep over the Gerschgorin interval flags the
 cells where that happens; bisection then shrinks each cell to the root.
+Each bisection step lands on an ITP point, regula falsi pulled toward the
+midpoint, so a smooth cell like the Fibonacci matrix's below takes 7 steps
+to a 1e-10 bracket where halving takes 30.
 """
 
 import math

@@ -71,9 +71,10 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class CommonEigenReport:
-    """Everything one pipeline run produced, including instrumentation."""
+    """Everything one pipeline run produced, including instrumentation,
+    and the configuration it ran with."""
 
-    mode: Mode
+    config: AnalysisConfig
     interval_a: RealInterval
     interval_b: RealInterval
     search_interval_a: RealInterval
@@ -84,6 +85,11 @@ class CommonEigenReport:
     eval_count_a: int
     eval_count_b: int
     wall_time: float
+
+    @property
+    def mode(self) -> Mode:
+        """The search mode, ``config.mode``."""
+        return self.config.mode
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,7 @@ def common_eigenvalues(
     elapsed = time.perf_counter() - start
 
     return CommonEigenReport(
-        mode=cfg.mode,
+        config=cfg,
         interval_a=interval_a,
         interval_b=interval_b,
         search_interval_a=search_a,

@@ -197,8 +197,10 @@ def emit_json_report(report: CommonEigenReport) -> str:
     Floats pass through ``json.dumps`` untouched, so parsing the output
     recovers every numeric field exactly.  The one exception is a residual
     ``|f|`` that overflowed float64: JSON has no infinity, so it is written
-    as ``null``.  Any other non-finite float raises ``ValueError``.
+    as ``null``.  Any other non-finite float raises ``ValueError``.  The
+    ``config`` object holds the ``AnalysisConfig`` the run used.
     """
+    cfg = report.config
     payload = {
         "mode": report.mode.value,
         "interval_a": _interval_obj(report.interval_a),
@@ -210,6 +212,13 @@ def emit_json_report(report: CommonEigenReport) -> str:
         "common": list(report.common),
         "eval_count_a": report.eval_count_a,
         "eval_count_b": report.eval_count_b,
+        "config": {
+            "mode": cfg.mode.value,
+            "step": cfg.step,
+            "width_tol": cfg.width_tol,
+            "match_tol": cfg.match_tol,
+            "dedupe_tol": cfg.dedupe_tol,
+        },
         "wall_time_seconds": report.wall_time,
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"

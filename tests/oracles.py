@@ -2,9 +2,9 @@
 
 Deliberately naive and deliberately different from the library:
 determinants by cofactor expansion in pure Python arithmetic, symmetric
-eigenvalues by cyclic Jacobi rotations with explicit J^T A J products, and
+eigenvalues by cyclic Jacobi rotations with explicit J^T A J products,
 matrix files read token by token with one regex match and one float() per
-token.
+token, and sign-change brackets refined by plain halving.
 """
 
 import math
@@ -19,6 +19,7 @@ from common_eig.errors import (
     NonSquareError,
     TrailingContentError,
 )
+from common_eig.rootfind import RootEstimate, RootOrigin, _opposite_signs
 
 
 def cofactor_determinant(matrix) -> float:
@@ -137,3 +138,37 @@ def token_walk_parse(text: str) -> np.ndarray:
             row.append(value)
         rows.append(row)
     return np.array(rows, dtype=np.float64)
+
+
+def plain_bisect(f, lo, hi, flo, fhi, width_tol):
+    """Bisection by plain halving: the bracket, stop rules and estimate of
+    ``rootfind.bisect`` with every step at the midpoint 0.5·lo + 0.5·hi.
+    Returns a ``RootEstimate``; raises ``ValueError`` as ``bisect`` does."""
+    if width_tol < 0.0:
+        raise ValueError("width_tol must be non-negative")
+    if not lo < hi:
+        raise ValueError(f"bracket is empty or reversed: [{lo}, {hi}]")
+    if not _opposite_signs(flo, fhi):
+        raise ValueError(f"f({lo}) = {flo} and f({hi}) = {fhi} do not change sign")
+
+    est, fest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    iterations = 0
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        est, fest = mid, float(f(mid))
+        iterations += 1
+        if fest == 0.0:
+            break
+        if _opposite_signs(flo, fest):
+            hi = mid
+        else:
+            lo, flo = mid, fest
+        if hi - lo <= width_tol:
+            break
+    return RootEstimate(
+        value=est,
+        residual=abs(fest),
+        bracket_lo=lo,
+        bracket_hi=hi,
+        iterations=iterations,
+        origin=RootOrigin.BISECTION,
+    )

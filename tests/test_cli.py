@@ -187,8 +187,8 @@ def test_cli_empty_intersection(tmp_path, capsys):
 def test_cli_flags_reach_the_run(matrix_files, tmp_path, capsys, monkeypatch, flags, config):
     # Every flag, and every default (AnalysisConfig's own), reaches the one
     # run, and the JSON report is that run's.  The reference pair's roots
-    # sit on grid points, so the tolerances do not show in the report; the
-    # config the pipeline received is checked as well.
+    # sit on grid points, so the tolerances show only in the report's
+    # config; the config the pipeline received is checked as well.
     seen = []
 
     def spy(a, b, cfg):
@@ -207,6 +207,29 @@ def test_cli_flags_reach_the_run(matrix_files, tmp_path, capsys, monkeypatch, fl
     for payload in (expected, written):
         del payload["wall_time_seconds"]
     assert written == expected
+
+
+def test_json_report_names_its_config(matrix_files, tmp_path, capsys):
+    # The reference roots sit on grid points, so these tolerances move no
+    # root or count: the reports differ in their config alone.
+    path_a, path_b = matrix_files
+    payloads = []
+    for flags in ([], ["--width-tol", "1e-9", "--match-tol", "1e-5", "--dedupe-tol", "1e-5"]):
+        out_path = tmp_path / "out.json"
+        assert run_cli([path_a, path_b, *flags, "--json", str(out_path)]) == 0
+        payload = json.loads(out_path.read_text())
+        del payload["wall_time_seconds"]
+        payloads.append(payload)
+    capsys.readouterr()
+    default, tuned = payloads
+    assert default["config"] == {
+        "mode": "proposed", "step": 0.1, "width_tol": 1e-10, "match_tol": 1e-6,
+        "dedupe_tol": 1e-6,
+    }
+    assert tuned.pop("config") == {
+        **default.pop("config"), "width_tol": 1e-9, "match_tol": 1e-5, "dedupe_tol": 1e-5,
+    }
+    assert tuned == default
 
 
 def test_unreadable_output_path_is_io_error(matrix_files, tmp_path, capsys):

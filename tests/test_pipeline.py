@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import common_eig.rootfind as rootfind
 from common_eig import (
     AnalysisConfig,
     DenseMatrix,
@@ -20,6 +21,8 @@ from common_eig import (
     match_roots,
     run_benchmark,
 )
+from oracles import plain_bisect
+from test_matrix import _on_grid_general
 
 
 def _estimate(value):
@@ -316,6 +319,35 @@ def test_proposed_never_costs_more_than_conventional(mat_a, mat_b):
             prop.eval_count_a + prop.eval_count_b
             <= conv.eval_count_a + conv.eval_count_b
         )
+
+
+@pytest.mark.parametrize("path", ["sturm", "hessenberg", "qr"])
+def test_itp_steps_agree_with_plain_halving_and_cost_less(path, monkeypatch):
+    # The same pairs through the pipeline twice, the second time with
+    # bisect replaced by plain halving: every pair gives as many roots and
+    # the same common values to width_tol, for strictly fewer evaluations.
+    # Planted eigenvalues sit off the search interval's grid, so most are
+    # bisected.
+    rng = np.random.default_rng(67)
+    if path == "sturm":
+        shared = rng.choice([-1.5, -0.75, 0.0, 0.75, 1.5], size=8)
+        pairs = [_planted_symmetric_pair(rng, float(s)) for s in shared]
+    else:
+        orders = range(3, 9) if path == "hessenberg" else (12, 16)
+        pairs = [
+            tuple(_on_grid_general(rng, n, 1, -3.0, 0.1)[0] for _ in "ab")
+            for n in orders
+        ]
+    cfg = AnalysisConfig()
+    itp = [common_eigenvalues(a, b, cfg) for a, b in pairs]
+    monkeypatch.setattr(rootfind, "bisect", plain_bisect)
+    plain = [common_eigenvalues(a, b, cfg) for a, b in pairs]
+    for new, old in zip(itp, plain):
+        assert (len(new.roots_a), len(new.roots_b)) == (len(old.roots_a), len(old.roots_b))
+        assert len(new.common) == len(old.common)
+        assert all(abs(x - y) <= cfg.width_tol for x, y in zip(new.common, old.common))
+    evals = [sum(r.eval_count_a + r.eval_count_b for r in side) for side in (itp, plain)]
+    assert evals[0] < evals[1]
 
 
 # -------------------------------------------------------------- benchmark

@@ -153,6 +153,7 @@ def test_json_reference_report(mat_a, mat_b):
         "common",
         "eval_count_a",
         "eval_count_b",
+        "config",
         "wall_time_seconds",
     ]
     assert payload["mode"] == "proposed"

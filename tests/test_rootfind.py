@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from common_eig import (
     EMPTY_INTERVAL,
@@ -17,6 +18,8 @@ from common_eig import (
     find_real_roots,
     scan,
 )
+from common_eig.rootfind import _opposite_signs
+from oracles import plain_bisect
 
 
 class Counted:
@@ -201,6 +204,84 @@ def test_bisect_with_zero_width_tol_stops_at_adjacent_floats():
     # where |f| is smaller.
     est = bisect(lambda x: x - 1e-300, 0.0, 5e-324, -1.0, 0.5)
     assert (est.value, est.residual, est.iterations) == (5e-324, 0.5, 0)
+
+
+def _bits(est):
+    floats = (est.value, est.residual, est.bracket_lo, est.bracket_hi)
+    return tuple(x.hex() for x in floats), est.iterations
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9),
+    exponent=st.integers(-200, 200),
+    ends=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    width_tol=st.one_of(st.just(0.0), st.floats(1e-14, 1e-3)),
+)
+# Two brackets on which a looser schedule costs 3 steps over halving, the
+# last one to rounding: one aimed at width_tol itself, ldexp(width_tol/2,
+# n_max - k), which ends with no margin, and one lagging halving by two.
+@example(
+    roots=[0.0, 0.0, 0.0, 1.0], exponent=0, ends=(0.015625, 1.4296875),
+    width_tol=1.0000000000000002e-14,
+)
+@example(
+    roots=[0.0, 0.0, 0.0, 0.25, -0.75], exponent=0, ends=(-1.046875, 0.3671875),
+    width_tol=1e-14,
+)
+def test_bisect_against_plain_halving(roots, exponent, ends, width_tol):
+    # f = 10**exponent * prod(x - r): each factor, so f, has the exact sign
+    # of the true product, so a final bracket whose ends differ in sign
+    # holds one of the roots.  An exact 0.0 may also be an underflow.
+    def f(x):
+        p = 10.0**exponent
+        for r in roots:
+            p *= x - r
+        return p
+
+    lo, hi = sorted(ends)
+    flo, fhi = f(lo), f(hi)
+    assume(lo < hi and _opposite_signs(flo, fhi))
+    est = bisect(f, lo, hi, flo, fhi, width_tol)
+    if est.residual == 0.0:
+        assert f(est.value) == 0.0
+    else:
+        assert est.value in (est.bracket_lo, est.bracket_hi)
+        assert any(est.bracket_lo <= r <= est.bracket_hi for r in roots)
+        assert (
+            est.bracket_hi - est.bracket_lo <= width_tol
+            or math.nextafter(est.bracket_lo, math.inf) == est.bracket_hi
+        )
+
+    ref = plain_bisect(f, lo, hi, flo, fhi, width_tol)
+    if width_tol == 0.0:
+        assert _bits(est) == _bits(ref)
+    if ref.residual == 0.0:
+        # Halving landed on an exact zero at one of its dyadic points, which
+        # the ITP points need not visit: compare with the halvings it takes
+        # where f is never zero.
+        ref = plain_bisect(lambda x: f(x) or 1.0, lo, hi, flo, fhi, width_tol)
+    assert est.iterations <= ref.iterations + 2
+
+    # Infinite values carry no slope, and every step is the midpoint.
+    def f_inf(x):
+        value = f(x)
+        return math.copysign(math.inf, value) if value else 0.0
+
+    ilo, ihi = f_inf(lo), f_inf(hi)
+    est = bisect(f_inf, lo, hi, ilo, ihi, width_tol)
+    assert _bits(est) == _bits(plain_bisect(f_inf, lo, hi, ilo, ihi, width_tol))
+
+
+def test_bisect_on_a_smooth_cell_takes_a_fraction_of_the_halvings():
+    # x**2 - 2 on the scan cell [1.4, 1.5]: 30 halvings to 1e-10, and the
+    # ITP steps reach a bracket no wider, around sqrt(2), in at most 8.
+    f = lambda x: x * x - 2.0  # noqa: E731
+    est = bisect(f, 1.4, 1.5, f(1.4), f(1.5))
+    assert plain_bisect(f, 1.4, 1.5, f(1.4), f(1.5), 1e-10).iterations == 30
+    assert est.iterations <= 8
+    assert est.bracket_lo <= math.sqrt(2.0) <= est.bracket_hi
+    assert est.bracket_hi - est.bracket_lo <= 1e-10
 
 
 # --------------------------------------------------------- find_real_roots
