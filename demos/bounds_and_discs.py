@@ -27,8 +27,8 @@ b = parse_matrix((data / "B.mat").read_text())
 
 for name, m in (("A", a), ("B", b)):
     print(f"matrix {name}:")
-    for disc in discs_of(m, Axis.ROW):
-        print(f"  row {disc.index}: centre {disc.center:g}, radius {disc.radius:g}")
+    for k, disc in enumerate(discs_of(m, Axis.ROW)):
+        print(f"  row {k}: centre {disc.center:g}, radius {disc.radius:g}")
     # column discs give a second, independent enclosure
     print(f"  row interval    {interval_of(discs_of(m, Axis.ROW))}")
     print(f"  column interval {interval_of(discs_of(m, Axis.COLUMN))}")

@@ -9,13 +9,8 @@ only the intersection of their inclusion intervals.
 
 from .errors import (
     CommonEigError,
-    EmptyInputError,
     InconsistentModesError,
     MatrixFormatError,
-    NonFiniteValueError,
-    NonNumericTokenError,
-    NonSquareError,
-    TrailingContentError,
 )
 from .gerschgorin import (
     EMPTY_INTERVAL,
@@ -61,11 +56,6 @@ __all__ = [
     # errors
     "CommonEigError",
     "MatrixFormatError",
-    "EmptyInputError",
-    "NonSquareError",
-    "NonNumericTokenError",
-    "NonFiniteValueError",
-    "TrailingContentError",
     "InconsistentModesError",
     # matrices and determinants
     "DenseMatrix",

@@ -99,10 +99,10 @@ def _fmt_values(values) -> str:
 
 
 def _print_summary(report: CommonEigenReport) -> None:
-    print(f"mode: {report.mode.value}")
+    print(f"mode: {report.config.mode.value}")
     print(f"bounds A: {report.interval_a}")
     print(f"bounds B: {report.interval_b}")
-    if report.mode is Mode.PROPOSED:
+    if report.config.mode is Mode.PROPOSED:
         print(f"interval: {report.search_interval_a}")
     else:
         print(f"interval A: {report.search_interval_a}")

@@ -1,7 +1,7 @@
 """Exception types raised by the library.
 
-:class:`CommonEigError` covers matrix-file problems, which share
-:class:`MatrixFormatError`, and :class:`InconsistentModesError`.  A bad
+:class:`CommonEigError` covers :class:`MatrixFormatError`, raised for
+every bad matrix file, and :class:`InconsistentModesError`.  A bad
 argument to a function or to ``AnalysisConfig`` (an empty interval, a
 step, bracket or tolerance out of range) raises ``ValueError`` instead.
 """
@@ -11,11 +11,6 @@ from __future__ import annotations
 __all__ = [
     "CommonEigError",
     "MatrixFormatError",
-    "EmptyInputError",
-    "NonSquareError",
-    "NonNumericTokenError",
-    "NonFiniteValueError",
-    "TrailingContentError",
     "InconsistentModesError",
 ]
 
@@ -25,35 +20,19 @@ class CommonEigError(Exception):
 
 
 class MatrixFormatError(CommonEigError):
-    """A matrix text stream violates the input format."""
+    """A matrix text stream violates the input format.
 
-
-class EmptyInputError(MatrixFormatError):
-    """The stream contains no significant lines at all."""
-
-
-class NonSquareError(MatrixFormatError):
-    """Row count does not match the declared order, or a row is ragged."""
-
-
-class NonNumericTokenError(MatrixFormatError):
-    """A token could not be read as a number.
-
-    Carries the 1-based ``line`` and ``column`` of the offending token.
+    A token that is not a number carries the 1-based ``line`` and
+    ``column`` where it starts, and the message is prefixed with them;
+    for every other error both are ``None``.
     """
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        if line is not None:
+            message = f"line {line}, column {column}: {message}"
+        super().__init__(message)
         self.line = line
         self.column = column
-
-
-class NonFiniteValueError(MatrixFormatError):
-    """An entry parsed to NaN or an infinity."""
-
-
-class TrailingContentError(MatrixFormatError):
-    """Significant content present after the final matrix row."""
 
 
 class InconsistentModesError(CommonEigError):

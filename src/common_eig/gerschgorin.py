@@ -35,12 +35,10 @@ class Axis(Enum):
 @dataclass(frozen=True)
 class Disc:
     """One Gerschgorin circle: center at a diagonal entry, radius the
-    off-diagonal modulus sum, tagged with its index and axis."""
+    off-diagonal modulus sum."""
 
     center: float
     radius: float
-    index: int
-    axis: Axis
 
     def __post_init__(self):
         if not math.isfinite(self.center):
@@ -104,7 +102,7 @@ def discs_of(matrix: DenseMatrix, axis: Axis) -> list[Disc]:
     """Discs from off-diagonal absolute row or column sums, in matrix index order."""
     diag = matrix.entries.diagonal()
     radii = _abs_sums(matrix.entries, 1 if axis is Axis.ROW else 0) - abs(diag)
-    return [Disc(float(c), float(r), k, axis) for k, (c, r) in enumerate(zip(diag, radii))]
+    return [Disc(float(c), float(r)) for c, r in zip(diag, radii)]
 
 
 def interval_of(discs: list[Disc]) -> RealInterval:

@@ -29,13 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    NonFiniteValueError,
-    NonNumericTokenError,
-    NonSquareError,
-    TrailingContentError,
-)
+from .errors import MatrixFormatError
 
 __all__ = [
     "DenseMatrix",
@@ -58,9 +52,12 @@ PIVOT_RTOL = 1e-13
 # General matrices up to this order eliminate lam*I - G in plain Python,
 # larger ones take a QR of it.  At small orders numpy's QR costs mostly
 # call overhead, which the elimination avoids; its O(n^2) Python
-# arithmetic catches up at order 11 (x86-64, Python 3.11, numpy 2.4, per
-# call: 20 against 27 us at n = 8, 26 against 28 at n = 10, equal at 11,
-# 33 against 30 at n = 12).
+# arithmetic catches up after order 11.  Per call on a random matrix
+# (x86-64 Xeon, Python 3.11, numpy 2.4 with OpenBLAS at 1 thread, best of
+# 6 rounds of 10 x 1000 calls), elimination against the QR of lam*I - G:
+# 8.3 against 11.7 us at n = 8, 12.0 against 12.9 at 10, 12.6 against 13.7
+# at 11, 14.4 against 13.6 at 12.  The QR of lam*I - G against a dense QR
+# of lam*I - M: 45.6 against 59.2 us at n = 60, 88.6 against 194 at 100.
 _HESSENBERG_MAX_ORDER = 11
 
 _TOKEN = re.compile(r"\S+")
@@ -83,10 +80,6 @@ class DenseMatrix:
         # None until the first char_fn call; then the cached evaluator
         # lam -> det(lam*I - M) that _char_form builds.
         self._form = None
-
-    @classmethod
-    def identity(cls, order: int) -> "DenseMatrix":
-        return cls(np.eye(order))
 
     @property
     def entries(self) -> np.ndarray:
@@ -121,13 +114,11 @@ def _check_tokens(lineno: int, raw: str) -> None:
         try:
             value = float(tok.group())
         except ValueError:
-            raise NonNumericTokenError(
+            raise MatrixFormatError(
                 f"{tok.group()!r} is not a number", lineno, tok.start() + 1
             ) from None
         if not math.isfinite(value):
-            raise NonFiniteValueError(
-                f"line {lineno}: non-finite value {tok.group()!r}"
-            )
+            raise MatrixFormatError(f"line {lineno}: non-finite value {tok.group()!r}")
 
 
 def parse_matrix(text: str) -> DenseMatrix:
@@ -138,26 +129,27 @@ def parse_matrix(text: str) -> DenseMatrix:
     line holds the order n; the next n significant lines hold n
     whitespace-separated reals each, read by Python's ``float()``
     (scientific notation accepted).  Any significant content after the
-    n-th row is an error.  The first error in file order is the one
-    raised; only ``NonNumericTokenError`` carries a column.  One leading
-    byte order mark (U+FEFF), as some editors write, is dropped.
+    n-th row is an error.  The first error in file order is raised as a
+    ``MatrixFormatError``; only a token that is not a number sets its
+    ``line`` and ``column``.  One leading byte order mark (U+FEFF), as some
+    editors write, is dropped.
     """
     lines = list(_significant_lines(text.removeprefix("\ufeff")))
     if not lines:
-        raise EmptyInputError("no matrix data found")
+        raise MatrixFormatError("no matrix data found")
 
     header_no, header = lines[0]
     tokens = list(_TOKEN.finditer(header))
     if len(tokens) != 1:
         bad = tokens[1]
-        raise NonNumericTokenError(
+        raise MatrixFormatError(
             "matrix order line must hold a single positive integer",
             header_no,
             bad.start() + 1,
         )
     order_tok = tokens[0]
     if not _ORDER.fullmatch(order_tok.group()) or int(order_tok.group()) < 1:
-        raise NonNumericTokenError(
+        raise MatrixFormatError(
             f"{order_tok.group()!r} is not a positive integer order",
             header_no,
             order_tok.start() + 1,
@@ -166,10 +158,10 @@ def parse_matrix(text: str) -> DenseMatrix:
 
     row_lines = lines[1:]
     if len(row_lines) < n:
-        raise NonSquareError(f"expected {n} rows, found {len(row_lines)}")
+        raise MatrixFormatError(f"expected {n} rows, found {len(row_lines)}")
     if len(row_lines) > n:
         extra_no, _ = row_lines[n]
-        raise TrailingContentError(f"unexpected content on line {extra_no} after row {n}")
+        raise MatrixFormatError(f"unexpected content on line {extra_no} after row {n}")
 
     # Each row is split and converted whole; str.split() and _TOKEN cut a
     # line into the same tokens.  Only a row that float() rejects, or whose
@@ -179,7 +171,7 @@ def parse_matrix(text: str) -> DenseMatrix:
     for lineno, raw in row_lines:
         toks = raw.split()
         if len(toks) != n:
-            raise NonSquareError(f"line {lineno}: expected {n} values, found {len(toks)}")
+            raise MatrixFormatError(f"line {lineno}: expected {n} values, found {len(toks)}")
         try:
             row = list(map(float, toks))
         except ValueError:

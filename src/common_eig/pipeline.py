@@ -86,11 +86,6 @@ class CommonEigenReport:
     eval_count_b: int
     wall_time: float
 
-    @property
-    def mode(self) -> Mode:
-        """The search mode, ``config.mode``."""
-        return self.config.mode
-
 
 @dataclass(frozen=True)
 class BenchmarkSummary:

@@ -202,7 +202,7 @@ def emit_json_report(report: CommonEigenReport) -> str:
     """
     cfg = report.config
     payload = {
-        "mode": report.mode.value,
+        "mode": cfg.mode.value,
         "interval_a": _interval_obj(report.interval_a),
         "interval_b": _interval_obj(report.interval_b),
         "search_interval_a": _interval_obj(report.search_interval_a),

@@ -12,13 +12,7 @@ import re
 
 import numpy as np
 
-from common_eig.errors import (
-    EmptyInputError,
-    NonFiniteValueError,
-    NonNumericTokenError,
-    NonSquareError,
-    TrailingContentError,
-)
+from common_eig.errors import MatrixFormatError
 from common_eig.rootfind import RootEstimate, RootOrigin, _opposite_signs
 
 
@@ -82,8 +76,8 @@ _ORDER = re.compile(r"\+?\d+")
 
 def token_walk_parse(text: str) -> np.ndarray:
     """The matrix file format read one token at a time: the entries as an
-    (n, n) float64 array, or the library's exception for the first error in
-    file order, with the library's message."""
+    (n, n) float64 array, or a ``MatrixFormatError`` for the first error in
+    file order, with the library's message, line and column."""
     lines = []
     text = text[1:] if text.startswith("\ufeff") else text
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -91,19 +85,19 @@ def token_walk_parse(text: str) -> np.ndarray:
         if stripped and not stripped.startswith("#"):
             lines.append((lineno, raw))
     if not lines:
-        raise EmptyInputError("no matrix data found")
+        raise MatrixFormatError("no matrix data found")
 
     header_no, header = lines[0]
     tokens = list(_TOKEN.finditer(header))
     if len(tokens) != 1:
-        raise NonNumericTokenError(
+        raise MatrixFormatError(
             "matrix order line must hold a single positive integer",
             header_no,
             tokens[1].start() + 1,
         )
     order_tok = tokens[0]
     if not _ORDER.fullmatch(order_tok.group()) or int(order_tok.group()) < 1:
-        raise NonNumericTokenError(
+        raise MatrixFormatError(
             f"{order_tok.group()!r} is not a positive integer order",
             header_no,
             order_tok.start() + 1,
@@ -112,9 +106,9 @@ def token_walk_parse(text: str) -> np.ndarray:
 
     row_lines = lines[1:]
     if len(row_lines) < n:
-        raise NonSquareError(f"expected {n} rows, found {len(row_lines)}")
+        raise MatrixFormatError(f"expected {n} rows, found {len(row_lines)}")
     if len(row_lines) > n:
-        raise TrailingContentError(
+        raise MatrixFormatError(
             f"unexpected content on line {row_lines[n][0]} after row {n}"
         )
 
@@ -122,17 +116,17 @@ def token_walk_parse(text: str) -> np.ndarray:
     for lineno, raw in row_lines:
         toks = list(_TOKEN.finditer(raw))
         if len(toks) != n:
-            raise NonSquareError(f"line {lineno}: expected {n} values, found {len(toks)}")
+            raise MatrixFormatError(f"line {lineno}: expected {n} values, found {len(toks)}")
         row = []
         for tok in toks:
             try:
                 value = float(tok.group())
             except ValueError:
-                raise NonNumericTokenError(
+                raise MatrixFormatError(
                     f"{tok.group()!r} is not a number", lineno, tok.start() + 1
                 ) from None
             if not math.isfinite(value):
-                raise NonFiniteValueError(
+                raise MatrixFormatError(
                     f"line {lineno}: non-finite value {tok.group()!r}"
                 )
             row.append(value)

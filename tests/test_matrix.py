@@ -1,6 +1,7 @@
 """Matrix parsing, determinants, characteristic function."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -9,13 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from common_eig import (
     DenseMatrix,
-    EmptyInputError,
     MatrixFormatError,
-    NonFiniteValueError,
-    NonNumericTokenError,
-    NonSquareError,
     RealInterval,
-    TrailingContentError,
     char_fn,
     determinant,
     find_real_roots,
@@ -73,20 +69,24 @@ def test_parse_reference_matrix():
     assert m.entries.tolist() == [[3, 1, 4], [0, 2, 6], [0, 0, 5]]
 
 
+def _raises_format_error(message):
+    return pytest.raises(MatrixFormatError, match=f"^{re.escape(message)}$")
+
+
 def test_parse_ragged_row():
-    with pytest.raises(NonSquareError):
+    with _raises_format_error("line 3: expected 2 values, found 1"):
         parse_matrix("2\n1 2\n3\n")
 
 
 def test_parse_missing_rows():
-    with pytest.raises(NonSquareError):
+    with _raises_format_error("expected 3 rows, found 2"):
         parse_matrix("3\n1 2 3\n4 5 6\n")
 
 
 def test_parse_empty_input():
-    with pytest.raises(EmptyInputError):
+    with _raises_format_error("no matrix data found"):
         parse_matrix("")
-    with pytest.raises(EmptyInputError):
+    with _raises_format_error("no matrix data found"):
         parse_matrix("\n# only a comment\n   \n")
 
 
@@ -97,31 +97,33 @@ def test_parse_skips_comments_and_blanks():
 
 
 def test_parse_trailing_content():
-    with pytest.raises(TrailingContentError):
+    with _raises_format_error("unexpected content on line 4 after row 2"):
         parse_matrix("2\n1 2\n3 4\n5 6\n")
 
 
 def test_parse_bad_token_reports_position():
-    with pytest.raises(NonNumericTokenError) as exc_info:
+    with _raises_format_error("line 2, column 3: 'x' is not a number") as exc_info:
         parse_matrix("2\n1 x\n3 4\n")
     assert exc_info.value.line == 2
     assert exc_info.value.column == 3
-    assert "line 2" in str(exc_info.value)
 
 
 def test_parse_bad_order_line():
-    with pytest.raises(NonNumericTokenError):
+    with _raises_format_error("line 1, column 1: 'two' is not a positive integer order"):
         parse_matrix("two\n1 2\n3 4\n")
-    with pytest.raises(NonNumericTokenError):
+    with _raises_format_error("line 1, column 1: '0' is not a positive integer order"):
         parse_matrix("0\n")
-    with pytest.raises(NonNumericTokenError):
+    with _raises_format_error(
+        "line 1, column 3: matrix order line must hold a single positive integer"
+    ):
         parse_matrix("2 2\n1 2\n3 4\n")
 
 
 def test_parse_rejects_non_finite():
-    with pytest.raises(NonFiniteValueError):
+    with _raises_format_error("line 2: non-finite value 'inf'") as exc_info:
         parse_matrix("1\ninf\n")
-    with pytest.raises(NonFiniteValueError):
+    assert (exc_info.value.line, exc_info.value.column) == (None, None)
+    with _raises_format_error("line 2: non-finite value 'nan'"):
         parse_matrix("1\nnan\n")
 
 
@@ -149,11 +151,12 @@ def test_render_parse_round_trip():
 
 
 def _parse_outcome(parse, text):
-    """(shape, entry bytes) of a parse, or (exception type, message)."""
+    """(shape, entry bytes) of a parse, or (message, line, column) of the
+    error."""
     try:
         entries = parse(text)
     except MatrixFormatError as exc:
-        return type(exc), str(exc)
+        return str(exc), exc.line, exc.column
     return entries.shape, entries.tobytes()
 
 
@@ -200,13 +203,13 @@ def test_parse_matches_token_walk_oracle(text):
     [
         # a sum of finite values that overflows is no error
         ("2\n1e308 1e308\n1 2\n", ((2, 2), np.array([[1e308, 1e308], [1, 2]]).tobytes())),
-        ("2\ninf x\n1 2\n", (NonFiniteValueError, "line 2: non-finite value 'inf'")),
-        ("2\nx inf\n1 2\n", (NonNumericTokenError, "line 2, column 1: 'x' is not a number")),
-        (" 2\n 1\u00a0\tx\n1 2\n", (NonNumericTokenError, "line 2, column 5: 'x' is not a number")),
+        ("2\ninf x\n1 2\n", ("line 2: non-finite value 'inf'", None, None)),
+        ("2\nx inf\n1 2\n", ("line 2, column 1: 'x' is not a number", 2, 1)),
+        (" 2\n 1\u00a0\tx\n1 2\n", ("line 2, column 5: 'x' is not a number", 2, 5)),
         # the first error in file order: row 2's value before row 3's length,
         # and a row's length before its values
-        ("3\n1 2 3\n4 nan 6\n7 8\n", (NonFiniteValueError, "line 3: non-finite value 'nan'")),
-        ("3\n1 2 3\n4 5 6\n7 1e999 9 1\n", (NonSquareError, "line 4: expected 3 values, found 4")),
+        ("3\n1 2 3\n4 nan 6\n7 8\n", ("line 3: non-finite value 'nan'", None, None)),
+        ("3\n1 2 3\n4 5 6\n7 1e999 9 1\n", ("line 4: expected 3 values, found 4", None, None)),
     ],
 )
 def test_parse_pinned_cases(text, outcome):
@@ -220,9 +223,10 @@ def test_parse_drops_one_leading_byte_order_mark(parse):
     for text in (A_TEXT, "# note\n2\n1 2\n3 4\n"):
         assert _parse_outcome(parse, "\ufeff" + text) == _parse_outcome(parse, text)
     assert _parse_outcome(parse, "\ufeff\ufeff1\n2\n") == (
-        NonNumericTokenError,
         # the message shows the token's repr, which escapes U+FEFF
         "line 1, column 1: '\\ufeff1' is not a positive integer order",
+        1,
+        1,
     )
 
 
@@ -238,20 +242,20 @@ def test_dense_matrix_rejects_bad_shapes():
 
 
 def test_dense_matrix_is_immutable():
-    m = DenseMatrix.identity(3)
+    m = DenseMatrix(np.eye(3))
     with pytest.raises(ValueError):
         m.entries[0, 0] = 5.0
 
 
 def test_identity_and_equality():
-    assert DenseMatrix.identity(2) == DenseMatrix([[1.0, 0.0], [0.0, 1.0]])
-    assert DenseMatrix.identity(2) != DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
+    assert DenseMatrix(np.eye(2)) == DenseMatrix([[1.0, 0.0], [0.0, 1.0]])
+    assert DenseMatrix(np.eye(2)) != DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 
 
 # ------------------------------------------------------------ determinant
 
 def test_determinant_identity():
-    assert determinant(DenseMatrix.identity(4)) == 1.0
+    assert determinant(DenseMatrix(np.eye(4))) == 1.0
 
 
 def test_determinant_triangular_reference(mat_a):
@@ -642,7 +646,7 @@ def test_zero_matrix_reads_lam_to_the_n():
 
 
 def test_char_fn_at_eigenvalue_of_identity():
-    assert char_fn(DenseMatrix.identity(2), 1.0) == 0.0
+    assert char_fn(DenseMatrix(np.eye(2)), 1.0) == 0.0
 
 
 def test_char_fn_positive_above_upper_bound():

@@ -55,7 +55,7 @@ def _planted_symmetric_pair(rng, shared):
 
 def test_proposed_mode_reference_pair(mat_a, mat_b):
     report = common_eigenvalues(mat_a, mat_b)
-    assert report.mode is Mode.PROPOSED
+    assert report.config.mode is Mode.PROPOSED
     assert report.interval_a == RealInterval(-4, 8)
     assert report.interval_b == RealInterval(0, 4)
     assert report.search_interval_a == RealInterval(0, 4)

@@ -68,7 +68,7 @@ def test_svg_empty_inputs_axes_only():
 
 
 def test_svg_wide_view_keeps_few_ticks():
-    svg = render_svg([Disc(0.0, 1e4, 0, Axis.ROW)], [], EMPTY_INTERVAL)
+    svg = render_svg([Disc(0.0, 1e4)], [], EMPTY_INTERVAL)
     ticks = re.findall(r'<line class="tick" x1="(-?\d+)\.0+"', svg)
     assert 2 <= len(ticks) <= 21
     assert svg.count('class="label"') == len(ticks)
@@ -77,12 +77,12 @@ def test_svg_wide_view_keeps_few_ticks():
 
 
 def test_svg_zero_radius_disc():
-    svg = render_svg([Disc(5.0, 0.0, 0, Axis.ROW)], [], EMPTY_INTERVAL)
+    svg = render_svg([Disc(5.0, 0.0)], [], EMPTY_INTERVAL)
     assert 'r="0.000000"' in svg
 
 
 def test_svg_degenerate_band():
-    svg = render_svg([Disc(0.0, 2.0, 0, Axis.ROW)], [], RealInterval(1, 1))
+    svg = render_svg([Disc(0.0, 2.0)], [], RealInterval(1, 1))
     assert 'class="band"' in svg
     assert 'width="0.000000"' in svg
 
