@@ -40,4 +40,4 @@ print(f"\nshared search interval: {band}")
 out = Path("discs.svg")
 svg = render_svg(discs_of(a, Axis.ROW), discs_of(b, Axis.ROW), band)
 out.write_text(svg, encoding="utf-8")
-print(f"wrote disc diagram to {out.resolve()}")
+print(f"wrote disc diagram to {out}")

@@ -63,7 +63,7 @@ print("\nrecovered spectrum vs closed form:")
 print(f"  {roots[0].value:.12f}  vs  1 - phi = {1.0 - phi:.12f}")
 print(f"  {roots[1].value:.12f}  vs      phi = {phi:.12f}")
 
-table = emit_scan_table(records, find_real_roots(fa, interval))
+table = emit_scan_table(records)
 print("\nfirst rows of the scan table for A:")
 for line in table.split("\n")[:6]:
     print(f"  {line}")

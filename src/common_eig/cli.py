@@ -29,7 +29,7 @@ from .pipeline import (
     run_benchmark,
 )
 from .reporting import emit_json_report, emit_scan_table, render_svg
-from .rootfind import RootEstimate, scan
+from .rootfind import scan
 
 __all__ = ["run_cli", "main"]
 
@@ -135,18 +135,6 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _scan_table_text(
-    matrix: DenseMatrix,
-    interval,
-    roots: Sequence[RootEstimate],
-    step: float,
-) -> str:
-    if interval.empty:
-        return emit_scan_table([], roots)
-    records = scan(lambda lam: char_fn(matrix, lam), interval, step)
-    return emit_scan_table(records, roots)
-
-
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Run one invocation end to end; return the process exit code.
 
@@ -200,14 +188,12 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
             svg = render_svg(discs_of(matrix_a, Axis.ROW), discs_of(matrix_b, Axis.ROW), band)
             _write_text(args.svg, svg)
         if args.scan_table is not None:
-            for name, matrix, interval, roots in (
-                ("A", matrix_a, report.search_interval_a, report.roots_a),
-                ("B", matrix_b, report.search_interval_b, report.roots_b),
+            for name, matrix, interval in (
+                ("A", matrix_a, report.search_interval_a),
+                ("B", matrix_b, report.search_interval_b),
             ):
-                _write_text(
-                    f"{args.scan_table}_{name}.csv",
-                    _scan_table_text(matrix, interval, roots, config.step),
-                )
+                records = scan(functools.partial(char_fn, matrix), interval, config.step)
+                _write_text(f"{args.scan_table}_{name}.csv", emit_scan_table(records))
         if args.bench > 0:
             _print_benchmark(run_benchmark(matrix_a, matrix_b, config, args.bench))
     except OSError as exc:

@@ -2,8 +2,8 @@
 
 :class:`CommonEigError` covers :class:`MatrixFormatError`, raised for
 every bad matrix file, and :class:`InconsistentModesError`.  A bad
-argument to a function or to ``AnalysisConfig`` (an empty interval, a
-step, bracket or tolerance out of range) raises ``ValueError`` instead.
+argument to a function or to ``AnalysisConfig`` (a step, bracket or
+tolerance out of range) raises ``ValueError`` instead.
 """
 
 from __future__ import annotations

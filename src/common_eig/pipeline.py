@@ -153,9 +153,9 @@ def common_eigenvalues(
 
     Bounds each matrix on the real axis, picks the search interval(s) for
     the configured mode, finds each matrix's real roots there, and matches
-    them across matrices.  An empty intersection short-circuits: no
-    evaluations at all, an empty common set, and that is a success, not an
-    error.  The two matrices may have different orders.
+    them across matrices.  An empty intersection has no grid, so it costs
+    no evaluations and gives an empty common set, and that is a success,
+    not an error.  The two matrices may have different orders.
     """
     cfg = config if config is not None else AnalysisConfig()
 
@@ -170,8 +170,7 @@ def common_eigenvalues(
     counted_a = _CountedFn(lambda lam: char_fn(matrix_a, lam))
     counted_b = _CountedFn(lambda lam: char_fn(matrix_b, lam))
     roots_a, roots_b = (
-        () if search.empty
-        else tuple(find_real_roots(f, search, cfg.step, cfg.width_tol, cfg.dedupe_tol))
+        tuple(find_real_roots(f, search, cfg.step, cfg.width_tol, cfg.dedupe_tol))
         for f, search in ((counted_a, search_a), (counted_b, search_b))
     )
     common = match_roots(roots_a, roots_b, cfg.match_tol)

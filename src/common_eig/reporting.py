@@ -135,7 +135,7 @@ def render_svg(
 
 
 def _fmt_lambda(lam: float) -> str:
-    s = f"{lam:.4f}".rstrip("0").rstrip(".")
+    s = f"{lam:.10g}"
     return "0" if s == "-0" else s
 
 
@@ -147,31 +147,24 @@ def _fmt_det(value: float) -> str:
     return f"{value:.4f}"
 
 
-def emit_scan_table(
-    records: Sequence[ScanRecord],
-    roots: Sequence[RootEstimate],
-) -> str:
+def emit_scan_table(records: Sequence[ScanRecord]) -> str:
     """Lay out scan records as a CSV table, one row per grid point.
 
-    Zero-hit rows carry the refined root value in the remark column (the
-    nearest reported root when one sits close enough, otherwise the grid
-    point itself); sign-change rows are flagged; all other remarks are
-    empty.
+    λ is written to ten significant digits, and -0 as 0.  A zero-hit row's
+    remark names its own λ as the root (``find_real_roots`` reports a zero
+    hit at its grid point); sign-change rows are flagged; all other
+    remarks are empty.
     """
     lines = ["sr_no,lambda,det,remark"]
     for sr_no, rec in enumerate(records, start=1):
+        lam = _fmt_lambda(rec.lam)
         if rec.event is ScanEvent.ZERO_HIT:
-            shown = rec.lam
-            if roots:
-                nearest = min(roots, key=lambda r: abs(r.value - rec.lam))
-                if abs(nearest.value - rec.lam) <= 1e-6:
-                    shown = nearest.value
-            remark = f"root={shown:.10g}"
+            remark = f"root={lam}"
         elif rec.event is ScanEvent.SIGN_CHANGE_AHEAD:
             remark = "sign change"
         else:
             remark = ""
-        lines.append(f"{sr_no},{_fmt_lambda(rec.lam)},{_fmt_det(rec.value)},{remark}")
+        lines.append(f"{sr_no},{lam},{_fmt_det(rec.value)},{remark}")
     return "\n".join(lines) + "\n"
 
 

@@ -98,16 +98,17 @@ def scan(
 ) -> list[ScanRecord]:
     """Evaluate f on the grid lo, lo+step, ... with hi appended exactly.
 
-    Each record carries at most one event, zero hits taking precedence:
-    ZERO_HIT where f is exactly 0.0, SIGN_CHANGE_AHEAD where f flips sign
-    strictly between a grid point and its successor and neither cell
-    endpoint is itself a zero hit.  Raises ValueError for an empty
-    interval or a step that is not finite and positive.
+    Each record carries at most one event: ZERO_HIT where f is exactly
+    0.0, SIGN_CHANGE_AHEAD where f is strictly negative at the grid point
+    and strictly positive at its successor, or the other way round (so a
+    cell with a zero hit or a nan at either end is never flagged).  An
+    empty interval has no grid: the result is [] and f is not called.
+    Raises ValueError for a step that is not finite and positive.
     """
-    if interval.empty:
-        raise ValueError("cannot scan an empty interval")
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
+    if interval.empty:
+        return []
 
     grid = []
     i = 0
@@ -122,11 +123,7 @@ def scan(
     values = [float(f(x)) for x in grid]
     events = [ScanEvent.ZERO_HIT if v == 0.0 else ScanEvent.NONE for v in values]
     for j in range(len(grid) - 1):
-        if (
-            events[j] is ScanEvent.NONE
-            and events[j + 1] is not ScanEvent.ZERO_HIT
-            and _opposite_signs(values[j], values[j + 1])
-        ):
+        if _opposite_signs(values[j], values[j + 1]):
             events[j] = ScanEvent.SIGN_CHANGE_AHEAD
     return [ScanRecord(x, v, e) for x, v, e in zip(grid, values, events)]
 
@@ -244,17 +241,20 @@ def find_real_roots(
     width_tol: float = DEFAULT_WIDTH_TOL,
     dedupe_tol: float = DEFAULT_DEDUPE_TOL,
 ) -> list[RootEstimate]:
-    """All real roots of f over a closed interval, sorted ascending.
+    """All real roots of f over a closed interval, in ascending order.
 
     Grid zero hits are taken directly (grid zeros at the interval's own
     endpoints are tagged ENDPOINT_ZERO); every sign-change cell is refined
     by ``bisect`` (ITP steps) from the two scan values that bracket it, so
     the total cost is one evaluation per grid point plus one per bisection
-    step.  A cell holding an odd number of roots yields one of them.
-    Clusters of near-identical results are merged, keeping the
-    smallest-residual representative, so consecutive returned roots are
-    always more than dedupe_tol apart.  Raises ValueError as scan does,
-    and for a negative dedupe_tol.
+    step.  A cell holding an odd number of roots yields one of them.  Each
+    root lies in its own grid point or cell, so they come out in the
+    grid's order, which is ascending.  A run of roots whose consecutive
+    gaps are at most dedupe_tol collapses to its smallest
+    ``(residual, value)`` member, so consecutive returned roots are always
+    more than dedupe_tol apart.  An empty interval yields [] without
+    calling f.  Raises ValueError as scan does, and for a negative
+    dedupe_tol.
     """
     if dedupe_tol < 0.0:
         raise ValueError("dedupe_tol must be non-negative")
@@ -269,27 +269,23 @@ def find_real_roots(
                 if idx in (0, last)
                 else RootOrigin.GRID_ZERO
             )
-            roots.append(
-                RootEstimate(
-                    value=rec.lam,
-                    residual=abs(rec.value),
-                    bracket_lo=rec.lam,
-                    bracket_hi=rec.lam,
-                    iterations=0,
-                    origin=origin,
-                )
+            root = RootEstimate(
+                value=rec.lam,
+                residual=abs(rec.value),
+                bracket_lo=rec.lam,
+                bracket_hi=rec.lam,
+                iterations=0,
+                origin=origin,
             )
         elif rec.event is ScanEvent.SIGN_CHANGE_AHEAD:
             nxt = records[idx + 1]
-            roots.append(bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol))
-
-    roots.sort(key=lambda r: r.value)
-    merged = []
-    i = 0
-    while i < len(roots):
-        j = i
-        while j + 1 < len(roots) and roots[j + 1].value - roots[j].value <= dedupe_tol:
-            j += 1
-        merged.append(min(roots[i : j + 1], key=lambda r: (r.residual, r.value)))
-        i = j + 1
-    return merged
+            root = bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol)
+        else:
+            continue
+        # prev is the last root found, kept or not: clusters chain on gaps
+        if roots and root.value - prev <= dedupe_tol:
+            roots[-1] = min(roots[-1], root, key=lambda r: (r.residual, r.value))
+        else:
+            roots.append(root)
+        prev = root.value
+    return roots

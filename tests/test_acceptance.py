@@ -192,7 +192,7 @@ def test_09_rendered_outputs_match_golden_bytes(tmp_path):
             for m in (a, b):
                 fn = lambda x: char_fn(m, x)  # noqa: E731
                 records = scan(fn, band)
-                tables.append(emit_scan_table(records, find_real_roots(fn, band)))
+                tables.append(emit_scan_table(records))
             return svg, tables[0], tables[1]
 
         first = artefacts()

@@ -163,12 +163,17 @@ def test_cli_empty_intersection(tmp_path, capsys):
     one.write_text("1\n1\n")
     ten.write_text("1\n10\n")
     prefix = tmp_path / "scan"
-    code = run_cli([str(one), str(ten), "--scan-table", str(prefix)])
+    report = tmp_path / "report.json"
+    code = run_cli([str(one), str(ten), "--scan-table", str(prefix), "--json", str(report)])
     assert code == 0
     out = capsys.readouterr().out
     assert "interval: (empty)" in out
     assert "common: (none)" in out
-    assert (tmp_path / "scan_A.csv").read_text() == "sr_no,lambda,det,remark\n"
+    for name in ("A", "B"):
+        assert (tmp_path / f"scan_{name}.csv").read_text() == "sr_no,lambda,det,remark\n"
+    payload = json.loads(report.read_text())
+    assert payload["common"] == []
+    assert payload["eval_count_a"] == payload["eval_count_b"] == 0
 
 
 @pytest.mark.parametrize(

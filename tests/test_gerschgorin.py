@@ -93,6 +93,12 @@ def test_real_interval_behavior():
     assert RealInterval(0.0, 1.0) != EMPTY_INTERVAL
 
 
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_real_interval_rejects_non_finite_ends(lo, hi):
+    with pytest.raises(ValueError, match="interval endpoints must be finite"):
+        RealInterval(lo, hi)
+
+
 # ------------------------------------------------------------- intersect
 
 def test_intersect_reference_intervals():

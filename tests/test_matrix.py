@@ -633,6 +633,16 @@ def test_singular_rule_is_relative_at_every_scale():
         assert char_fn(m, 1e-100) == pytest.approx(1e-200, rel=1e-12, abs=0.0)
 
 
+def test_sturm_fallback_clamps_a_zero_pivot():
+    # Eigenvalues +-1e-200, read at lam = 0: the first LDL^T pivot is
+    # exactly 0, and the product of the pivots underflows, so the
+    # fallback recomputes them; its clamp of that pivot to -pivmin keeps
+    # the next pivot finite, and the value carries the sign of the true
+    # det, -1e-400.
+    m = DenseMatrix(1e-200 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert char_fn(m, 0.0) == -5e-324
+
+
 def test_zero_matrix_reads_lam_to_the_n():
     # The zero matrix has no unit scale of its own; det(lam*I - 0) is
     # lam**n at every lam, or the smallest subnormal of its sign where that

@@ -1,14 +1,17 @@
 """End-to-end pipeline: modes, matching, instrumentation, benchmarking."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import common_eig.pipeline as pipeline
 import common_eig.rootfind as rootfind
 from common_eig import (
     AnalysisConfig,
     DenseMatrix,
+    InconsistentModesError,
     Mode,
     RealInterval,
     RootEstimate,
@@ -378,6 +381,22 @@ def test_benchmark_disjoint_pair():
     assert summary.conventional_evals == 2
     assert math.isinf(summary.eval_ratio)
     assert summary.modes_agree
+
+
+def test_benchmark_rejects_a_proposed_value_conventional_lacks(mat_a, mat_b, monkeypatch):
+    # The proposed search covers part of what the conventional one does,
+    # so a common value that only it reports is a contradiction.
+    real = pipeline.common_eigenvalues
+
+    def extra_proposed(a, b, cfg):
+        report = real(a, b, cfg)
+        if cfg.mode is Mode.PROPOSED:
+            report = replace(report, common=report.common + (3.5,))
+        return report
+
+    monkeypatch.setattr(pipeline, "common_eigenvalues", extra_proposed)
+    with pytest.raises(InconsistentModesError, match="full-interval search did not"):
+        run_benchmark(mat_a, mat_b, repetitions=1)
 
 
 def test_benchmark_rejects_zero_repetitions(mat_a, mat_b):

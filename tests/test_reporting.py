@@ -8,6 +8,7 @@ import pytest
 from common_eig import (
     EMPTY_INTERVAL,
     Axis,
+    DenseMatrix,
     Disc,
     RealInterval,
     char_fn,
@@ -15,7 +16,7 @@ from common_eig import (
     discs_of,
     emit_json_report,
     emit_scan_table,
-    find_real_roots,
+    matrix_bounds,
     render_svg,
     scan,
 )
@@ -93,8 +94,7 @@ def test_scan_table_reference_a(mat_a):
     f = lambda x: char_fn(mat_a, x)
     interval = RealInterval(0, 4)
     records = scan(f, interval)
-    roots = find_real_roots(f, interval)
-    csv = emit_scan_table(records, roots)
+    csv = emit_scan_table(records)
     lines = csv.split("\n")
     assert lines[0] == "sr_no,lambda,det,remark"
     assert lines[1] == "1,0,-30.0000,"
@@ -107,33 +107,45 @@ def test_scan_table_reference_a(mat_a):
 
 def test_scan_table_sign_change_remark():
     records = scan(lambda x: x - 0.55, RealInterval(0, 1))
-    csv = emit_scan_table(records, [])
+    csv = emit_scan_table(records)
     assert "6,0.5,-0.0500,sign change" in csv
 
 
 def test_scan_table_small_values_use_scientific():
     records = scan(lambda x: 5e-4, RealInterval(0, 0.1), step=0.1)
-    csv = emit_scan_table(records, [])
+    csv = emit_scan_table(records)
     assert "5.0000e-04" in csv
 
 
 def test_scan_table_lambda_formatting():
     records = scan(lambda x: 1.0, RealInterval(0, 0.25), step=0.125)
-    csv = emit_scan_table(records, [])
+    csv = emit_scan_table(records)
     lines = csv.strip().split("\n")
-    # 0.125 keeps four decimals, 0 and 0.25 drop trailing zeros
+    # ten significant digits, without trailing zeros
     assert lines[1].startswith("1,0,")
     assert lines[2].startswith("2,0.125,")
     assert lines[3].startswith("3,0.25,")
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1e-8])
+def test_scan_table_lambda_keeps_every_grid_point_off_desk_scale(mat_a, scale):
+    # A scaled matrix scanned with a scaled step: ten significant digits
+    # give every grid point its own lambda, where four fixed decimals
+    # would merge them.
+    m = DenseMatrix(scale * mat_a.entries)
+    records = scan(lambda x: char_fn(m, x), matrix_bounds(m), step=0.1 * scale)
+    rows = emit_scan_table(records).splitlines()[1:]
+    assert len(rows) == len(records) > 20
+    assert len({row.split(",")[1] for row in rows}) == len(rows)
+
+
 def test_scan_table_empty_records():
-    assert emit_scan_table([], []) == "sr_no,lambda,det,remark\n"
+    assert emit_scan_table([]) == "sr_no,lambda,det,remark\n"
 
 
 def test_scan_table_row_count_invariant(mat_b):
     records = scan(lambda x: char_fn(mat_b, x), RealInterval(0, 4))
-    csv = emit_scan_table(records, [])
+    csv = emit_scan_table(records)
     assert csv.count("\n") == len(records) + 1
 
 

@@ -96,8 +96,12 @@ def test_scan_degenerate_interval_single_point():
 
 
 def test_scan_input_validation():
-    with pytest.raises(ValueError, match="empty interval"):
-        scan(lambda x: x, EMPTY_INTERVAL)
+    counted = Counted(lambda x: x)
+    assert scan(counted, EMPTY_INTERVAL) == []
+    assert counted.calls == 0
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        # the step is checked before the interval
+        scan(lambda x: x, EMPTY_INTERVAL, step=0.0)
     with pytest.raises(ValueError, match="step must be finite and positive"):
         scan(lambda x: x, RealInterval(0, 1), step=0.0)
     with pytest.raises(ValueError, match="step must be finite and positive"):
@@ -325,8 +329,14 @@ def test_find_roots_costs_one_evaluation_per_grid_point_and_iteration():
 
 
 def test_find_roots_empty_interval():
-    with pytest.raises(ValueError, match="empty interval"):
-        find_real_roots(lambda x: x, EMPTY_INTERVAL)
+    counted = Counted(lambda x: x)
+    assert find_real_roots(counted, EMPTY_INTERVAL) == []
+    assert counted.calls == 0
+
+
+def test_find_roots_rejects_negative_dedupe_tol():
+    with pytest.raises(ValueError, match="dedupe_tol must be non-negative"):
+        find_real_roots(lambda x: x, RealInterval(0, 1), dedupe_tol=-1)
 
 
 def test_find_roots_dedupes_loose_zero_band():
