@@ -7,7 +7,9 @@ eigenvalue.  A fixed-step sweep over the Gerschgorin interval flags the
 cells where that happens; bisection then shrinks each cell to the root.
 Each bisection step lands on an ITP point, regula falsi pulled toward the
 midpoint, so a smooth cell like the Fibonacci matrix's below takes 7 steps
-to a 1e-10 bracket where halving takes 30.
+to a 1e-10 bracket where halving takes 30.  The point may lag halving's
+bracket by two steps, never more, so no cell costs more than two steps
+over halving.
 """
 
 import math

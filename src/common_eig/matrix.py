@@ -25,6 +25,7 @@ import math
 import re
 import sys
 from functools import partial
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -355,35 +356,39 @@ def _hessenberg(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((g * -scale)[::-1, ::-1])
 
 
-def _hessenberg_det(head: list[float], rows: list[list[float]], norm: float, lam: float) -> float:
+def _hessenberg_det(head: tuple, rows: list[tuple], norm: float, lam: float) -> float:
     # Gaussian elimination with partial pivoting on lam*I - G, given -G by
-    # rows: head is its row 0, rows[k] its row k+1 from the subdiagonal
-    # entry on, so rows[k][1] is on the diagonal.  Column k of an upper
-    # Hessenberg matrix is nonzero only down to row k+1, so step k chooses
-    # its pivot between two rows, the reduced row r and row k+1, and updates
-    # one row: O(n) per step, O(n^2) per lam.  det(lam*I - M) is
-    # (-1)^swaps * prod(pivots); lam*I - M is singular by PIVOT_RTOL, and the
-    # value exactly 0.0, as soon as a pivot is at most
+    # rows, each split as (entry k - 1, entry k, entries n - 1 down to
+    # k + 1) for row k; head is row 0 split as row 1 is, so it starts on the
+    # diagonal.  Column k of an upper Hessenberg matrix is nonzero only down
+    # to row k+1, so step k chooses its pivot between two rows, the reduced
+    # row r and row k+1, and updates one row: O(n) per step, O(n^2) per
+    # lam.  The tails run backwards, so a step's new tail lines up with the
+    # next row's once its last entry, the next column, is popped.
+    # det(lam*I - M) is (-1)^swaps * prod(pivots); lam*I - M is singular by
+    # PIVOT_RTOL, and the value exactly 0.0, as soon as a pivot is at most
     # PIVOT_RTOL * (|lam| + ||M||_inf).
     tol = PIVOT_RTOL * (abs(lam) + norm)
-    r = head[:]
-    r[0] += lam
+    r0, r1, rt = head
+    r0 += lam
     pivots = []
     swaps = 0
-    for row in rows:
-        p = row[:]
-        p[1] += lam
-        if abs(p[0]) > abs(r[0]):
-            r, p = p, r
+    for p0, p1, pt in rows:
+        p1 += lam
+        if abs(p0) > abs(r0):
+            r0, r1, rt, p0, p1, pt = p0, p1, pt, r0, r1, rt
             swaps += 1
-        if abs(r[0]) <= tol:
+        if abs(r0) <= tol:
             return 0.0
-        pivots.append(r[0])
-        m = p[0] / r[0]
-        r = [y - m * x for x, y in zip(r[1:], p[1:])]
-    if abs(r[0]) <= tol:
+        pivots.append(r0)
+        m = p0 / r0
+        r0 = p1 - m * r1
+        rt = list(map(sub, pt, map(m.__mul__, rt)))
+        if rt:
+            r1 = rt.pop()
+    if abs(r0) <= tol:
         return 0.0
-    pivots.append(r[0])
+    pivots.append(r0)
     det = math.prod(pivots) or _full_prod(pivots)
     return -det if swaps % 2 else det
 
@@ -454,8 +459,10 @@ def _char_form(matrix: DenseMatrix) -> partial:
         else:
             norm, neg = _norm_inf(a), _hessenberg(a)
             if matrix.order <= _HESSENBERG_MAX_ORDER:
-                rows = [neg[k, k - 1 :].tolist() for k in range(1, matrix.order)]
-                matrix._form = partial(_hessenberg_det, neg[0].tolist(), rows, norm)
+                first, *rest = neg.tolist()
+                head = (first[0], first[1], first[:1:-1])
+                rows = [(row[k - 1], row[k], row[:k:-1]) for k, row in enumerate(rest, 1)]
+                matrix._form = partial(_hessenberg_det, head, rows, norm)
             else:
                 matrix._form = partial(_shifted_qr_det, neg, norm)
     return matrix._form

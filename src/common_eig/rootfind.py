@@ -6,7 +6,7 @@ interval recording f at every point, accept grid points where f is exactly
 grid points with bisection.  Bisection keeps halving's bracket and stop rules
 but steps to ITP points (regula falsi pulled toward the midpoint), which
 converge superlinearly on the smooth cells of ``det(λI − M)`` and cost at
-most a step or two more than halving anywhere else.  "Exactly zero" is f's
+most two steps more than halving anywhere else.  "Exactly zero" is f's
 own decision: ``char_fn`` returns 0.0 when lambda*I - M is singular to
 working precision, by a rule relative to the matrix's scale, and no
 absolute threshold is added here.
@@ -44,6 +44,8 @@ DEFAULT_DEDUPE_TOL = 1e-6
 # The ITP step's pull toward the midpoint is _ITP_KAPPA·w²/(hi - lo) for a
 # bracket w wide (κ1·(hi - lo) = 0.2 and κ2 = 2 in the ITP paper's terms).
 _ITP_KAPPA = 0.2
+# The bracket may lag plain halving by _ITP_N0 steps (n0 in the ITP paper).
+_ITP_N0 = 2
 
 
 class ScanEvent(Enum):
@@ -173,24 +175,28 @@ def bisect(
     The point is the ITP one (interpolate, truncate, project; Oliveira &
     Takahashi, ACM TOMS 47(1), 2020): regula falsi, pulled toward the
     midpoint, and kept near enough to it that after k steps the bracket is
-    no wider than plain halving leaves it after k - 1.  On the smooth,
+    no wider than plain halving leaves it after k - 2.  On the smooth,
     simple root that a scan cell of ``det(λI − M)`` usually holds, it
-    converges superlinearly, in about a third of the halvings.  On any
-    other bracket it costs at most that one step of slack beyond halving,
-    and one more where rounding leaves the bracket an ulp off schedule,
-    as long as width_tol is above the float spacing.  The step is the
-    midpoint 0.5·lo + 0.5·hi, which cannot overflow, where width_tol is 0,
-    an end value or hi - lo is not finite, or rounding puts the point on an
-    end or off the schedule.  So width_tol = 0 halves exactly, down to
-    adjacent floats, in at most 2099 halvings over the whole float64
-    range, brackets out to ±max included.
+    converges superlinearly, in about a quarter of the halvings, and the
+    two steps of slack let it keep converging where f curves hard in the
+    cell.  On any bracket it costs at most two steps beyond halving,
+    rounding included, as long as width_tol is above the float spacing:
+    the schedule counts down to width_tol from the halvings that can reach
+    it, and each point is tested with the stop rule's own subtractions.
+    The step is the midpoint 0.5·lo + 0.5·hi, which cannot overflow, where
+    width_tol is 0 or under twice the float spacing at the bracket's larger
+    end, where an end value or 4·(hi - lo) is not finite, and where
+    rounding puts the point on an end or off the schedule.  So
+    width_tol = 0 halves exactly, down to adjacent floats, in at most 2099
+    halvings over the whole float64 range, brackets out to ±max included.
 
     The estimate is the last point evaluated: an exact zero of f, or else
     an end of the final bracket; where the bracket could not be split at
     all, it is the end with the smaller |f|.  Costs exactly
     ``iterations`` evaluations of f.  Raises ValueError for a negative
-    width_tol, an empty or reversed bracket, or bracket values that do not
-    change sign.
+    width_tol, an empty or reversed bracket, bracket values that do not
+    change sign, or an f that returns nan inside the bracket (the message
+    names the point).
     """
     if width_tol < 0.0:
         raise ValueError("width_tol must be non-negative")
@@ -200,22 +206,41 @@ def bisect(
         raise ValueError(f"f({lo}) = {flo} and f({hi}) = {fhi} do not change sign")
 
     # The schedule: step k (from 0) may leave a bracket no wider than
-    # (hi - lo)/2**k, what plain halving leaves after k steps, so ITP lags
-    # it by one step at most (n0 = 1 in the ITP paper's terms).
+    # ldexp(anchor, top - k), so after top + 1 steps it is within width_tol.
+    # ulp is the float spacing at the bracket's larger end, the coarsest
+    # inside it.  Halving's rounded midpoints move its bracket by less than
+    # an ulp in all, so halving may finish in the fewest halvings that
+    # reach width_tol + ulp; top + 1 is n0 more than that.  The anchor is a
+    # whole number of ulps, at least one below width_tol: a bracket on the
+    # schedule then splits at its midpoint into halves on the next bound,
+    # and the ulp absorbs the rounding of midpoints beside a power of two.
+    # Each point is tested with the subtractions the stop rule makes.  The
+    # first bound is below 4·(hi - lo), so it overflows only where that does.
     width = hi - lo
-    itp = 0.0 < width_tol and width < math.inf
+    itp = 0.0 < width_tol and 4.0 * width < math.inf
+    if itp:
+        ulp = math.ulp(max(-lo, hi))
+        anchor = width_tol - math.fmod(width_tol, ulp) - ulp
+        itp = anchor > 0.0
+        halving_tol = width_tol + ulp
+        halvings = math.frexp(width / halving_tol)[1]
+        if math.ldexp(halving_tol, halvings - 1) >= width:
+            halvings -= 1
+        top = halvings + _ITP_N0 - 1
     kappa = _ITP_KAPPA / width
 
     est, fest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     iterations = 0
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
         if itp:
-            bound = math.ldexp(width, -iterations)
+            bound = math.ldexp(anchor, top - iterations)
             est = _itp_point(lo, hi, mid, flo, fhi, kappa, bound)
         else:
             est = mid
         fest = float(f(est))
         iterations += 1
+        if math.isnan(fest):
+            raise ValueError(f"f({est!r}) is nan inside the bracket [{lo!r}, {hi!r}]")
         if fest == 0.0:
             break
         if _opposite_signs(flo, fest):

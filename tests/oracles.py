@@ -4,7 +4,10 @@ Deliberately naive and deliberately different from the library:
 determinants by cofactor expansion in pure Python arithmetic, symmetric
 eigenvalues by cyclic Jacobi rotations with explicit J^T A J products,
 matrix files read token by token with one regex match and one float() per
-token, and sign-change brackets refined by plain halving.
+token, and sign-change brackets refined by plain halving.  One is a frozen
+copy instead: ``copying_hessenberg_det``, an earlier form of
+``matrix._hessenberg_det`` that copies its rows, which the library's loop
+must match bit for bit.
 """
 
 import math
@@ -13,6 +16,7 @@ import re
 import numpy as np
 
 from common_eig.errors import MatrixFormatError
+from common_eig.matrix import PIVOT_RTOL, _full_prod
 from common_eig.rootfind import RootEstimate, RootOrigin, _opposite_signs
 
 
@@ -166,3 +170,31 @@ def plain_bisect(f, lo, hi, flo, fhi, width_tol):
         iterations=iterations,
         origin=RootOrigin.BISECTION,
     )
+
+
+def copying_hessenberg_det(head, rows, norm, lam):
+    """det(lam*I - G) by the elimination ``matrix._hessenberg_det`` did
+    before it split its rows: -G as whole lists, head its row 0 and
+    rows[k] its row k+1 from the subdiagonal entry on, with each step
+    copying one row and slicing two."""
+    tol = PIVOT_RTOL * (abs(lam) + norm)
+    r = head[:]
+    r[0] += lam
+    pivots = []
+    swaps = 0
+    for row in rows:
+        p = row[:]
+        p[1] += lam
+        if abs(p[0]) > abs(r[0]):
+            r, p = p, r
+            swaps += 1
+        if abs(r[0]) <= tol:
+            return 0.0
+        pivots.append(r[0])
+        m = p[0] / r[0]
+        r = [y - m * x for x, y in zip(r[1:], p[1:])]
+    if abs(r[0]) <= tol:
+        return 0.0
+    pivots.append(r[0])
+    det = math.prod(pivots) or _full_prod(pivots)
+    return -det if swaps % 2 else det

@@ -142,6 +142,21 @@ def test_matrix_bounds_diagonal():
     assert matrix_bounds(DenseMatrix(np.diag([1.0, 9.0]))) == RealInterval(1.0, 9.0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+def test_matrix_bounds_is_the_disc_intersection_to_the_bit(scale):
+    # matrix_bounds skips the Disc objects but not a float operation: the
+    # same interval, -0.0 and all, as intersecting the two discs' spans.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        a = rng.normal(size=(n, n))
+        for entries in (a, np.triu(a), np.tril(a), np.zeros((n, n)), -np.zeros((n, n))):
+            m = DenseMatrix(entries * scale)
+            ours = matrix_bounds(m)
+            spans = intersect(*(interval_of(discs_of(m, axis)) for axis in Axis))
+            assert (ours.lo.hex(), ours.hi.hex()) == (spans.lo.hex(), spans.hi.hex())
+
+
 def test_diagonal_entries_contained():
     rng = np.random.default_rng(13)
     for _ in range(30):

@@ -23,12 +23,14 @@ import common_eig.matrix as matrix_module
 from common_eig.matrix import (
     _HESSENBERG_MAX_ORDER,
     _char_form,
+    _hessenberg,
     _hessenberg_det,
+    _norm_inf,
     _shifted_qr_det,
     _sturm_det,
 )
 from conftest import A_TEXT
-from oracles import cofactor_determinant, token_walk_parse
+from oracles import cofactor_determinant, copying_hessenberg_det, token_walk_parse
 
 
 def _rotated_symmetric(rng, spectrum):
@@ -512,9 +514,39 @@ def test_hessenberg_input_is_its_own_form(mat_a):
     form = _char_form(mat_a)
     assert form.func is _hessenberg_det
     head, rows, norm = form.args
-    assert head == [-5.0, -6.0, -4.0]
-    assert rows == [[0.0, -2.0, -1.0], [0.0, -3.0]]
+    assert head == (-5.0, -6.0, [-4.0])
+    assert rows == [(0.0, -2.0, [-1.0]), (0.0, -3.0, [])]
     assert norm == 8.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, _HESSENBERG_MAX_ORDER),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-300, 300),
+    on_grid=st.booleans(),
+)
+def test_hessenberg_det_matches_the_copying_loop_bitwise(n, seed, exponent, on_grid):
+    # The split rows do the copying loop's float operations in its order,
+    # so every value is the same to the bit: exact zeros at eigenvalues
+    # planted on the grid, the signs that row swaps set (most of these lam
+    # swap rows of a random matrix), and products that underflow or
+    # overflow at scale.
+    rng = np.random.default_rng(seed)
+    if on_grid:
+        a = _on_grid_general(rng, n, 1, -3.0, 0.1)[0].entries
+    else:
+        a = rng.normal(size=(n, n))
+    lams = [-3.0 + k * 0.1 for k in range(61)] + rng.uniform(-4.0, 4.0, 20).tolist()
+    for s in (1.0, 10.0**exponent):
+        m = DenseMatrix(a * s)
+        assert _char_form(m).func is _hessenberg_det
+        neg = _hessenberg(m.entries)
+        rows = [neg[k, k - 1 :].tolist() for k in range(1, n)]
+        args = neg[0].tolist(), rows, _norm_inf(m.entries)
+        for lam in lams:
+            ours = char_fn(m, lam * s)
+            assert ours.hex() == copying_hessenberg_det(*args, lam * s).hex()
 
 
 @settings(max_examples=200, deadline=None)

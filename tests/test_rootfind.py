@@ -222,9 +222,14 @@ def _bits(est):
     ends=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
     width_tol=st.one_of(st.just(0.0), st.floats(1e-14, 1e-3)),
 )
-# Two brackets on which a looser schedule costs 3 steps over halving, the
-# last one to rounding: one aimed at width_tol itself, ldexp(width_tol/2,
-# n_max - k), which ends with no margin, and one lagging halving by two.
+# Three brackets on which a schedule that leaves no room for rounding
+# costs 3 steps over halving.  On the first two, halving's rounded
+# midpoints finish a step before exact halving would (47 steps, not 48).
+# The first fails a schedule anchored at width_tol itself; the second one
+# counted from width_tol alone, or one lagging halving by two steps in
+# exact widths.  On the third, width_tol is a power of two and so is the
+# root 0.25, so every midpoint beside it rounds, and it fails an anchor
+# less than an ulp below width_tol.
 @example(
     roots=[0.0, 0.0, 0.0, 1.0], exponent=0, ends=(0.015625, 1.4296875),
     width_tol=1.0000000000000002e-14,
@@ -232,6 +237,10 @@ def _bits(est):
 @example(
     roots=[0.0, 0.0, 0.0, 0.25, -0.75], exponent=0, ends=(-1.046875, 0.3671875),
     width_tol=1e-14,
+)
+@example(
+    roots=[0.25, -0.4207262213757077, -0.8115234375, 0.1484375, 0.24609375],
+    exponent=0, ends=(-1.2587890625, 1.5), width_tol=2.0**-40,
 )
 def test_bisect_against_plain_halving(roots, exponent, ends, width_tol):
     # f = 10**exponent * prod(x - r): each factor, so f, has the exact sign
@@ -275,6 +284,44 @@ def test_bisect_against_plain_halving(roots, exponent, ends, width_tol):
     ilo, ihi = f_inf(lo), f_inf(hi)
     est = bisect(f_inf, lo, hi, ilo, ihi, width_tol)
     assert _bits(est) == _bits(plain_bisect(f_inf, lo, hi, ilo, ihi, width_tol))
+
+
+def test_bisect_near_the_largest_floats_with_a_positive_width_tol():
+    # The schedule's first bounds reach four times the bracket's width:
+    # where that overflows, every step is the midpoint, and below it ITP
+    # steps run as anywhere else.
+    top = sys.float_info.max
+    f = lambda x: x - 0.2 * top  # noqa: E731
+    for lo, hi in ((-0.3 * top, 0.3 * top), (0.1 * top, 0.3 * top)):
+        est = bisect(f, lo, hi, f(lo), f(hi), 1e300)
+        assert est.bracket_lo <= 0.2 * top <= est.bracket_hi
+        assert est.bracket_hi - est.bracket_lo <= 1e300
+    lo, hi = -0.3 * top, 0.3 * top
+    assert _bits(bisect(f, lo, hi, f(lo), f(hi), 1e300)) == _bits(
+        plain_bisect(f, lo, hi, f(lo), f(hi), 1e300)
+    )
+
+
+def test_bisect_names_a_nan_and_where_it_appeared():
+    # A nan fails every sign test, so it cannot replace a bracket end.
+    vals = iter([math.nan, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"f\(0\.5\) is nan"):
+        bisect(lambda x: next(vals), 0.0, 1.0, -1.0, 1.0)
+
+
+def test_bisect_keeps_its_speed_on_a_strongly_curved_cell():
+    # Regula falsi creeps in from one side where f curves hard: a pole just
+    # past the cell, or a high power.  With a single step of slack the
+    # schedule soon forces the midpoint at every step (34 and 14 steps
+    # here); with two, the pulled steps still close in on the root.
+    for f, lo, hi, most in (
+        (lambda x: 1.0 / (1.55 - x) - 10.0, 1.0, 1.5, 24),
+        (lambda x: x**9 - 0.5, 0.5, 1.5, 10),
+    ):
+        est = bisect(f, lo, hi, f(lo), f(hi))
+        assert plain_bisect(f, lo, hi, f(lo), f(hi), 1e-10).iterations >= 33
+        assert est.iterations <= most
+        assert est.bracket_hi - est.bracket_lo <= 1e-10 or est.residual == 0.0
 
 
 def test_bisect_on_a_smooth_cell_takes_a_fraction_of_the_halvings():
