@@ -13,10 +13,14 @@ depends on the matrix alone:
   characteristic polynomial of M (see ``_hessenberg``).  Up to order
   ``_HESSENBERG_MAX_ORDER`` each call costs one O(n^2) Gaussian elimination
   with partial pivoting of ``lam*I - G`` in plain Python
-  (``_hessenberg_det``); above it, one Householder QR of ``lam*I - G`` (a
-  single LAPACK call made by numpy, ``_shifted_qr_det``).  Each of its
+  (``_hessenberg_det``); above it, one Householder QR of ``lam*I - G``
+  (``_shifted_qr_det``), a single direct call of LAPACK ``dgeqrf`` through
+  numpy's ``lapack_lite`` on a copy of the cached ``-G^T``.  Each of its
   reflectors has two nonzero entries, and LAPACK skips the zero tail, so
-  most of a dense QR's O(n^3) work goes.
+  most of a dense QR's O(n^3) work goes.  The direct call gives the values
+  of ``np.linalg.qr`` bit for bit, the same routine on the same input with
+  the same workspace, without that wrapper's per-call overhead: about 44
+  against 55 us per call at order 60 in the traced ``dense_scan`` benchmark.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from operator import sub
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import MatrixFormatError
 
@@ -51,15 +56,22 @@ __all__ = [
 PIVOT_RTOL = 1e-13
 
 # General matrices up to this order eliminate lam*I - G in plain Python,
-# larger ones take a QR of it.  At small orders numpy's QR costs mostly
-# call overhead, which the elimination avoids; its O(n^2) Python
-# arithmetic catches up after order 11.  Per call on a random matrix
-# (x86-64 Xeon, Python 3.11, numpy 2.4 with OpenBLAS at 1 thread, best of
-# 6 rounds of 10 x 1000 calls), elimination against the QR of lam*I - G:
-# 8.3 against 11.7 us at n = 8, 12.0 against 12.9 at 10, 12.6 against 13.7
-# at 11, 14.4 against 13.6 at 12.  The QR of lam*I - G against a dense QR
-# of lam*I - M: 45.6 against 59.2 us at n = 60, 88.6 against 194 at 100.
-_HESSENBERG_MAX_ORDER = 11
+# larger ones take a QR of it.  The elimination's O(n^2) Python arithmetic
+# beats one dgeqrf call on small orders and loses on larger ones.  Per
+# call on random matrices (x86-64, 2 shared cores, Python 3.11, numpy 2.4
+# with OpenBLAS, best of 6 rounds of 10 x 100 calls, 3 matrices per
+# order), the direct QR over the elimination: 2.1-2.7 at n = 3, 1.4-1.5
+# at 5, 1.0-1.25 at 7, 0.6-1.1 at 8, 0.7-1.1 at 9, 0.5-0.65 at 11.
+_HESSENBERG_MAX_ORDER = 8
+
+# numpy's binding of LAPACK dgeqrf: it takes C-contiguous float64 arrays
+# and factors them in place, with none of np.linalg.qr's argument checks,
+# copies, errstate context or workspace query, about a quarter of that
+# call at order 60.  numpy lists lapack_lite among its private but
+# present modules; tests pin its values bitwise to np.linalg.qr's.
+_dgeqrf = lapack_lite.dgeqrf
+
+_SHIFT_OVERFLOW = "lam*I - M overflows float64 at this lam"
 
 _TOKEN = re.compile(r"\S+")
 _ORDER = re.compile(r"\+?\d+")
@@ -201,14 +213,27 @@ def _full_prod(factors, exponent: int = 0) -> float:
     return math.ldexp(mantissa, exponent) or math.copysign(5e-324, mantissa)
 
 
-def _qr_det(a: np.ndarray, scale: float) -> float:
-    # One Householder QR, A = Q*R.  Each reflector with tau != 0 has
-    # determinant -1 (tau == 0 is the identity), so det(A) is that sign
-    # times the product of diag(R).  The raw layout is transposed, which
-    # leaves the diagonal in place.  math.prod multiplies in the same order
-    # as ndarray.prod but overflows to +-inf without a warning.
-    h, tau = np.linalg.qr(a, mode="raw")
-    diag = h.diagonal().tolist()
+def _geqrf_lwork(n: int) -> int:
+    """The workspace LAPACK ``dgeqrf`` asks for at order n, at least n, as
+    numpy's own QR takes it; the blocked code at order 128 and up reads it."""
+    work = np.empty(1)
+    _dgeqrf(n, n, np.empty((n, n)), n, np.empty(n), work, -1, 0)
+    return max(1, n, int(work[0]))
+
+
+def _qr_det(a: np.ndarray, lwork: int, scale: float) -> float:
+    # One Householder QR, A = Q*R, by one LAPACK dgeqrf call that overwrites
+    # a: the C-contiguous A^T, which is A in the column-major layout LAPACK
+    # reads.  Each reflector with tau != 0 has determinant -1 (tau == 0 is
+    # the identity), so det(A) is that sign times the product of diag(R),
+    # which the transposed layout leaves on the diagonal of a.  tau and the
+    # workspace are fresh on every call, so no two calls write one array.
+    # math.prod multiplies in the same order as ndarray.prod but overflows
+    # to +-inf without a warning.
+    n = a.shape[0]
+    tau = np.empty(n)
+    _dgeqrf(n, n, a, n, tau, np.empty(lwork), lwork, 0)
+    diag = a.ravel()[:: n + 1].tolist()
     if min(map(abs, diag)) <= PIVOT_RTOL * scale:
         return 0.0
     det = math.prod(diag) or _full_prod(diag)
@@ -235,7 +260,8 @@ def determinant(matrix: DenseMatrix) -> float:
     Exactly 0.0 whenever some ``|R_ii|`` sits at or below
     ``PIVOT_RTOL * ||M||_inf``, the ``lam = 0`` case of ``char_fn``'s rule.
     """
-    return _qr_det(matrix.entries, _norm_inf(matrix.entries))
+    a = matrix.entries
+    return _qr_det(a.T.copy(), _geqrf_lwork(a.shape[0]), _norm_inf(a))
 
 
 def _unit_scale(a: np.ndarray) -> float:
@@ -356,7 +382,7 @@ def _hessenberg(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((g * -scale)[::-1, ::-1])
 
 
-def _hessenberg_det(head: tuple, rows: list[tuple], norm: float, lam: float) -> float:
+def _hessenberg_det(head: tuple, rows: list[tuple], norm: float, bound: float, lam: float) -> float:
     # Gaussian elimination with partial pivoting on lam*I - G, given -G by
     # rows, each split as (entry k - 1, entry k, entries n - 1 down to
     # k + 1) for row k; head is row 0 split as row 1 is, so it starts on the
@@ -367,7 +393,12 @@ def _hessenberg_det(head: tuple, rows: list[tuple], norm: float, lam: float) -> 
     # next row's once its last entry, the next column, is popped.
     # det(lam*I - M) is (-1)^swaps * prod(pivots); lam*I - M is singular by
     # PIVOT_RTOL, and the value exactly 0.0, as soon as a pivot is at most
-    # PIVOT_RTOL * (|lam| + ||M||_inf).
+    # PIVOT_RTOL * (|lam| + ||M||_inf).  bound is the larger of ||M||_inf and
+    # max |g_kk|: while |lam| + bound is finite, so are that tolerance and
+    # every diagonal entry of lam*I - G, which would otherwise overflow to
+    # inf and read as a singular matrix.
+    if math.isinf(abs(lam) + bound):
+        raise ValueError(_SHIFT_OVERFLOW)
     tol = PIVOT_RTOL * (abs(lam) + norm)
     r0, r1, rt = head
     r0 += lam
@@ -393,12 +424,15 @@ def _hessenberg_det(head: tuple, rows: list[tuple], norm: float, lam: float) -> 
     return -det if swaps % 2 else det
 
 
-def _shifted_qr_det(neg: np.ndarray, norm: float, lam: float) -> float:
-    # One LAPACK QR of a fresh lam*I - G: the cached -G plus lam on the
-    # diagonal; norm is ||M||_inf.
-    a = neg.copy()
-    a.flat[:: a.shape[0] + 1] += lam
-    return _qr_det(a, abs(lam) + norm)
+def _shifted_qr_det(neg_t: np.ndarray, lwork: int, norm: float, bound: float, lam: float) -> float:
+    # One LAPACK QR of a fresh lam*I - G: a copy of the cached -G^T (-G in
+    # the column-major layout) plus lam on the diagonal; norm is ||M||_inf,
+    # bound as in _hessenberg_det.
+    if math.isinf(abs(lam) + bound):
+        raise ValueError(_SHIFT_OVERFLOW)
+    a = neg_t.copy()
+    a.ravel()[:: a.shape[0] + 1] += lam
+    return _qr_det(a, lwork, abs(lam) + norm)
 
 
 def _pivots(form: _Tridiagonal, mu: float):
@@ -458,13 +492,15 @@ def _char_form(matrix: DenseMatrix) -> partial:
             matrix._form = partial(_sturm_det, _tridiagonalize(a))
         else:
             norm, neg = _norm_inf(a), _hessenberg(a)
+            bound = max(norm, float(abs(neg.diagonal()).max()))
             if matrix.order <= _HESSENBERG_MAX_ORDER:
                 first, *rest = neg.tolist()
                 head = (first[0], first[1], first[:1:-1])
                 rows = [(row[k - 1], row[k], row[:k:-1]) for k, row in enumerate(rest, 1)]
-                matrix._form = partial(_hessenberg_det, head, rows, norm)
+                matrix._form = partial(_hessenberg_det, head, rows, norm, bound)
             else:
-                matrix._form = partial(_shifted_qr_det, neg, norm)
+                lwork = _geqrf_lwork(matrix.order)
+                matrix._form = partial(_shifted_qr_det, neg.T.copy(), lwork, norm, bound)
     return matrix._form
 
 
@@ -481,7 +517,10 @@ def char_fn(matrix: DenseMatrix, lam: float) -> float:
     ``PIVOT_RTOL`` rule; a nonzero determinant below the float64 range reads
     as the smallest subnormal of its sign, never as 0.0.  A general matrix
     whose ``||M||_inf`` or Hessenberg form overflows float64 raises
-    ValueError.
+    ValueError, and so does a general matrix at a ``lam`` where ``|lam|``
+    plus the larger of ``||M||_inf`` and the largest diagonal entry of its
+    Hessenberg form overflows: there a diagonal entry of ``lam*I - G`` or
+    the singular tolerance would be inf.
     """
     lam = float(lam)
     if not math.isfinite(lam):

@@ -4,10 +4,12 @@ Deliberately naive and deliberately different from the library:
 determinants by cofactor expansion in pure Python arithmetic, symmetric
 eigenvalues by cyclic Jacobi rotations with explicit J^T A J products,
 matrix files read token by token with one regex match and one float() per
-token, and sign-change brackets refined by plain halving.  One is a frozen
-copy instead: ``copying_hessenberg_det``, an earlier form of
-``matrix._hessenberg_det`` that copies its rows, which the library's loop
-must match bit for bit.
+token, and sign-change brackets refined by plain halving.  Two are frozen
+copies instead, which the library must match bit for bit:
+``copying_hessenberg_det``, an earlier form of ``matrix._hessenberg_det``
+that copies its rows, and ``numpy_qr_det``, the QR determinant through
+``np.linalg.qr`` that ``matrix._qr_det`` computed before it called LAPACK
+``dgeqrf`` directly.
 """
 
 import math
@@ -198,3 +200,15 @@ def copying_hessenberg_det(head, rows, norm, lam):
     pivots.append(r[0])
     det = math.prod(pivots) or _full_prod(pivots)
     return -det if swaps % 2 else det
+
+
+def numpy_qr_det(a, scale):
+    """det(a) by ``np.linalg.qr(a, mode="raw")``: the reflectors' sign times
+    prod(diag R), exactly 0.0 where some |R_ii| is at most
+    PIVOT_RTOL * scale."""
+    h, tau = np.linalg.qr(a, mode="raw")
+    diag = h.diagonal().tolist()
+    if min(map(abs, diag)) <= PIVOT_RTOL * scale:
+        return 0.0
+    det = math.prod(diag) or _full_prod(diag)
+    return -det if np.count_nonzero(tau) % 2 else det

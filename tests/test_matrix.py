@@ -3,6 +3,8 @@
 import math
 import re
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,7 +32,12 @@ from common_eig.matrix import (
     _sturm_det,
 )
 from conftest import A_TEXT
-from oracles import cofactor_determinant, copying_hessenberg_det, token_walk_parse
+from oracles import (
+    cofactor_determinant,
+    copying_hessenberg_det,
+    numpy_qr_det,
+    token_walk_parse,
+)
 
 
 def _rotated_symmetric(rng, spectrum):
@@ -318,7 +325,8 @@ def test_char_fn_exact_zero_on_inexact_grid_point():
     assert np.linalg.det(lam * np.eye(n) - big) != 0.0
     form = _char_form(DenseMatrix(big))
     assert form.func is _shifted_qr_det
-    assert form.args[1] == float(abs(big).sum(axis=1).max())
+    _, _, norm, _ = form.args
+    assert norm == float(abs(big).sum(axis=1).max())
     assert char_fn(DenseMatrix(big), lam) == 0.0
     sym = _rotated_symmetric(np.random.default_rng(3), [0.3, -2.0, -1.0, 1.0, 2.5, 4.0])
     assert _char_form(DenseMatrix(sym)).func is _sturm_det
@@ -389,7 +397,8 @@ def test_char_fn_one_ulp_asymmetry_takes_qr_path():
     m = DenseMatrix(a)
     form = _char_form(m)
     assert form.func is _shifted_qr_det
-    assert form.args[1] == float(abs(a).sum(axis=1).max())
+    _, _, norm, _ = form.args
+    assert norm == float(abs(a).sum(axis=1).max())
     for lam in (-2.0, 0.25, 1.0, 4.0):
         shifted = lam * np.eye(n) - a
         ref = determinant(DenseMatrix(shifted))
@@ -493,9 +502,12 @@ def test_char_fn_fills_its_cache_slot_once(monkeypatch, path):
     form = m._form
     assert len(calls) == 1
     if path == "qr":
-        neg, norm = form.args
+        # -G^T, C-contiguous: -G in the column-major layout LAPACK reads
+        neg_t, lwork, norm, bound = form.args
         assert form.func is _shifted_qr_det and norm == 7.0
-        assert neg.flags.c_contiguous
+        assert neg_t.flags.c_contiguous and np.array_equal(neg_t, compute(a).T)
+        assert lwork >= a.shape[0]
+        assert bound == max(norm, float(abs(neg_t.diagonal()).max()))
     elif path == "hessenberg":
         assert form.func is _hessenberg_det and form.args[2] == 7.0
     else:
@@ -513,10 +525,10 @@ def test_hessenberg_input_is_its_own_form(mat_a):
     # transposed with its index order reversed.
     form = _char_form(mat_a)
     assert form.func is _hessenberg_det
-    head, rows, norm = form.args
+    head, rows, norm, bound = form.args
     assert head == (-5.0, -6.0, [-4.0])
     assert rows == [(0.0, -2.0, [-1.0]), (0.0, -3.0, [])]
-    assert norm == 8.0
+    assert norm == bound == 8.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -628,6 +640,83 @@ def test_on_grid_eigenvalues_of_large_general_matrices_are_exact_zeros(multiplic
                 assert min(abs(r.value - x) for r in roots) <= width_tol
 
 
+@pytest.mark.parametrize("n", [9, 12, 60, 130])
+def test_direct_qr_matches_numpy_qr_bitwise(n):
+    # Above _HESSENBERG_MAX_ORDER each call is one LAPACK dgeqrf through
+    # numpy's private lapack_lite, whose call signature is not public API:
+    # its values must be those of np.linalg.qr on lam*I - G bit for bit,
+    # at random lam and at the planted on-grid eigenvalues, which read as
+    # exact zeros.  Order 130 is past LAPACK's blocking crossover (128),
+    # where the cached workspace size picks the blocked code.
+    rng = np.random.default_rng(n)
+    lo, step = -3.0, 0.1
+    m, grid = _on_grid_general(rng, n, 1, lo, step)
+    assert _char_form(m).func is _shifted_qr_det
+    neg, norm = _hessenberg(m.entries), _norm_inf(m.entries)
+    for lam in grid + [lo + k * step for k in range(61)] + rng.uniform(-4, 4, 20).tolist():
+        shifted = neg.copy()
+        shifted.flat[:: n + 1] += lam
+        assert char_fn(m, lam).hex() == numpy_qr_det(shifted, abs(lam) + norm).hex()
+    assert [char_fn(m, x) for x in grid] == [0.0] * len(grid)
+
+
+def test_determinant_matches_numpy_qr_bitwise():
+    # determinant() takes the same direct dgeqrf call on a column-major copy
+    # of M: np.linalg.qr's values bit for bit, below and past the blocking
+    # crossover, exact zeros of singular matrices included.
+    rng = np.random.default_rng(107)
+    for n in [*range(1, 13), 60, 127, 128, 129, 140]:
+        full = rng.normal(size=(n, n))
+        singular = full.copy()
+        singular[:, -1] = singular[:, 0]
+        for a in (full, np.triu(full), singular):
+            assert determinant(DenseMatrix(a)).hex() == numpy_qr_det(a, _norm_inf(a)).hex()
+
+
+@pytest.mark.parametrize("n", [6, 60])
+def test_char_fn_threads_get_the_serial_values(n):
+    # Every call copies the cached form and takes a fresh LAPACK workspace, so
+    # threads evaluating one matrix, on either kernel for a general matrix,
+    # get the values of a serial run, the first calls that fill the cache
+    # racing included.  More threads than cores, with a short switch
+    # interval, so that calls interleave.
+    rng = np.random.default_rng(109)
+    a = rng.normal(size=(n, n))
+    lams = rng.uniform(-4, 4, 300).tolist()
+    serial = [char_fn(DenseMatrix(a), lam) for lam in lams]
+    shared = DenseMatrix(a)
+    start = threading.Barrier(4, timeout=60)
+
+    def run(k):
+        start.wait()
+        return [char_fn(shared, lam) for lam in lams[k:] + lams[:k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(run, k) for k in (0, 75, 150, 225)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, values in zip((0, 75, 150, 225), results):
+        assert values == serial[k:] + serial[:k]
+
+
+@pytest.mark.parametrize(("n", "kernel"), [(3, _hessenberg_det), (12, _shifted_qr_det)])
+def test_shift_overflow_raises_instead_of_reading_zero(n, kernel):
+    # Eigenvalues 1.5e308, 1, ..., n - 1.  Far below them a diagonal entry
+    # of lam*I - G and |lam| + ||M||_inf overflow float64, and the singular
+    # test read the inf tolerance as an exact zero: an eigenvalue that is
+    # not there.  Both general kernels raise instead.
+    m = DenseMatrix(np.diag([1.5e308, *range(1, n)]) + np.triu(np.ones((n, n)), 1))
+    assert _char_form(m).func is kernel
+    for lam in (-1e308, -1.79e308):
+        with pytest.raises(ValueError, match="overflows float64"):
+            char_fn(m, lam)
+    assert char_fn(m, 1.0) == 0.0
+
+
 def test_eigenvalues_on_both_ends_of_the_interval_are_found():
     # An eigenvalue on an end of the search interval has its sign change in
     # the grid cell outside it, so only an exact zero there finds it.
@@ -721,9 +810,9 @@ def test_norm_overflow_raises_instead_of_reading_zero():
             call()
 
 
-@pytest.mark.parametrize("n", [4, _HESSENBERG_MAX_ORDER + 1])
+@pytest.mark.parametrize("n", [4, 12])
 def test_hessenberg_overflow_raises_instead_of_reading_zero(n):
-    # Finite row sums but a column whose norm overflows float64: its
+    # One order on each side of _HESSENBERG_MAX_ORDER.  Finite row sums but a column whose norm overflows float64: its
     # reflector's beta does too, so the Hessenberg form cannot be held,
     # though det(I - M) is about -1.5e308.
     a = np.zeros((n, n))
