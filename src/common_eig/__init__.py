@@ -25,9 +25,7 @@ from .gerschgorin import (
 from .matrix import (
     DenseMatrix,
     char_fn,
-    determinant,
     parse_matrix,
-    render_matrix,
 )
 from .pipeline import (
     AnalysisConfig,
@@ -57,11 +55,9 @@ __all__ = [
     "CommonEigError",
     "MatrixFormatError",
     "InconsistentModesError",
-    # matrices and determinants
+    # matrices and their characteristic function
     "DenseMatrix",
     "parse_matrix",
-    "render_matrix",
-    "determinant",
     "char_fn",
     # disc geometry
     "Axis",

@@ -1,4 +1,4 @@
-"""Dense real matrices, determinants, and the characteristic function.
+"""Dense real matrices and their characteristic function.
 
 The characteristic function ``f(lam) = det(lam*I - M)`` is the scalar whose
 real roots are the real eigenvalues of ``M``.  Each call evaluates it at one
@@ -40,8 +40,6 @@ from .errors import MatrixFormatError
 __all__ = [
     "DenseMatrix",
     "parse_matrix",
-    "render_matrix",
-    "determinant",
     "char_fn",
 ]
 
@@ -49,10 +47,9 @@ __all__ = [
 # smallest elimination pivot or |R_ii| of a QR (general, with the
 # Hessenberg G for M), or the distance from lam to an eigenvalue
 # (symmetric, with the tridiagonal T for M) is at most
-# PIVOT_RTOL * (|lam| + ||M||_inf); determinant() applies the QR test to M
-# itself.  With no absolute floor it reads the same at every scale, and an
-# eigenvalue on a grid point reads as an exact zero rather than as
-# 1e-16-level noise.
+# PIVOT_RTOL * (|lam| + ||M||_inf).  With no absolute floor it reads the
+# same at every scale, and an eigenvalue on a grid point reads as an exact
+# zero rather than as 1e-16-level noise.
 PIVOT_RTOL = 1e-13
 
 # General matrices up to this order eliminate lam*I - G in plain Python,
@@ -195,14 +192,6 @@ def parse_matrix(text: str) -> DenseMatrix:
     return DenseMatrix(np.fromiter(values, np.float64, n * n).reshape(n, n))
 
 
-def render_matrix(matrix: DenseMatrix) -> str:
-    """Full-precision text form; ``parse_matrix`` round-trips it exactly."""
-    lines = [str(matrix.order)]
-    for row in matrix.entries:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _full_prod(factors, exponent: int = 0) -> float:
     """``2**exponent * prod(factors)``, the mantissa and exponent kept apart;
     a product too small for float64 is the smallest subnormal of its sign."""
@@ -221,25 +210,6 @@ def _geqrf_lwork(n: int) -> int:
     return max(1, n, int(work[0]))
 
 
-def _qr_det(a: np.ndarray, lwork: int, scale: float) -> float:
-    # One Householder QR, A = Q*R, by one LAPACK dgeqrf call that overwrites
-    # a: the C-contiguous A^T, which is A in the column-major layout LAPACK
-    # reads.  Each reflector with tau != 0 has determinant -1 (tau == 0 is
-    # the identity), so det(A) is that sign times the product of diag(R),
-    # which the transposed layout leaves on the diagonal of a.  tau and the
-    # workspace are fresh on every call, so no two calls write one array.
-    # math.prod multiplies in the same order as ndarray.prod but overflows
-    # to +-inf without a warning.
-    n = a.shape[0]
-    tau = np.empty(n)
-    _dgeqrf(n, n, a, n, tau, np.empty(lwork), lwork, 0)
-    diag = a.ravel()[:: n + 1].tolist()
-    if min(map(abs, diag)) <= PIVOT_RTOL * scale:
-        return 0.0
-    det = math.prod(diag) or _full_prod(diag)
-    return -det if np.count_nonzero(tau) % 2 else det
-
-
 def _abs_sums(a: np.ndarray, axis: int) -> np.ndarray:
     """Sums of ``|a|`` along ``axis`` (1: rows, 0: columns); a ValueError
     rather than inf where one overflows float64."""
@@ -248,20 +218,6 @@ def _abs_sums(a: np.ndarray, axis: int) -> np.ndarray:
     if math.isinf(sums.max()):
         raise ValueError("an absolute row or column sum of the matrix overflows float64")
     return sums
-
-
-def _norm_inf(a: np.ndarray) -> float:
-    return float(_abs_sums(a, 1).max())
-
-
-def determinant(matrix: DenseMatrix) -> float:
-    """Determinant via Householder QR: the reflectors' sign times ``prod(diag R)``.
-
-    Exactly 0.0 whenever some ``|R_ii|`` sits at or below
-    ``PIVOT_RTOL * ||M||_inf``, the ``lam = 0`` case of ``char_fn``'s rule.
-    """
-    a = matrix.entries
-    return _qr_det(a.T.copy(), _geqrf_lwork(a.shape[0]), _norm_inf(a))
 
 
 def _unit_scale(a: np.ndarray) -> float:
@@ -425,14 +381,28 @@ def _hessenberg_det(head: tuple, rows: list[tuple], norm: float, bound: float, l
 
 
 def _shifted_qr_det(neg_t: np.ndarray, lwork: int, norm: float, bound: float, lam: float) -> float:
-    # One LAPACK QR of a fresh lam*I - G: a copy of the cached -G^T (-G in
-    # the column-major layout) plus lam on the diagonal; norm is ||M||_inf,
-    # bound as in _hessenberg_det.
+    # One Householder QR, lam*I - G = Q*R, by one LAPACK dgeqrf call that
+    # overwrites a fresh copy of the cached -G^T (-G in the column-major
+    # layout LAPACK reads) with lam added on its diagonal.  Each reflector
+    # with tau != 0 has determinant -1 (tau == 0 is the identity), so the
+    # value is that sign times the product of diag(R), which the transposed
+    # layout leaves on the diagonal of a.  tau and the workspace are fresh
+    # on every call, so no two calls write one array.  math.prod multiplies
+    # in the same order as ndarray.prod but overflows to +-inf without a
+    # warning.  norm is ||M||_inf, bound as in _hessenberg_det.
     if math.isinf(abs(lam) + bound):
         raise ValueError(_SHIFT_OVERFLOW)
+    n = neg_t.shape[0]
     a = neg_t.copy()
-    a.ravel()[:: a.shape[0] + 1] += lam
-    return _qr_det(a, lwork, abs(lam) + norm)
+    diagonal = a.ravel()[:: n + 1]  # a view, which dgeqrf fills with diag(R)
+    diagonal += lam
+    tau = np.empty(n)
+    _dgeqrf(n, n, a, n, tau, np.empty(lwork), lwork, 0)
+    diag = diagonal.tolist()
+    if min(map(abs, diag)) <= PIVOT_RTOL * (abs(lam) + norm):
+        return 0.0
+    det = math.prod(diag) or _full_prod(diag)
+    return -det if np.count_nonzero(tau) % 2 else det
 
 
 def _pivots(form: _Tridiagonal, mu: float):
@@ -491,7 +461,7 @@ def _char_form(matrix: DenseMatrix) -> partial:
         if np.array_equal(a, a.T):
             matrix._form = partial(_sturm_det, _tridiagonalize(a))
         else:
-            norm, neg = _norm_inf(a), _hessenberg(a)
+            norm, neg = float(_abs_sums(a, 1).max()), _hessenberg(a)
             bound = max(norm, float(abs(neg.diagonal()).max()))
             if matrix.order <= _HESSENBERG_MAX_ORDER:
                 first, *rest = neg.tolist()

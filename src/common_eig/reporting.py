@@ -62,6 +62,8 @@ def render_svg(
     it overlaps.  The viewBox hugs the union of disc extents with a 10%
     margin and falls back to [-1, 1] x [-1, 1] when there are no discs.
     Ticks sit on integers 1, 2, 5, 10, 20, ... apart, at most 20 of them.
+    Raises ValueError where the view or the band is wider than float64
+    holds, as for discs at -1e308 and 1e308.
     """
     discs = list(discs_a) + list(discs_b)
     if discs:
@@ -85,6 +87,9 @@ def render_svg(
     vb_y = -y_amp - margin_y
     vb_w = x_span + 2.0 * margin_x
     vb_h = 2.0 * y_amp + 2.0 * margin_y
+    band_w = 0.0 if intersection.empty else intersection.hi - intersection.lo
+    if not all(map(math.isfinite, (vb_x, vb_w, vb_x + vb_w, vb_h, band_w))):
+        raise ValueError("the disc diagram's span exceeds the float64 range")
 
     stroke = 0.004 * vb_w
     tick_len = 0.02 * vb_h
@@ -121,7 +126,7 @@ def render_svg(
     if not intersection.empty:
         lines.append(
             f'<rect class="band" x="{_f(intersection.lo)}" y="{_f(vb_y)}" '
-            f'width="{_f(intersection.hi - intersection.lo)}" height="{_f(vb_h)}"/>'
+            f'width="{_f(band_w)}" height="{_f(vb_h)}"/>'
         )
 
     for t in ticks:

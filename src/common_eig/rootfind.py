@@ -41,6 +41,10 @@ DEFAULT_STEP = 0.1
 DEFAULT_WIDTH_TOL = 1e-10
 DEFAULT_DEDUPE_TOL = 1e-6
 
+# scan refuses a grid of more points than this, which at about 176 bytes
+# of records per point would take some 17 GB.
+_MAX_GRID_POINTS = 10**8
+
 # The ITP step's pull toward the midpoint is _ITP_KAPPA·w²/(hi - lo) for a
 # bracket w wide (κ1·(hi - lo) = 0.2 and κ2 = 2 in the ITP paper's terms).
 _ITP_KAPPA = 0.2
@@ -105,12 +109,19 @@ def scan(
     and strictly positive at its successor, or the other way round (so a
     cell with a zero hit or a nan at either end is never flagged).  An
     empty interval has no grid: the result is [] and f is not called.
-    Raises ValueError for a step that is not finite and positive.
+    Raises ValueError, before any call of f, for a step that is not finite
+    and positive, or one that puts more than 1e8 points on the grid.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
     if interval.empty:
         return []
+    points = (interval.hi - interval.lo) / step
+    if not points <= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"step {step} puts about {points:.3g} points on the scan grid, "
+            f"more than {_MAX_GRID_POINTS:.0e}"
+        )
 
     grid = []
     i = 0

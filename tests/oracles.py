@@ -8,8 +8,9 @@ token, and sign-change brackets refined by plain halving.  Two are frozen
 copies instead, which the library must match bit for bit:
 ``copying_hessenberg_det``, an earlier form of ``matrix._hessenberg_det``
 that copies its rows, and ``numpy_qr_det``, the QR determinant through
-``np.linalg.qr`` that ``matrix._qr_det`` computed before it called LAPACK
-``dgeqrf`` directly.
+``np.linalg.qr`` that ``matrix._shifted_qr_det`` computed before it called
+LAPACK ``dgeqrf`` directly.  ``numpy_qr_det`` of ``x`` with ``||x||_inf``
+is also the tests' dense QR reference for ``det(x)``.
 """
 
 import math

@@ -105,6 +105,35 @@ def test_cli_overflowing_matrix_is_numeric_error(tmp_path, matrix_files, capsys)
     assert "overflows float64" in capsys.readouterr().err
 
 
+def test_cli_grid_too_large_to_hold_is_numeric_error(tmp_path, capsys):
+    # diag(1e308, -1e308) against [[1e308, 1], [0, 2]] share about [1, 1e308],
+    # more grid points at step 0.1 than float64 counts: one line, exit 2,
+    # and no evaluation, where the run used to fill memory with the grid.
+    a, b = tmp_path / "a.mat", tmp_path / "b.mat"
+    a.write_text("2\n1e308 0\n0 -1e308\n", encoding="utf-8")
+    b.write_text("2\n1e308 1\n0 2\n", encoding="utf-8")
+    assert run_cli([str(a), str(b)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: step 0.1 puts about inf points on the scan grid, more than 1e+08\n",
+    )
+
+
+def test_cli_svg_past_float64_is_numeric_error(tmp_path, capsys):
+    # diag(1e308, -1e308) against [[5]]: the answer and the JSON report
+    # come first, then the disc diagram, which float64 cannot span.
+    a, b = tmp_path / "a.mat", tmp_path / "b.mat"
+    a.write_text("2\n1e308 0\n0 -1e308\n", encoding="utf-8")
+    b.write_text("1\n5\n", encoding="utf-8")
+    out_json, out_svg = tmp_path / "out.json", tmp_path / "out.svg"
+    assert run_cli([str(a), str(b), "--json", str(out_json), "--svg", str(out_svg)]) == 2
+    out, err = capsys.readouterr()
+    assert "common: (none)" in out
+    assert err == "error: the disc diagram's span exceeds the float64 range\n"
+    assert json.loads(out_json.read_text())["roots_b"][0]["value"] == 5.0
+    assert not out_svg.exists()
+
+
 def test_cli_invalid_flag_value(matrix_files, capsys):
     path_a, path_b = matrix_files
     assert run_cli([path_a, path_b, "--step", "-1"]) == 1

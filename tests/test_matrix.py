@@ -1,4 +1,4 @@
-"""Matrix parsing, determinants, characteristic function."""
+"""Matrix parsing and the characteristic function, the one determinant."""
 
 import math
 import re
@@ -15,11 +15,9 @@ from common_eig import (
     MatrixFormatError,
     RealInterval,
     char_fn,
-    determinant,
     find_real_roots,
     matrix_bounds,
     parse_matrix,
-    render_matrix,
 )
 import common_eig.matrix as matrix_module
 from common_eig.matrix import (
@@ -27,7 +25,6 @@ from common_eig.matrix import (
     _char_form,
     _hessenberg,
     _hessenberg_det,
-    _norm_inf,
     _shifted_qr_det,
     _sturm_det,
 )
@@ -38,6 +35,11 @@ from oracles import (
     numpy_qr_det,
     token_walk_parse,
 )
+
+
+def _norm_inf(a):
+    """||a||_inf, the norm in char_fn's singular rule."""
+    return float(abs(a).sum(axis=1).max())
 
 
 def _rotated_symmetric(rng, spectrum):
@@ -155,8 +157,10 @@ def test_render_parse_round_trip():
         )
     )
     for m in matrices:
+        rows = (" ".join(repr(float(v)) for v in row) for row in m.entries)
+        text = "\n".join([str(m.order), *rows]) + "\n"
         # bitwise: == reads -0.0 as 0.0
-        assert parse_matrix(render_matrix(m)).entries.tobytes() == m.entries.tobytes()
+        assert parse_matrix(text).entries.tobytes() == m.entries.tobytes()
 
 
 def _parse_outcome(parse, text):
@@ -262,21 +266,48 @@ def test_identity_and_equality():
 
 
 # ------------------------------------------------------------ determinant
+# char_fn is the package's one determinant: det(X) = char_fn(-X, 0.0).
+
+def _unit_upper(n):
+    return np.eye(n) + np.triu(np.ones((n, n)), 1)
+
 
 def test_determinant_identity():
-    assert determinant(DenseMatrix(np.eye(4))) == 1.0
+    # -I is symmetric; a unit upper triangular X is general, on either side
+    # of _HESSENBERG_MAX_ORDER
+    for x, kernel in (
+        (np.eye(4), _sturm_det),
+        (_unit_upper(4), _hessenberg_det),
+        (_unit_upper(12), _shifted_qr_det),
+    ):
+        m = DenseMatrix(-x)
+        assert _char_form(m).func is kernel
+        assert char_fn(m, 0.0) == 1.0
 
 
 def test_determinant_triangular_reference(mat_a):
-    assert determinant(mat_a) == pytest.approx(30.0, abs=1e-12)
+    assert char_fn(DenseMatrix(-mat_a.entries), 0.0) == pytest.approx(30.0, abs=1e-12)
 
 
 def test_determinant_single_transposition():
-    assert determinant(DenseMatrix([[0.0, 1.0], [1.0, 0.0]])) == -1.0
+    assert char_fn(DenseMatrix([[0.0, -1.0], [-1.0, 0.0]]), 0.0) == -1.0
+    # the general kernels: a swap of rows 0 and 1 of a unit upper triangular X
+    for n, kernel in ((3, _hessenberg_det), (12, _shifted_qr_det)):
+        m = DenseMatrix(-_unit_upper(n)[[1, 0, *range(2, n)]])
+        assert _char_form(m).func is kernel
+        assert char_fn(m, 0.0) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_determinant_rank_deficient_is_exact_zero():
-    assert determinant(DenseMatrix([[1.0, 2.0], [2.0, 4.0]])) == 0.0
+    assert char_fn(DenseMatrix([[1.0, 2.0], [2.0, 4.0]]), 0.0) == 0.0
+    # the general kernels: a repeated column
+    rng = np.random.default_rng(37)
+    for n, kernel in ((3, _hessenberg_det), (12, _shifted_qr_det)):
+        a = rng.normal(size=(n, n))
+        a[:, -1] = a[:, 0]
+        m = DenseMatrix(a)
+        assert _char_form(m).func is kernel
+        assert char_fn(m, 0.0) == 0.0
 
 
 def test_determinant_matches_cofactor_oracle():
@@ -284,7 +315,7 @@ def test_determinant_matches_cofactor_oracle():
     for _ in range(60):
         n = int(rng.integers(1, 6))
         a = rng.integers(-9, 10, (n, n)).astype(float)
-        ours = determinant(DenseMatrix(a))
+        ours = char_fn(DenseMatrix(-a), 0.0)
         ref = cofactor_determinant(a)
         assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
@@ -295,7 +326,7 @@ def test_determinant_triangular_is_diagonal_product():
         n = int(rng.integers(1, 7))
         t = np.triu(rng.uniform(-5, 5, (n, n)))
         ref = float(np.prod(np.diagonal(t)))
-        assert determinant(DenseMatrix(t)) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert char_fn(DenseMatrix(-t), 0.0) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 # ----------------------------------------------------------------- char_fn
@@ -371,7 +402,8 @@ def test_char_fn_symmetric_on_grid_eigenvalues_are_exact_zeros():
             m = DenseMatrix(a)
             for lam in grid:
                 assert char_fn(m, lam) == 0.0
-                assert determinant(DenseMatrix(lam * np.eye(n) - a)) == 0.0
+                shifted = lam * np.eye(n) - a
+                assert numpy_qr_det(shifted, _norm_inf(shifted)) == 0.0
 
 
 def test_tridiagonal_input_is_its_own_form(mat_b):
@@ -401,7 +433,7 @@ def test_char_fn_one_ulp_asymmetry_takes_qr_path():
     assert norm == float(abs(a).sum(axis=1).max())
     for lam in (-2.0, 0.25, 1.0, 4.0):
         shifted = lam * np.eye(n) - a
-        ref = determinant(DenseMatrix(shifted))
+        ref = numpy_qr_det(shifted, _norm_inf(shifted))
         assert np.sign(char_fn(m, lam)) == np.sign(ref)
         if np.linalg.cond(shifted) < 1e3:
             assert char_fn(m, lam) == pytest.approx(ref, rel=1e-12)
@@ -416,7 +448,8 @@ def test_char_fn_one_ulp_asymmetry_takes_hessenberg_path():
     m = DenseMatrix(a)
     assert _char_form(m).func is _hessenberg_det
     for lam in (-2.0, 0.25, 1.0, 4.0):
-        ref = determinant(DenseMatrix(lam * np.eye(4) - a))
+        shifted = lam * np.eye(4) - a
+        ref = numpy_qr_det(shifted, _norm_inf(shifted))
         assert np.sign(char_fn(m, lam)) == np.sign(ref)
         assert char_fn(m, lam) == pytest.approx(ref, rel=1e-12)
 
@@ -433,7 +466,7 @@ def test_char_fn_is_determinant_of_shifted_matrix():
         for lam in (*rng.uniform(-4, 4, 4), -0.5, 0.5):
             ours = char_fn(m, lam)
             shifted = lam * np.eye(n) - a
-            ref = determinant(DenseMatrix(shifted))
+            ref = numpy_qr_det(shifted, _norm_inf(shifted))
             if np.linalg.cond(shifted) < 1e3:
                 assert np.sign(ours) == np.sign(ref)
                 assert ours == pytest.approx(ref, rel=1e-12)
@@ -459,7 +492,7 @@ def test_char_fn_agrees_with_determinant_on_exact_zeros():
         for lam in rng.uniform(-4, 4, 6):
             ours = char_fn(m, lam)
             shifted = lam * np.eye(n) - a
-            ref = determinant(DenseMatrix(shifted))
+            ref = numpy_qr_det(shifted, _norm_inf(shifted))
             cond = np.linalg.cond(shifted)
             assert np.sign(ours) == np.sign(ref)
             assert ours == pytest.approx(ref, rel=max(1e-12, 1e-15 * cond))
@@ -660,19 +693,6 @@ def test_direct_qr_matches_numpy_qr_bitwise(n):
     assert [char_fn(m, x) for x in grid] == [0.0] * len(grid)
 
 
-def test_determinant_matches_numpy_qr_bitwise():
-    # determinant() takes the same direct dgeqrf call on a column-major copy
-    # of M: np.linalg.qr's values bit for bit, below and past the blocking
-    # crossover, exact zeros of singular matrices included.
-    rng = np.random.default_rng(107)
-    for n in [*range(1, 13), 60, 127, 128, 129, 140]:
-        full = rng.normal(size=(n, n))
-        singular = full.copy()
-        singular[:, -1] = singular[:, 0]
-        for a in (full, np.triu(full), singular):
-            assert determinant(DenseMatrix(a)).hex() == numpy_qr_det(a, _norm_inf(a)).hex()
-
-
 @pytest.mark.parametrize("n", [6, 60])
 def test_char_fn_threads_get_the_serial_values(n):
     # Every call copies the cached form and takes a fresh LAPACK workspace, so
@@ -737,11 +757,11 @@ def test_eigenvalues_on_both_ends_of_the_interval_are_found():
 
 def test_singular_rule_is_relative_at_every_scale():
     # Zero and nilpotent matrices read exactly 0 at lam = 0, where the
-    # tolerance PIVOT_RTOL * (|lam| + ||M||_inf) is 0 itself.
+    # tolerance PIVOT_RTOL * (|lam| + ||M||_inf) is 0 itself, on every kernel.
     for n in (1, 3):
         assert char_fn(DenseMatrix(np.zeros((n, n))), 0.0) == 0.0
-        assert determinant(DenseMatrix(np.zeros((n, n)))) == 0.0
-    assert char_fn(DenseMatrix([[0.0, 1.0], [0.0, 0.0]]), 0.0) == 0.0
+    for n in (2, 12):
+        assert char_fn(DenseMatrix(np.triu(np.ones((n, n)), 1)), 0.0) == 0.0
     # Eigenvalues 1e-200 and 2e-200 on both paths: exact zeros on them, a
     # plain value at 1e-100, and between them a determinant of -2.5e-401,
     # which float64 cannot hold, reads as the smallest subnormal of its
@@ -802,10 +822,10 @@ def test_char_fn_triangular_closed_form():
 
 def test_norm_overflow_raises_instead_of_reading_zero():
     # ||M||_inf overflows float64, so the PIVOT_RTOL tolerance would be inf
-    # and every value 0.0, where det(-I - M) is about +1e616: char_fn,
-    # determinant and matrix_bounds raise one ValueError naming the overflow.
+    # and every value 0.0, where det(-I - M) is about +1e616: char_fn and
+    # matrix_bounds raise one ValueError naming the overflow.
     m = DenseMatrix([[1e308, 1e308], [0.0, 1e308]])
-    for call in (lambda: char_fn(m, -1.0), lambda: determinant(m), lambda: matrix_bounds(m)):
+    for call in (lambda: char_fn(m, -1.0), lambda: matrix_bounds(m)):
         with pytest.raises(ValueError, match="overflows float64"):
             call()
 

@@ -18,14 +18,13 @@ from common_eig import (
     RootOrigin,
     char_fn,
     common_eigenvalues,
-    determinant,
     find_real_roots,
     intersect,
     match_roots,
     run_benchmark,
 )
-from oracles import plain_bisect
-from test_matrix import _on_grid_general
+from oracles import numpy_qr_det, plain_bisect
+from test_matrix import _norm_inf, _on_grid_general
 
 
 def _estimate(value):
@@ -198,6 +197,10 @@ def test_modes_agree_on_planted_common_eigenvalue():
 def test_symmetric_path_common_values_match_qr_path():
     # The same exactly symmetric pair searched twice: once through char_fn
     # (Sturm path), once through a fresh QR determinant per lambda.
+    def qr_det(m, x):
+        shifted = x * np.eye(m.order) - m.entries
+        return numpy_qr_det(shifted, _norm_inf(shifted))
+
     rng = np.random.default_rng(61)
     cfg = AnalysisConfig()
     for _ in range(10):
@@ -206,7 +209,7 @@ def test_symmetric_path_common_values_match_qr_path():
         report = common_eigenvalues(a, b, cfg)
         qr_roots = [
             find_real_roots(
-                lambda x, m=m: determinant(DenseMatrix(x * np.eye(m.order) - m.entries)),
+                lambda x, m=m: qr_det(m, x),
                 interval, cfg.step, cfg.width_tol, cfg.dedupe_tol,
             )
             for m, interval in ((a, report.search_interval_a), (b, report.search_interval_b))

@@ -82,6 +82,23 @@ def test_svg_zero_radius_disc():
     assert 'r="0.000000"' in svg
 
 
+def test_svg_span_past_float64_raises():
+    # A ValueError before any SVG is built, not an OverflowError from the
+    # ticks or an "inf" coordinate: the view's width, its left edge, its
+    # height, or the band's width past the float64 range.
+    for discs_a, discs_b, band in (
+        ([Disc(1e308, 0.0), Disc(-1e308, 0.0)], [Disc(5.0, 0.0)], RealInterval(5, 5)),
+        ([Disc(-1.79e308, 0.0)], [Disc(-1e308, 0.0)], EMPTY_INTERVAL),
+        ([Disc(0.0, 1e308)], [], EMPTY_INTERVAL),
+        ([Disc(0.0, 1.0)], [], RealInterval(-1e308, 1e308)),
+    ):
+        with pytest.raises(ValueError, match="span exceeds the float64 range"):
+            render_svg(discs_a, discs_b, band)
+    # a view as wide as float64 holds still renders, with few ticks
+    svg = render_svg([Disc(0.0, 7e307)], [], EMPTY_INTERVAL)
+    assert 2 <= svg.count('class="tick"') <= 21
+
+
 def test_svg_degenerate_band():
     svg = render_svg([Disc(0.0, 2.0)], [], RealInterval(1, 1))
     assert 'class="band"' in svg

@@ -1,6 +1,7 @@
 """Grid scanning, bisection, and root collection over an interval."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -18,6 +19,7 @@ from common_eig import (
     find_real_roots,
     scan,
 )
+import common_eig.rootfind as rootfind
 from common_eig.rootfind import _opposite_signs
 from oracles import plain_bisect
 
@@ -107,6 +109,25 @@ def test_scan_input_validation():
     with pytest.raises(ValueError, match="step must be finite and positive"):
         # the first grid point would be lo + 0 * inf = nan
         scan(lambda x: x, RealInterval(0, 1), step=math.inf)
+
+
+def test_scan_refuses_a_grid_too_large_to_hold(monkeypatch):
+    # Refused before any evaluation: (hi - lo) / step overflows to inf on
+    # [1, 1e308], and hi - lo itself does on [-1e308, 1e308].
+    for interval, count in (
+        (RealInterval(1.0, 1e308), "inf"),
+        (RealInterval(-1e308, 1e308), "inf"),
+        (RealInterval(0.0, 1.5e7), "1.5e+08"),
+    ):
+        counted = Counted(lambda x: x)
+        with pytest.raises(ValueError, match=re.escape(f"step 0.1 puts about {count} points")):
+            scan(counted, interval)
+        assert counted.calls == 0
+    # the limit itself is allowed, a grid one step longer is not
+    monkeypatch.setattr(rootfind, "_MAX_GRID_POINTS", 4)
+    assert len(scan(lambda x: x, RealInterval(0.0, 2.0), step=0.5)) == 5
+    with pytest.raises(ValueError, match=re.escape("more than 4e+00")):
+        scan(lambda x: x, RealInterval(0.0, 2.5), step=0.5)
 
 
 # ----------------------------------------------------------------- bisect
