@@ -7,8 +7,11 @@ reduces it once by Householder similarity to upper Hessenberg form H
 (``_householder``) and caches an evaluator bound to the result; which one
 depends on the matrix alone:
 
-* an exactly symmetric matrix has a tridiagonal H; each call costs one
-  O(n) pass of LDL^T pivots (Sturm sequences, ``_sturm_det``);
+* an exactly symmetric matrix has a tridiagonal H, the T of ``M / scale``
+  for a power of two ``scale``; each call costs one O(n) pass of LDL^T
+  pivots of T (Sturm sequences, ``_sturm_det``), whose product takes
+  ``scale**n`` once, through its exponent, rather than one factor of
+  ``scale`` per pivot;
 * any other matrix keeps the upper Hessenberg G = J*H^T*J, with the
   characteristic polynomial of M (see ``_hessenberg``).  Up to order
   ``_HESSENBERG_MAX_ORDER`` each call costs one O(n^2) Gaussian elimination
@@ -69,6 +72,9 @@ _HESSENBERG_MAX_ORDER = 8
 _dgeqrf = lapack_lite.dgeqrf
 
 _SHIFT_OVERFLOW = "lam*I - M overflows float64 at this lam"
+
+_MIN_NORMAL = sys.float_info.min
+_MAX_FLOAT = sys.float_info.max
 
 _TOKEN = re.compile(r"\S+")
 _ORDER = re.compile(r"\+?\d+")
@@ -282,14 +288,15 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, float]:
 class _Tridiagonal(NamedTuple):
     """Symmetric tridiagonal T similar to ``M / scale``.
 
-    ``offdiag_sq[k]`` is the squared entry coupling rows k-1 and k of T, with
-    ``offdiag_sq[0] == 0.0``, so the pivot recurrence zips it with ``diag``.
+    ``pairs[k]`` is ``(d_k, e_k**2)``: the diagonal entry of row k of T and
+    the squared entry coupling rows k-1 and k, with ``e_0**2 == 0.0``, as
+    the pivot recurrence reads them.
     """
 
-    diag: list[float]
-    offdiag_sq: list[float]
+    pairs: list[tuple[float, float]]
     norm: float  # ||T||_inf
     scale: float  # a power of two, so M / scale is exact
+    exponent: int  # log2(scale**n), so det(lam*I - M) = 2**exponent * det(mu*I - T)
     pivmin: float  # smallest pivot magnitude the recurrence lets through
 
 
@@ -311,7 +318,9 @@ def _tridiagonalize(a: np.ndarray) -> _Tridiagonal:
     # only keeps q off zero: the smallest subnormal, which lets every pivot
     # mu through and so reads mu**n at every mu != 0.
     pivmin = math.sqrt(sys.float_info.min) * max(1.0, max(offdiag_sq)) if norm else 5e-324
-    return _Tridiagonal(diag.tolist(), offdiag_sq, norm, scale, pivmin)
+    exponent = len(diag) * (math.frexp(scale)[1] - 1)
+    pairs = list(zip(diag.tolist(), offdiag_sq))
+    return _Tridiagonal(pairs, norm, scale, exponent, pivmin)
 
 
 def _hessenberg(a: np.ndarray) -> np.ndarray:
@@ -408,7 +417,7 @@ def _shifted_qr_det(neg_t: np.ndarray, lwork: int, norm: float, bound: float, la
 def _pivots(form: _Tridiagonal, mu: float):
     """The LDL^T pivots of mu*I - T, as ``_sturm_det``'s loop inlines them."""
     q, pivmin = 1.0, form.pivmin
-    for d, e2 in zip(form.diag, form.offdiag_sq):
+    for d, e2 in form.pairs:
         q = mu - d - e2 / q
         if -pivmin < q < pivmin:
             q = -pivmin
@@ -416,39 +425,57 @@ def _pivots(form: _Tridiagonal, mu: float):
 
 
 def _sturm_det(form: _Tridiagonal, lam: float) -> float:
-    # det(lam*I - M) = prod(scale * q_k) over the LDL^T pivots q_k of
+    # det(lam*I - M) = scale**n * prod(q_k) over the LDL^T pivots q_k of
     # mu*I - T, mu = lam / scale.  The same pass runs the pivots at mu -+ eps:
     # by Sylvester's law of inertia their negative counts differ exactly when
     # an eigenvalue lies in [mu - eps, mu + eps], and then the value is
     # exactly 0.0.  A pivot below pivmin counts as negative at mu - eps but
     # as positive at mu + eps, which closes the interval for eps = 0 (T = 0
     # at lam = 0).  eps is PIVOT_RTOL * (|lam| + ||T||_inf), unscaled.
-    scale, pivmin = form.scale, form.pivmin
-    mu = lam / scale
+    # Each clamp tests q < pivmin first, so a pivot at or above pivmin takes
+    # one comparison.  count is the negative count at mu - eps less the one
+    # at mu + eps.
+    pivmin = form.pivmin
+    neg_pivmin = -pivmin
+    mu = lam / form.scale
     eps = PIVOT_RTOL * (abs(mu) + form.norm)
     lo, hi = mu - eps, mu + eps
     q = q_lo = q_hi = 1.0
-    neg_lo = neg_hi = 0
-    det = 1.0
-    for d, e2 in zip(form.diag, form.offdiag_sq):
+    count = 0
+    unit = 1.0
+    for d, e2 in form.pairs:
         q = mu - d - e2 / q
-        if -pivmin < q < pivmin:
-            q = -pivmin
-        det *= scale * q
+        if q < pivmin and q > neg_pivmin:
+            q = neg_pivmin
+        unit *= q
         q_lo = lo - d - e2 / q_lo
         if q_lo < pivmin:
-            neg_lo += 1
-            if q_lo > -pivmin:
-                q_lo = -pivmin
+            count += 1
+            if q_lo > neg_pivmin:
+                q_lo = neg_pivmin
         q_hi = hi - d - e2 / q_hi
-        if q_hi <= -pivmin:
-            neg_hi += 1
-        elif q_hi < pivmin:
-            q_hi = pivmin
-    if neg_lo != neg_hi:
+        if q_hi < pivmin:
+            if q_hi > neg_pivmin:
+                q_hi = pivmin
+            else:
+                count -= 1
+    if count:
         return 0.0
-    # scale is a power of two, so its factors go into the exponent exactly.
-    return det or _full_prod(_pivots(form, mu), len(form.diag) * (math.frexp(scale)[1] - 1))
+    # scale is a power of two, so scale**n goes into the exponent once, and
+    # exactly: while the running products of q_k and of scale*q_k stay
+    # normal floats, and so does the result, this is the product of the
+    # scaled pivots, bit for bit.  Where the product of q_k or the result
+    # is not a normal float (math.ldexp raises rather than return inf),
+    # the value is that product of scale*q_k, pivot by pivot, and where it
+    # underflows to 0, the product with its exponent kept apart.
+    try:
+        det = math.ldexp(unit, form.exponent)
+    except OverflowError:
+        det = math.inf
+    if _MIN_NORMAL <= abs(unit) <= _MAX_FLOAT and _MIN_NORMAL <= abs(det) <= _MAX_FLOAT:
+        return det
+    scaled = map(form.scale.__mul__, _pivots(form, mu))
+    return math.prod(scaled) or _full_prod(_pivots(form, mu), form.exponent)
 
 
 def _char_form(matrix: DenseMatrix) -> partial:
@@ -495,4 +522,4 @@ def char_fn(matrix: DenseMatrix, lam: float) -> float:
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
-    return _char_form(matrix)(lam)
+    return (matrix._form or _char_form(matrix))(lam)

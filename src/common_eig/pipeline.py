@@ -16,6 +16,7 @@ import statistics
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 from .errors import InconsistentModesError
@@ -167,8 +168,8 @@ def common_eigenvalues(
     else:
         search_a, search_b = interval_a, interval_b
 
-    counted_a = _CountedFn(lambda lam: char_fn(matrix_a, lam))
-    counted_b = _CountedFn(lambda lam: char_fn(matrix_b, lam))
+    counted_a = _CountedFn(partial(char_fn, matrix_a))
+    counted_b = _CountedFn(partial(char_fn, matrix_b))
     roots_a, roots_b = (
         tuple(find_real_roots(f, search, cfg.step, cfg.width_tol, cfg.dedupe_tol))
         for f, search in ((counted_a, search_a), (counted_b, search_b))

@@ -41,8 +41,8 @@ DEFAULT_STEP = 0.1
 DEFAULT_WIDTH_TOL = 1e-10
 DEFAULT_DEDUPE_TOL = 1e-6
 
-# scan refuses a grid of more points than this, which at about 176 bytes
-# of records per point would take some 17 GB.
+# scan refuses a grid of more points than this, which at about 152 bytes
+# of records per point would take some 15 GB.
 _MAX_GRID_POINTS = 10**8
 
 # The ITP step's pull toward the midpoint is _ITP_KAPPA·w²/(hi - lo) for a
@@ -104,11 +104,13 @@ def scan(
 ) -> list[ScanRecord]:
     """Evaluate f on the grid lo, lo+step, ... with hi appended exactly.
 
-    Each record carries at most one event: ZERO_HIT where f is exactly
-    0.0, SIGN_CHANGE_AHEAD where f is strictly negative at the grid point
-    and strictly positive at its successor, or the other way round (so a
-    cell with a zero hit or a nan at either end is never flagged).  An
-    empty interval has no grid: the result is [] and f is not called.
+    f is called once per grid point, in the grid's order, as the walk
+    reaches the point, so an f that raises ends the scan there.  Each
+    record carries at most one event: ZERO_HIT where f is exactly 0.0,
+    SIGN_CHANGE_AHEAD where f is strictly negative at the grid point and
+    strictly positive at its successor, or the other way round (so a cell
+    with a zero hit or a nan at either end is never flagged).  An empty
+    interval has no grid: the result is [] and f is not called.
     Raises ValueError, before any call of f, for a step that is not finite
     and positive, or one that puts more than 1e8 points on the grid.
     """
@@ -123,22 +125,34 @@ def scan(
             f"more than {_MAX_GRID_POINTS:.0e}"
         )
 
-    grid = []
-    i = 0
-    while True:
-        x = interval.lo + i * step
-        if x >= interval.hi:
-            break
-        grid.append(x)
-        i += 1
-    grid.append(interval.hi)
+    # Each point's record is made as soon as the next value decides its event.
+    grid = _grid(interval.lo, interval.hi, step)
+    x = next(grid)
+    v = float(f(x))
+    records = []
+    for nxt in grid:
+        fnxt = float(f(nxt))
+        records.append(ScanRecord(x, v, _event(v, fnxt)))
+        x, v = nxt, fnxt
+    records.append(ScanRecord(x, v, _event(v)))
+    return records
 
-    values = [float(f(x)) for x in grid]
-    events = [ScanEvent.ZERO_HIT if v == 0.0 else ScanEvent.NONE for v in values]
-    for j in range(len(grid) - 1):
-        if _opposite_signs(values[j], values[j + 1]):
-            events[j] = ScanEvent.SIGN_CHANGE_AHEAD
-    return [ScanRecord(x, v, e) for x, v, e in zip(grid, values, events)]
+
+def _grid(lo: float, hi: float, step: float):
+    """lo, lo+step, ... below hi, then hi itself; each point made on demand."""
+    i = 0
+    while (x := lo + i * step) < hi:
+        yield x
+        i += 1
+    yield hi
+
+
+def _event(value: float, next_value: float = math.nan) -> ScanEvent:
+    """The event of a grid point where f is value and f at the next grid
+    point is next_value (nan for the last point, which has none)."""
+    if _opposite_signs(value, next_value):
+        return ScanEvent.SIGN_CHANGE_AHEAD
+    return ScanEvent.ZERO_HIT if value == 0.0 else ScanEvent.NONE
 
 
 def _itp_point(lo, hi, mid, flo, fhi, kappa, bound):

@@ -4,17 +4,20 @@ Deliberately naive and deliberately different from the library:
 determinants by cofactor expansion in pure Python arithmetic, symmetric
 eigenvalues by cyclic Jacobi rotations with explicit J^T A J products,
 matrix files read token by token with one regex match and one float() per
-token, and sign-change brackets refined by plain halving.  Two are frozen
-copies instead, which the library must match bit for bit:
+token, and sign-change brackets refined by plain halving.  Three are
+frozen copies instead, which the library must match bit for bit:
 ``copying_hessenberg_det``, an earlier form of ``matrix._hessenberg_det``
-that copies its rows, and ``numpy_qr_det``, the QR determinant through
+that copies its rows; ``numpy_qr_det``, the QR determinant through
 ``np.linalg.qr`` that ``matrix._shifted_qr_det`` computed before it called
-LAPACK ``dgeqrf`` directly.  ``numpy_qr_det`` of ``x`` with ``||x||_inf``
-is also the tests' dense QR reference for ``det(x)``.
+LAPACK ``dgeqrf`` directly; and ``scaled_sturm_det``, the Sturm pass
+``matrix._sturm_det`` ran when it multiplied every pivot by the scale.
+``numpy_qr_det`` of ``x`` with ``||x||_inf`` is also the tests' dense QR
+reference for ``det(x)``.
 """
 
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,3 +216,62 @@ def numpy_qr_det(a, scale):
         return 0.0
     det = math.prod(diag) or _full_prod(diag)
     return -det if np.count_nonzero(tau) % 2 else det
+
+
+class SturmForm(NamedTuple):
+    """The tridiagonal form as ``scaled_sturm_det`` reads it: T's diagonal
+    and its squared off-diagonal (0.0 first) as two lists."""
+
+    diag: list
+    offdiag_sq: list
+    norm: float
+    scale: float
+    pivmin: float
+
+
+def _pivots(form, mu):
+    """The LDL^T pivots of mu*I - T, as ``scaled_sturm_det``'s loop inlines them."""
+    q, pivmin = 1.0, form.pivmin
+    for d, e2 in zip(form.diag, form.offdiag_sq):
+        q = mu - d - e2 / q
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        yield q
+
+
+def scaled_sturm_det(form, lam):
+    """det(lam*I - M) from the Sturm pass over a ``SturmForm`` of M, each
+    pivot multiplied into the product as scale * q."""
+    # det(lam*I - M) = prod(scale * q_k) over the LDL^T pivots q_k of
+    # mu*I - T, mu = lam / scale.  The same pass runs the pivots at mu -+ eps:
+    # by Sylvester's law of inertia their negative counts differ exactly when
+    # an eigenvalue lies in [mu - eps, mu + eps], and then the value is
+    # exactly 0.0.  A pivot below pivmin counts as negative at mu - eps but
+    # as positive at mu + eps, which closes the interval for eps = 0 (T = 0
+    # at lam = 0).  eps is PIVOT_RTOL * (|lam| + ||T||_inf), unscaled.
+    scale, pivmin = form.scale, form.pivmin
+    mu = lam / scale
+    eps = PIVOT_RTOL * (abs(mu) + form.norm)
+    lo, hi = mu - eps, mu + eps
+    q = q_lo = q_hi = 1.0
+    neg_lo = neg_hi = 0
+    det = 1.0
+    for d, e2 in zip(form.diag, form.offdiag_sq):
+        q = mu - d - e2 / q
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        det *= scale * q
+        q_lo = lo - d - e2 / q_lo
+        if q_lo < pivmin:
+            neg_lo += 1
+            if q_lo > -pivmin:
+                q_lo = -pivmin
+        q_hi = hi - d - e2 / q_hi
+        if q_hi <= -pivmin:
+            neg_hi += 1
+        elif q_hi < pivmin:
+            q_hi = pivmin
+    if neg_lo != neg_hi:
+        return 0.0
+    # scale is a power of two, so its factors go into the exponent exactly.
+    return det or _full_prod(_pivots(form, mu), len(form.diag) * (math.frexp(scale)[1] - 1))

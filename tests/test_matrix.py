@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from common_eig import (
     DenseMatrix,
@@ -30,9 +30,11 @@ from common_eig.matrix import (
 )
 from conftest import A_TEXT
 from oracles import (
+    SturmForm,
     cofactor_determinant,
     copying_hessenberg_det,
     numpy_qr_det,
+    scaled_sturm_det,
     token_walk_parse,
 )
 
@@ -412,8 +414,12 @@ def test_tridiagonal_input_is_its_own_form(mat_b):
     evaluator = _char_form(mat_b)
     assert evaluator.func is _sturm_det
     (form,) = evaluator.args
-    assert [d * form.scale for d in form.diag] == [3.0, 2.0, 3.0]
-    assert [e2 * form.scale**2 for e2 in form.offdiag_sq] == [0.0, 1.0, 1.0]
+    assert [(d * form.scale, e2 * form.scale**2) for d, e2 in form.pairs] == [
+        (3.0, 0.0),
+        (2.0, 1.0),
+        (3.0, 1.0),
+    ]
+    assert 2.0**form.exponent == form.scale**3
     assert mat_b._form is evaluator
 
 
@@ -592,6 +598,63 @@ def test_hessenberg_det_matches_the_copying_loop_bitwise(n, seed, exponent, on_g
         for lam in lams:
             ours = char_fn(m, lam * s)
             assert ours.hex() == copying_hessenberg_det(*args, lam * s).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-300, 300),
+    shape=st.sampled_from(["random", "on_grid", "zero_pivot"]),
+)
+@example(n=40, seed=0, exponent=300, shape="random")
+@example(n=40, seed=0, exponent=-300, shape="on_grid")
+@example(n=4, seed=0, exponent=-262, shape="random")
+@example(n=2, seed=0, exponent=0, shape="zero_pivot")
+def test_sturm_det_matches_the_scaled_pivot_product_bitwise(n, seed, exponent, shape):
+    # The unit-scale pivot product with scale**n put into its exponent once
+    # gives the values of the pass that multiplied every pivot by the scale,
+    # to the bit: exact zeros at eigenvalues planted on the grid, a first
+    # pivot of exactly 0 at lam = 0, and products that leave the normal
+    # range at scale 2**exponent: inf at order 40 and 2**300, the smallest
+    # subnormal at 2**-300, and subnormals rounded by the scaled product
+    # at order 4 and 2**-262.
+    rng = np.random.default_rng(seed)
+    if shape == "on_grid":
+        ks = 1 + rng.choice(59, size=n, replace=False)
+        a = _rotated_symmetric(rng, [-3.0 + int(k) * 0.1 for k in ks])
+    else:
+        x = rng.normal(size=(n, n))
+        a = x + x.T
+        if shape == "zero_pivot":
+            a[0, 0] = 0.0
+    lams = [-3.0 + k * 0.1 for k in range(61)] + rng.uniform(-8.0, 8.0, 20).tolist() + [0.0]
+    for s in (1.0, 2.0**exponent):
+        m = DenseMatrix(a * s)
+        evaluator = _char_form(m)
+        assert evaluator.func is _sturm_det
+        (form,) = evaluator.args
+        diag, offdiag_sq = (list(column) for column in zip(*form.pairs))
+        old = SturmForm(diag, offdiag_sq, form.norm, form.scale, form.pivmin)
+        for lam in lams:
+            assert char_fn(m, lam * s).hex() == scaled_sturm_det(old, lam * s).hex()
+
+
+def test_sturm_det_keeps_its_bits_where_the_unit_product_underflows():
+    # Eigenvalues 1 + k*2**-40 (k = -14..13) read at mu = 1 + 2**-41: each
+    # pivot mu - d_k is a few 2**-40, more than eps from every eigenvalue,
+    # and their product, about -1.3e-317, is subnormal, with bits lost.
+    # Scaled by 2**40 the determinant is a normal float, -0x1.3c4391...p+67,
+    # which only the product of the scaled pivots gives to the bit.
+    d = np.array([1.0 + k * 2.0**-40 for k in range(-14, 14)])
+    mu = 1.0 + 2.0**-41
+    for s in (2.0**40, 2.0**-40, 2.0**600):
+        m = DenseMatrix(np.diag(d * s))
+        form = _char_form(m).args[0]
+        old = SturmForm(d.tolist(), [0.0] * len(d), form.norm, form.scale, form.pivmin)
+        assert char_fn(m, mu * s).hex() == scaled_sturm_det(old, mu * s).hex()
+    m = DenseMatrix(np.diag(d * 2.0**40))
+    assert char_fn(m, mu * 2.0**40).hex() == "-0x1.3c43915f3376ap+67"
 
 
 @settings(max_examples=200, deadline=None)

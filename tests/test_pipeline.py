@@ -356,6 +356,28 @@ def test_itp_steps_agree_with_plain_halving_and_cost_less(path, monkeypatch):
     assert evals[0] < evals[1]
 
 
+@pytest.mark.parametrize("path", ["sturm", "hessenberg", "qr"])
+def test_every_counted_evaluation_is_one_char_fn_call(path, monkeypatch):
+    # A tracer that wraps pipeline.char_fn sees exactly the evaluations the
+    # report counts, per matrix, on each kernel: a symmetric pair, a
+    # general pair at or below order 8 and one above it.
+    rng = np.random.default_rng(71)
+    if path == "sturm":
+        a, b = _planted_symmetric_pair(rng, 0.75)
+    else:
+        n = 6 if path == "hessenberg" else 12
+        a, b = (_on_grid_general(rng, n, 1, -3.0, 0.1)[0] for _ in "ab")
+    calls = []
+    real = pipeline.char_fn
+    monkeypatch.setattr(pipeline, "char_fn", lambda m, lam: calls.append(m) or real(m, lam))
+    for mode in Mode:
+        calls.clear()
+        report = common_eigenvalues(a, b, AnalysisConfig(mode=mode))
+        assert report.eval_count_a == sum(m is a for m in calls) > 0
+        assert report.eval_count_b == sum(m is b for m in calls) > 0
+        assert report.eval_count_a + report.eval_count_b == len(calls)
+
+
 # -------------------------------------------------------------- benchmark
 
 def test_benchmark_reference_pair(mat_a, mat_b):

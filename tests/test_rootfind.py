@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,31 @@ def test_scan_refuses_a_grid_too_large_to_hold(monkeypatch):
     assert len(scan(lambda x: x, RealInterval(0.0, 2.0), step=0.5)) == 5
     with pytest.raises(ValueError, match=re.escape("more than 4e+00")):
         scan(lambda x: x, RealInterval(0.0, 2.5), step=0.5)
+
+
+def test_scan_evaluates_each_point_as_the_walk_reaches_it():
+    # f is called once per grid point, in the grid's order, and the grid is
+    # never held whole: an f that raises on its first call over a grid of
+    # 1e6 points has been called once, and the scan took under 1 MB.
+    calls = []
+
+    def refuse(x):
+        calls.append(x)
+        raise ArithmeticError("no value")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArithmeticError, match="no value"):
+            scan(refuse, RealInterval(0.0, 1e5), step=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [0.0]
+    assert peak < 1_000_000
+    seen = []
+    records = scan(lambda x: seen.append(x) or math.sin(3.0 * x), RealInterval(-1.0, 2.0), 0.25)
+    assert seen == [r.lam for r in records]
+    assert len(records) == 13
 
 
 # ----------------------------------------------------------------- bisect
