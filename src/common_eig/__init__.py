@@ -7,11 +7,7 @@ bisection, and detects eigenvalues shared by two matrices by searching
 only the intersection of their inclusion intervals.
 """
 
-from .errors import (
-    CommonEigError,
-    InconsistentModesError,
-    MatrixFormatError,
-)
+from .errors import CommonEigError, MatrixFormatError
 from .gerschgorin import (
     EMPTY_INTERVAL,
     Axis,
@@ -54,7 +50,6 @@ __all__ = [
     # errors
     "CommonEigError",
     "MatrixFormatError",
-    "InconsistentModesError",
     # matrices and their characteristic function
     "DenseMatrix",
     "parse_matrix",

@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from .errors import CommonEigError, MatrixFormatError
+from .errors import MatrixFormatError
 from .gerschgorin import Axis, discs_of, intersect
 from .matrix import DenseMatrix, char_fn, parse_matrix
 from .pipeline import (
@@ -199,7 +199,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CommonEigError, ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

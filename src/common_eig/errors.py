@@ -1,9 +1,9 @@
 """Exception types raised by the library.
 
-:class:`CommonEigError` covers :class:`MatrixFormatError`, raised for
-every bad matrix file, and :class:`InconsistentModesError`.  A bad
-argument to a function or to ``AnalysisConfig`` (a step, bracket or
-tolerance out of range) raises ``ValueError`` instead.
+:class:`CommonEigError` is the base of :class:`MatrixFormatError`, raised
+for every bad matrix file.  A bad argument to a function or to
+``AnalysisConfig`` (a step, bracket or tolerance out of range) raises
+``ValueError`` instead.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 __all__ = [
     "CommonEigError",
     "MatrixFormatError",
-    "InconsistentModesError",
 ]
 
 
@@ -33,8 +32,3 @@ class MatrixFormatError(CommonEigError):
         super().__init__(message)
         self.line = line
         self.column = column
-
-
-class InconsistentModesError(CommonEigError):
-    """The intersected-interval search missed a common value that the
-    full-interval search found."""

@@ -22,8 +22,7 @@ depends on the matrix alone:
   reflectors has two nonzero entries, and LAPACK skips the zero tail, so
   most of a dense QR's O(n^3) work goes.  The direct call gives the values
   of ``np.linalg.qr`` bit for bit, the same routine on the same input with
-  the same workspace, without that wrapper's per-call overhead: about 44
-  against 55 us per call at order 60 in the traced ``dense_scan`` benchmark.
+  the same workspace, without that wrapper's per-call overhead.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from enum import Enum
 from functools import partial
 from typing import Sequence
 
-from .errors import InconsistentModesError
 from .gerschgorin import RealInterval, intersect, matrix_bounds
 from .matrix import DenseMatrix, char_fn
 from .rootfind import (
@@ -27,6 +26,7 @@ from .rootfind import (
     DEFAULT_STEP,
     DEFAULT_WIDTH_TOL,
     RootEstimate,
+    _check_finite,
     find_real_roots,
 )
 
@@ -60,12 +60,9 @@ class AnalysisConfig:
     dedupe_tol: float = DEFAULT_DEDUPE_TOL
 
     def __post_init__(self):
-        if not 0.0 < self.step < math.inf:
-            raise ValueError(f"step must be finite and positive, got {self.step}")
+        _check_finite("step", self.step, positive=True)
         for name in ("width_tol", "match_tol", "dedupe_tol"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            _check_finite(name, getattr(self, name))
         if self.match_tol < self.width_tol:
             raise ValueError("match_tol must be at least width_tol")
 
@@ -90,7 +87,14 @@ class CommonEigenReport:
 
 @dataclass(frozen=True)
 class BenchmarkSummary:
-    """Side-by-side comparison of the two modes on one matrix pair."""
+    """Side-by-side comparison of the two modes on one matrix pair.
+
+    ``modes_agree`` is true exactly when both modes report the same number
+    of common values and each value of either lies within ``match_tol`` of
+    a value of the other.  It can be false on correct runs: each mode's
+    grid starts at its own interval's lower end, so two roots that cancel
+    in one mode's cell can fall in different cells of the other's.
+    """
 
     repetitions: int
     proposed: CommonEigenReport
@@ -127,7 +131,9 @@ def match_roots(
 
     Greedy two-pointer walk: the first pair within match_tol is taken and
     both members consumed, so each root participates in at most one pair.
+    Raises ValueError for a match_tol that is not finite and non-negative.
     """
+    _check_finite("match_tol", match_tol)
     out = []
     i = j = 0
     while i < len(roots_a) and j < len(roots_b):
@@ -207,9 +213,9 @@ def run_benchmark(
     Runs each mode ``repetitions`` times (the configured mode is ignored;
     both always run) and reports median wall times, total evaluation
     counts, their ratio, and the time speedup, all conventional over
-    proposed.  The proposed mode searches a sub-interval of what the
-    conventional mode searches, so every common value it reports must also
-    be reported conventionally; a violation raises InconsistentModesError.
+    proposed, and whether the two modes report the same common values
+    (``modes_agree``; see BenchmarkSummary).  A disagreement is reported,
+    not raised.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
@@ -227,13 +233,10 @@ def run_benchmark(
 
     proposed = reports[Mode.PROPOSED]
     conventional = reports[Mode.CONVENTIONAL]
-    if not _subset_within(proposed.common, conventional.common, cfg.match_tol):
-        raise InconsistentModesError(
-            "intersected-interval search reported a common value the "
-            f"full-interval search did not: {proposed.common} vs {conventional.common}"
-        )
-    modes_agree = len(proposed.common) == len(conventional.common) and _subset_within(
-        conventional.common, proposed.common, cfg.match_tol
+    modes_agree = (
+        len(proposed.common) == len(conventional.common)
+        and _subset_within(proposed.common, conventional.common, cfg.match_tol)
+        and _subset_within(conventional.common, proposed.common, cfg.match_tol)
     )
 
     prop_evals = proposed.eval_count_a + proposed.eval_count_b

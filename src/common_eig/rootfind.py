@@ -97,6 +97,14 @@ def _opposite_signs(a: float, b: float) -> bool:
     return (a < 0.0 < b) or (b < 0.0 < a)
 
 
+def _check_finite(name: str, value: float, positive: bool = False) -> None:
+    """The rule for every step and tolerance: raise ValueError unless value
+    is finite and non-negative, or finite and positive where so asked."""
+    if not 0.0 <= value < math.inf or (positive and value == 0.0):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value}")
+
+
 def scan(
     f: Callable[[float], float],
     interval: RealInterval,
@@ -114,8 +122,7 @@ def scan(
     Raises ValueError, before any call of f, for a step that is not finite
     and positive, or one that puts more than 1e8 points on the grid.
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be finite and positive, got {step}")
+    _check_finite("step", step, positive=True)
     if interval.empty:
         return []
     points = (interval.hi - interval.lo) / step
@@ -218,13 +225,12 @@ def bisect(
     The estimate is the last point evaluated: an exact zero of f, or else
     an end of the final bracket; where the bracket could not be split at
     all, it is the end with the smaller |f|.  Costs exactly
-    ``iterations`` evaluations of f.  Raises ValueError for a negative
-    width_tol, an empty or reversed bracket, bracket values that do not
-    change sign, or an f that returns nan inside the bracket (the message
-    names the point).
+    ``iterations`` evaluations of f.  Raises ValueError for a width_tol
+    that is not finite and non-negative, an empty or reversed bracket,
+    bracket values that do not change sign, or an f that returns nan
+    inside the bracket (the message names the point).
     """
-    if width_tol < 0.0:
-        raise ValueError("width_tol must be non-negative")
+    _check_finite("width_tol", width_tol)
     if not lo < hi:
         raise ValueError(f"bracket is empty or reversed: [{lo}, {hi}]")
     if not _opposite_signs(flo, fhi):
@@ -303,11 +309,11 @@ def find_real_roots(
     gaps are at most dedupe_tol collapses to its smallest
     ``(residual, value)`` member, so consecutive returned roots are always
     more than dedupe_tol apart.  An empty interval yields [] without
-    calling f.  Raises ValueError as scan does, and for a negative
-    dedupe_tol.
+    calling f.  Raises ValueError, before any call of f, as scan does, and
+    for a width_tol or dedupe_tol that is not finite and non-negative.
     """
-    if dedupe_tol < 0.0:
-        raise ValueError("dedupe_tol must be non-negative")
+    _check_finite("width_tol", width_tol)
+    _check_finite("dedupe_tol", dedupe_tol)
     records = scan(f, interval, step)
     last = len(records) - 1
 

@@ -186,6 +186,20 @@ def test_cli_bench_output(matrix_files, capsys):
     assert "eval ratio:" in out
 
 
+def test_cli_bench_reports_modes_that_disagree(tmp_path, capsys):
+    # 1.08 is common; A's conventional grid from -2 puts 1.02 and 1.08 in
+    # one cell, where they cancel, so only the proposed mode finds it
+    path_a = tmp_path / "A.mat"
+    path_b = tmp_path / "B.mat"
+    path_a.write_text("3\n1.02 0.3 0.3\n0 1.08 0.3\n0 0 -2\n")
+    path_b.write_text("2\n1.08 0.2\n0 2\n")
+    assert run_cli([str(path_a), str(path_b), "--bench", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert "common: 1.08" in out
+    assert "  modes agree: no" in out
+    assert err == ""
+
+
 def test_cli_empty_intersection(tmp_path, capsys):
     one = tmp_path / "one.mat"
     ten = tmp_path / "ten.mat"

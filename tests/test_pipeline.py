@@ -11,7 +11,6 @@ import common_eig.rootfind as rootfind
 from common_eig import (
     AnalysisConfig,
     DenseMatrix,
-    InconsistentModesError,
     Mode,
     RealInterval,
     RootEstimate,
@@ -408,20 +407,50 @@ def test_benchmark_disjoint_pair():
     assert summary.modes_agree
 
 
-def test_benchmark_rejects_a_proposed_value_conventional_lacks(mat_a, mat_b, monkeypatch):
-    # The proposed search covers part of what the conventional one does,
-    # so a common value that only it reports is a contradiction.
+def _with_extra_common(monkeypatch, mode, value):
+    """Make common_eigenvalues add ``value`` to the common set of ``mode``."""
     real = pipeline.common_eigenvalues
 
-    def extra_proposed(a, b, cfg):
+    def extra(a, b, cfg):
         report = real(a, b, cfg)
-        if cfg.mode is Mode.PROPOSED:
-            report = replace(report, common=report.common + (3.5,))
+        if cfg.mode is mode:
+            report = replace(report, common=report.common + (value,))
         return report
 
-    monkeypatch.setattr(pipeline, "common_eigenvalues", extra_proposed)
-    with pytest.raises(InconsistentModesError, match="full-interval search did not"):
-        run_benchmark(mat_a, mat_b, repetitions=1)
+    monkeypatch.setattr(pipeline, "common_eigenvalues", extra)
+
+
+def test_benchmark_reports_a_proposed_value_conventional_lacks(mat_a, mat_b, monkeypatch):
+    # Each mode's grid starts at its own interval's lower end, so the
+    # proposed search can find a value the conventional one misses: the
+    # disagreement is reported, not raised.
+    _with_extra_common(monkeypatch, Mode.PROPOSED, 3.5)
+    summary = run_benchmark(mat_a, mat_b, repetitions=1)
+    assert summary.proposed.common == (3.0, 3.5)
+    assert summary.conventional.common == (3.0,)
+    assert summary.modes_agree is False
+
+
+def test_benchmark_reports_a_conventional_value_proposed_lacks(mat_a, mat_b, monkeypatch):
+    _with_extra_common(monkeypatch, Mode.CONVENTIONAL, 4.5)
+    summary = run_benchmark(mat_a, mat_b, repetitions=1)
+    assert summary.proposed.common == (3.0,)
+    assert summary.conventional.common == (3.0, 4.5)
+    assert summary.modes_agree is False
+
+
+def test_benchmark_modes_disagree_where_two_roots_share_a_conventional_cell():
+    # A's conventional grid starts at -2, so its roots 1.02 and 1.08 share
+    # the cell [1.0, 1.1] and cancel there; the proposed grid starts at
+    # 1.08, the common eigenvalue, and hits it exactly.
+    a = DenseMatrix([[1.02, 0.3, 0.3], [0.0, 1.08, 0.3], [0.0, 0.0, -2.0]])
+    b = DenseMatrix([[1.08, 0.2], [0.0, 2.0]])
+    summary = run_benchmark(a, b, repetitions=1)
+    search = summary.proposed.search_interval_a
+    assert (search.lo, search.hi) == pytest.approx((1.08, 1.38))
+    assert summary.proposed.common == pytest.approx((1.08,))
+    assert summary.conventional.common == ()
+    assert summary.modes_agree is False
 
 
 def test_benchmark_rejects_zero_repetitions(mat_a, mat_b):

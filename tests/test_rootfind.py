@@ -18,6 +18,7 @@ from common_eig import (
     bisect,
     char_fn,
     find_real_roots,
+    match_roots,
     scan,
 )
 import common_eig.rootfind as rootfind
@@ -429,8 +430,29 @@ def test_find_roots_empty_interval():
 
 
 def test_find_roots_rejects_negative_dedupe_tol():
-    with pytest.raises(ValueError, match="dedupe_tol must be non-negative"):
+    with pytest.raises(ValueError, match="dedupe_tol must be finite and non-negative"):
         find_real_roots(lambda x: x, RealInterval(0, 1), dedupe_tol=-1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("width_tol", lambda f, v: bisect(f, 0.0, 1.0, -0.3, 0.7, width_tol=v)),
+        ("width_tol", lambda f, v: find_real_roots(f, RealInterval(0, 1), width_tol=v)),
+        ("dedupe_tol", lambda f, v: find_real_roots(f, RealInterval(0, 1), dedupe_tol=v)),
+        ("match_tol", lambda f, v: match_roots([], [], v)),
+    ],
+    ids=["bisect", "find_real_roots-width", "find_real_roots-dedupe", "match_roots"],
+)
+def test_tolerances_must_be_finite_and_non_negative(name, call, value):
+    # nan used to pass every `< 0` check, and inf made bisect fail in
+    # math.fmod, find_real_roots collapse all roots into one, and
+    # match_roots pair anything with anything.
+    counted = Counted(lambda x: x - 0.3)
+    with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+        call(counted, value)
+    assert counted.calls == 0
 
 
 def test_find_roots_dedupes_loose_zero_band():
