@@ -7,7 +7,6 @@ bisection, and detects eigenvalues shared by two matrices by searching
 only the intersection of their inclusion intervals.
 """
 
-from .errors import CommonEigError, MatrixFormatError
 from .gerschgorin import (
     EMPTY_INTERVAL,
     Axis,
@@ -20,6 +19,7 @@ from .gerschgorin import (
 )
 from .matrix import (
     DenseMatrix,
+    MatrixFormatError,
     char_fn,
     parse_matrix,
 )
@@ -47,11 +47,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "CommonEigError",
-    "MatrixFormatError",
     # matrices and their characteristic function
     "DenseMatrix",
+    "MatrixFormatError",
     "parse_matrix",
     "char_fn",
     # disc geometry

@@ -17,7 +17,6 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from .errors import MatrixFormatError
 from .gerschgorin import Axis, discs_of, intersect
 from .matrix import DenseMatrix, char_fn, parse_matrix
 from .pipeline import (
@@ -164,7 +163,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     for path in (args.path_a, args.path_b):
         try:
             matrices.append(_load(path))
-        except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 1
     matrix_a, matrix_b = matrices

@@ -37,10 +37,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .errors import MatrixFormatError
-
 __all__ = [
     "DenseMatrix",
+    "MatrixFormatError",
     "parse_matrix",
     "char_fn",
 ]
@@ -112,6 +111,24 @@ class DenseMatrix:
 
     def __repr__(self):
         return f"DenseMatrix({self._entries.tolist()!r})"
+
+
+class MatrixFormatError(ValueError):
+    """A matrix text stream violates the input format.
+
+    Raised for every bad matrix file; any other bad argument to the
+    library raises a plain ``ValueError``, so catching ``ValueError``
+    catches both.  A token that is not a number carries the 1-based
+    ``line`` and ``column`` where it starts, and the message is prefixed
+    with them; for every other error both are ``None``.
+    """
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        if line is not None:
+            message = f"line {line}, column {column}: {message}"
+        super().__init__(message)
+        self.line = line
+        self.column = column
 
 
 def _significant_lines(text: str):

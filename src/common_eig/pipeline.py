@@ -131,6 +131,8 @@ def match_roots(
 
     Greedy two-pointer walk: the first pair within match_tol is taken and
     both members consumed, so each root participates in at most one pair.
+    Pairs are taken with rising indices in both lists, and a rounded
+    midpoint is monotone in each member, so the midpoints come out sorted.
     Raises ValueError for a match_tol that is not finite and non-negative.
     """
     _check_finite("match_tol", match_tol)
@@ -147,7 +149,6 @@ def match_roots(
             i += 1
         else:
             j += 1
-    out.sort()
     return tuple(out)
 
 
@@ -198,6 +199,13 @@ def common_eigenvalues(
     )
 
 
+def _ratio(num: float, den: float) -> float:
+    """num / den, reading 0/0 as 1.0 and x/0 as inf."""
+    if den == 0:
+        return 1.0 if num == 0 else math.inf
+    return num / den
+
+
 def _subset_within(smaller: Sequence[float], larger: Sequence[float], tol: float) -> bool:
     return all(any(abs(s - l) <= tol for l in larger) for s in smaller)
 
@@ -241,15 +249,6 @@ def run_benchmark(
 
     prop_evals = proposed.eval_count_a + proposed.eval_count_b
     conv_evals = conventional.eval_count_a + conventional.eval_count_b
-    if prop_evals == 0:
-        eval_ratio = 1.0 if conv_evals == 0 else math.inf
-    else:
-        eval_ratio = conv_evals / prop_evals
-    if medians[Mode.PROPOSED] == 0.0:
-        speedup = 1.0 if medians[Mode.CONVENTIONAL] == 0.0 else math.inf
-    else:
-        speedup = medians[Mode.CONVENTIONAL] / medians[Mode.PROPOSED]
-
     return BenchmarkSummary(
         repetitions=repetitions,
         proposed=proposed,
@@ -258,7 +257,7 @@ def run_benchmark(
         conventional_median_time=medians[Mode.CONVENTIONAL],
         proposed_evals=prop_evals,
         conventional_evals=conv_evals,
-        eval_ratio=eval_ratio,
-        speedup=speedup,
+        eval_ratio=_ratio(conv_evals, prop_evals),
+        speedup=_ratio(medians[Mode.CONVENTIONAL], medians[Mode.PROPOSED]),
         modes_agree=modes_agree,
     )

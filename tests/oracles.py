@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from common_eig.errors import MatrixFormatError
+from common_eig import MatrixFormatError
 from common_eig.matrix import PIVOT_RTOL, _full_prod
 from common_eig.rootfind import RootEstimate, RootOrigin, _opposite_signs
 

@@ -97,6 +97,15 @@ def test_cli_non_utf8_file_is_input_error(tmp_path, matrix_files, capsys):
     assert "can't decode byte 0xe9" in err
 
 
+def test_cli_path_with_nul_byte_is_input_error(matrix_files, capsys):
+    # open() rejects such a path with ValueError, not OSError
+    _, path_b = matrix_files
+    assert run_cli(["a\x00b.mat", path_b]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_overflowing_matrix_is_numeric_error(tmp_path, matrix_files, capsys):
     _, path_b = matrix_files
     big = tmp_path / "big.mat"

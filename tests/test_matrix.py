@@ -1,6 +1,7 @@
 """Matrix parsing and the characteristic function, the one determinant."""
 
 import math
+import pkgutil
 import re
 import sys
 import threading
@@ -19,6 +20,7 @@ from common_eig import (
     matrix_bounds,
     parse_matrix,
 )
+import common_eig
 import common_eig.matrix as matrix_module
 from common_eig.matrix import (
     _HESSENBERG_MAX_ORDER,
@@ -119,6 +121,27 @@ def test_parse_bad_token_reports_position():
         parse_matrix("2\n1 x\n3 4\n")
     assert exc_info.value.line == 2
     assert exc_info.value.column == 3
+
+
+def test_format_error_is_a_value_error_that_keeps_its_position():
+    with pytest.raises(ValueError) as exc_info:
+        parse_matrix("1\nx\n")
+    assert isinstance(exc_info.value, MatrixFormatError)
+    assert exc_info.value.line == 2
+    assert exc_info.value.column == 1
+    assert common_eig.MatrixFormatError is matrix_module.MatrixFormatError
+
+
+def test_package_exports_resolve_and_one_exception_type_remains():
+    for name in common_eig.__all__:
+        assert hasattr(common_eig, name), name
+    exceptions = [
+        name for name, value in vars(common_eig).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    ]
+    assert exceptions == ["MatrixFormatError"]
+    modules = {info.name for info in pkgutil.iter_modules(common_eig.__path__)}
+    assert "errors" not in modules
 
 
 def test_parse_bad_order_line():

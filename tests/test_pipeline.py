@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import common_eig.pipeline as pipeline
 import common_eig.rootfind as rootfind
@@ -156,6 +157,22 @@ def test_match_roots_consumes_each_root_once():
     )
     assert len(got) == 1
     assert got[0] == pytest.approx(1.0000001, abs=1e-12)
+
+
+_ascending = st.lists(st.floats(-1e3, 1e3), max_size=12).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values_a=_ascending,
+    values_b=_ascending,
+    match_tol=st.floats(0.0, 0.5),
+)
+def test_match_roots_midpoints_do_not_decrease(values_a, values_b, match_tol):
+    got = match_roots(
+        [_estimate(v) for v in values_a], [_estimate(v) for v in values_b], match_tol
+    )
+    assert all(x <= y for x, y in zip(got, got[1:]))
 
 
 # ----------------------------------------------------------- configuration
