@@ -80,6 +80,10 @@ class RealInterval:
             return self.empty and other.empty
         return self.lo == other.lo and self.hi == other.hi
 
+    def __hash__(self):
+        # every empty interval equals every other, whatever lo and hi hold
+        return hash(None if self.empty else (self.lo, self.hi))
+
     def contains(self, x: float) -> bool:
         return (not self.empty) and self.lo <= x <= self.hi
 

@@ -448,9 +448,12 @@ def _sturm_det(form: _Tridiagonal, lam: float) -> float:
     # exactly 0.0.  A pivot below pivmin counts as negative at mu - eps but
     # as positive at mu + eps, which closes the interval for eps = 0 (T = 0
     # at lam = 0).  eps is PIVOT_RTOL * (|lam| + ||T||_inf), unscaled.
-    # Each clamp tests q < pivmin first, so a pivot at or above pivmin takes
-    # one comparison.  count is the negative count at mu - eps less the one
-    # at mu + eps.
+    # Each pass's clamp only sets its own input to the next step, so the
+    # three recurrences run first.  count is the negative count at
+    # mu - eps less the one at mu + eps, so it moves only where one pass
+    # counts a pivot negative and the other does not: a pivot at or above
+    # pivmin on both passes takes two comparisons, a negative one on both
+    # three.
     pivmin = form.pivmin
     neg_pivmin = -pivmin
     mu = lam / form.scale
@@ -461,16 +464,19 @@ def _sturm_det(form: _Tridiagonal, lam: float) -> float:
     unit = 1.0
     for d, e2 in form.pairs:
         q = mu - d - e2 / q
+        q_lo = lo - d - e2 / q_lo
+        q_hi = hi - d - e2 / q_hi
         if q < pivmin and q > neg_pivmin:
             q = neg_pivmin
         unit *= q
-        q_lo = lo - d - e2 / q_lo
         if q_lo < pivmin:
-            count += 1
             if q_lo > neg_pivmin:
                 q_lo = neg_pivmin
-        q_hi = hi - d - e2 / q_hi
-        if q_hi < pivmin:
+            if not q_hi <= neg_pivmin:  # a nan q_hi is not negative
+                count += 1
+                if q_hi < pivmin:
+                    q_hi = pivmin
+        elif q_hi < pivmin:
             if q_hi > neg_pivmin:
                 q_hi = pivmin
             else:

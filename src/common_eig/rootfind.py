@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .gerschgorin import RealInterval
 
@@ -41,8 +41,8 @@ DEFAULT_STEP = 0.1
 DEFAULT_WIDTH_TOL = 1e-10
 DEFAULT_DEDUPE_TOL = 1e-6
 
-# scan refuses a grid of more points than this, which at about 152 bytes
-# of records per point would take some 15 GB.
+# scan refuses a grid of more points than this, which at about 128 bytes
+# of records per point would take some 13 GB.
 _MAX_GRID_POINTS = 10**8
 
 # The ITP step's pull toward the midpoint is _ITP_KAPPA·w²/(hi - lo) for a
@@ -64,9 +64,9 @@ class RootOrigin(Enum):
     ENDPOINT_ZERO = "endpoint_zero"
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One grid point of a scan: the abscissa, f there, and what it triggered."""
+class ScanRecord(NamedTuple):
+    """One grid point of a scan: the abscissa, f there, and what it
+    triggered.  A tuple, so it compares equal to ``(lam, value, event)``."""
 
     lam: float
     value: float
@@ -132,59 +132,31 @@ def scan(
             f"more than {_MAX_GRID_POINTS:.0e}"
         )
 
-    # Each point's record is made as soon as the next value decides its event.
-    grid = _grid(interval.lo, interval.hi, step)
-    x = next(grid)
-    v = float(f(x))
+    # The grid is lo + i*step while below hi, then hi itself, each point
+    # made as the walk reaches it; lo + 0*step reads lo = -0.0 as 0.0.  Each
+    # point's record is made as soon as the next value decides its event.
+    lo, hi = interval.lo, interval.hi
+    none, zero_hit, ahead = ScanEvent.NONE, ScanEvent.ZERO_HIT, ScanEvent.SIGN_CHANGE_AHEAD
     records = []
-    for nxt in grid:
-        fnxt = float(f(nxt))
-        records.append(ScanRecord(x, v, _event(v, fnxt)))
-        x, v = nxt, fnxt
-    records.append(ScanRecord(x, v, _event(v)))
-    return records
-
-
-def _grid(lo: float, hi: float, step: float):
-    """lo, lo+step, ... below hi, then hi itself; each point made on demand."""
+    append = records.append
     i = 0
-    while (x := lo + i * step) < hi:
-        yield x
+    x = lo + i * step
+    if not x < hi:
+        x = hi
+    v = float(f(x))
+    while x < hi:
         i += 1
-    yield hi
-
-
-def _event(value: float, next_value: float = math.nan) -> ScanEvent:
-    """The event of a grid point where f is value and f at the next grid
-    point is next_value (nan for the last point, which has none)."""
-    if _opposite_signs(value, next_value):
-        return ScanEvent.SIGN_CHANGE_AHEAD
-    return ScanEvent.ZERO_HIT if value == 0.0 else ScanEvent.NONE
-
-
-def _itp_point(lo, hi, mid, flo, fhi, kappa, bound):
-    """The ITP step point strictly inside (lo, hi), or the midpoint ``mid``.
-
-    Regula falsi between the bracket ends, pulled toward the midpoint by
-    kappa·w², then clamped to within bound − w/2 of the midpoint, so that
-    neither sub-bracket is wider than bound (Oliveira & Takahashi, ACM TOMS
-    47(1), 2020).  ``mid`` where an end value is not finite or rounding
-    puts the point on an end or leaves a sub-bracket wider than bound.
-    """
-    if not (math.isfinite(flo) and math.isfinite(fhi)):
-        return mid
-    width = hi - lo
-    # flo and fhi differ in sign, so 1 - fhi/flo > 1: no overflow to nan
-    falsi = lo + width / (1.0 - fhi / flo)
-    gap = mid - falsi
-    pull = kappa * width * width
-    x = falsi + math.copysign(pull, gap) if pull <= abs(gap) else mid
-    reach = bound - 0.5 * width
-    if abs(x - mid) > reach:
-        x = mid - math.copysign(reach, gap)
-    if lo < x < hi and x - lo <= bound and hi - x <= bound:
-        return x
-    return mid
+        nxt = lo + i * step
+        if not nxt < hi:
+            nxt = hi
+        fnxt = float(f(nxt))
+        if v < 0.0 < fnxt or fnxt < 0.0 < v:
+            append(ScanRecord(x, v, ahead))
+        else:
+            append(ScanRecord(x, v, zero_hit if v == 0.0 else none))
+        x, v = nxt, fnxt
+    append(ScanRecord(x, v, zero_hit if v == 0.0 else none))
+    return records
 
 
 def bisect(
@@ -260,21 +232,37 @@ def bisect(
         top = halvings + _ITP_N0 - 1
     kappa = _ITP_KAPPA / width
 
+    isfinite, isnan, copysign, ldexp = math.isfinite, math.isnan, math.copysign, math.ldexp
     est, fest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     iterations = 0
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
-        if itp:
-            bound = math.ldexp(anchor, top - iterations)
-            est = _itp_point(lo, hi, mid, flo, fhi, kappa, bound)
-        else:
-            est = mid
+        # The ITP point: regula falsi between the bracket ends, pulled
+        # toward the midpoint by kappa·w², then clamped to within
+        # bound − w/2 of the midpoint, so that neither sub-bracket is wider
+        # than bound.  The midpoint where an end value is not finite or
+        # rounding puts the point on an end or leaves a sub-bracket wider
+        # than bound.
+        est = mid
+        if itp and isfinite(flo) and isfinite(fhi):
+            bound = ldexp(anchor, top - iterations)
+            width = hi - lo
+            # flo and fhi differ in sign, so 1 - fhi/flo > 1: no overflow to nan
+            falsi = lo + width / (1.0 - fhi / flo)
+            gap = mid - falsi
+            pull = kappa * width * width
+            x = falsi + copysign(pull, gap) if pull <= abs(gap) else mid
+            reach = bound - 0.5 * width
+            if abs(x - mid) > reach:
+                x = mid - copysign(reach, gap)
+            if lo < x < hi and x - lo <= bound and hi - x <= bound:
+                est = x
         fest = float(f(est))
         iterations += 1
-        if math.isnan(fest):
+        if isnan(fest):
             raise ValueError(f"f({est!r}) is nan inside the bracket [{lo!r}, {hi!r}]")
         if fest == 0.0:
             break
-        if _opposite_signs(flo, fest):
+        if flo < 0.0 < fest or fest < 0.0 < flo:
             hi, fhi = est, fest
         else:
             lo, flo = est, fest

@@ -4,13 +4,16 @@ Deliberately naive and deliberately different from the library:
 determinants by cofactor expansion in pure Python arithmetic, symmetric
 eigenvalues by cyclic Jacobi rotations with explicit J^T A J products,
 matrix files read token by token with one regex match and one float() per
-token, and sign-change brackets refined by plain halving.  Three are
+token, and sign-change brackets refined by plain halving.  Five are
 frozen copies instead, which the library must match bit for bit:
 ``copying_hessenberg_det``, an earlier form of ``matrix._hessenberg_det``
 that copies its rows; ``numpy_qr_det``, the QR determinant through
 ``np.linalg.qr`` that ``matrix._shifted_qr_det`` computed before it called
-LAPACK ``dgeqrf`` directly; and ``scaled_sturm_det``, the Sturm pass
-``matrix._sturm_det`` ran when it multiplied every pivot by the scale.
+LAPACK ``dgeqrf`` directly; ``scaled_sturm_det``, the Sturm pass
+``matrix._sturm_det`` ran when it multiplied every pivot by the scale;
+``walk_scan``, ``rootfind.scan`` as it was when a generator made its grid
+points and a helper chose each point's event; and ``itp_bisect``,
+``rootfind.bisect`` as it was when a helper made each ITP point.
 ``numpy_qr_det`` of ``x`` with ``||x||_inf`` is also the tests' dense QR
 reference for ``det(x)``.
 """
@@ -23,7 +26,19 @@ import numpy as np
 
 from common_eig import MatrixFormatError
 from common_eig.matrix import PIVOT_RTOL, _full_prod
-from common_eig.rootfind import RootEstimate, RootOrigin, _opposite_signs
+from common_eig.rootfind import (
+    RootEstimate,
+    RootOrigin,
+    ScanEvent,
+    ScanRecord,
+    _check_finite,
+    _opposite_signs,
+)
+
+# The constants of the frozen scan and bisection, as they were written.
+_MAX_GRID_POINTS = 10**8
+_ITP_KAPPA = 0.2
+_ITP_N0 = 2
 
 
 def cofactor_determinant(matrix) -> float:
@@ -275,3 +290,125 @@ def scaled_sturm_det(form, lam):
         return 0.0
     # scale is a power of two, so its factors go into the exponent exactly.
     return det or _full_prod(_pivots(form, mu), len(form.diag) * (math.frexp(scale)[1] - 1))
+
+
+def walk_scan(f, interval, step):
+    """The scan grid walked by a generator, each point's event chosen by a
+    helper: ``rootfind.scan`` as it was, with the same records, calls of f
+    and errors."""
+    _check_finite("step", step, positive=True)
+    if interval.empty:
+        return []
+    points = (interval.hi - interval.lo) / step
+    if not points <= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"step {step} puts about {points:.3g} points on the scan grid, "
+            f"more than {_MAX_GRID_POINTS:.0e}"
+        )
+
+    # Each point's record is made as soon as the next value decides its event.
+    grid = _grid(interval.lo, interval.hi, step)
+    x = next(grid)
+    v = float(f(x))
+    records = []
+    for nxt in grid:
+        fnxt = float(f(nxt))
+        records.append(ScanRecord(x, v, _event(v, fnxt)))
+        x, v = nxt, fnxt
+    records.append(ScanRecord(x, v, _event(v)))
+    return records
+
+
+def _grid(lo, hi, step):
+    """lo, lo+step, ... below hi, then hi itself; each point made on demand."""
+    i = 0
+    while (x := lo + i * step) < hi:
+        yield x
+        i += 1
+    yield hi
+
+
+def _event(value, next_value=math.nan):
+    """The event of a grid point where f is value and f at the next grid
+    point is next_value (nan for the last point, which has none)."""
+    if _opposite_signs(value, next_value):
+        return ScanEvent.SIGN_CHANGE_AHEAD
+    return ScanEvent.ZERO_HIT if value == 0.0 else ScanEvent.NONE
+
+
+def _itp_point(lo, hi, mid, flo, fhi, kappa, bound):
+    """The ITP step point strictly inside (lo, hi), or the midpoint ``mid``.
+
+    Regula falsi between the bracket ends, pulled toward the midpoint by
+    kappa·w², then clamped to within bound − w/2 of the midpoint, so that
+    neither sub-bracket is wider than bound (Oliveira & Takahashi, ACM TOMS
+    47(1), 2020).  ``mid`` where an end value is not finite or rounding
+    puts the point on an end or leaves a sub-bracket wider than bound.
+    """
+    if not (math.isfinite(flo) and math.isfinite(fhi)):
+        return mid
+    width = hi - lo
+    # flo and fhi differ in sign, so 1 - fhi/flo > 1: no overflow to nan
+    falsi = lo + width / (1.0 - fhi / flo)
+    gap = mid - falsi
+    pull = kappa * width * width
+    x = falsi + math.copysign(pull, gap) if pull <= abs(gap) else mid
+    reach = bound - 0.5 * width
+    if abs(x - mid) > reach:
+        x = mid - math.copysign(reach, gap)
+    if lo < x < hi and x - lo <= bound and hi - x <= bound:
+        return x
+    return mid
+
+
+def itp_bisect(f, lo, hi, flo, fhi, width_tol):
+    """ITP bisection with each step point made by a helper:
+    ``rootfind.bisect`` as it was, with the same estimate, calls of f and
+    errors."""
+    _check_finite("width_tol", width_tol)
+    if not lo < hi:
+        raise ValueError(f"bracket is empty or reversed: [{lo}, {hi}]")
+    if not _opposite_signs(flo, fhi):
+        raise ValueError(f"f({lo}) = {flo} and f({hi}) = {fhi} do not change sign")
+
+    width = hi - lo
+    itp = 0.0 < width_tol and 4.0 * width < math.inf
+    if itp:
+        ulp = math.ulp(max(-lo, hi))
+        anchor = width_tol - math.fmod(width_tol, ulp) - ulp
+        itp = anchor > 0.0
+        halving_tol = width_tol + ulp
+        halvings = math.frexp(width / halving_tol)[1]
+        if math.ldexp(halving_tol, halvings - 1) >= width:
+            halvings -= 1
+        top = halvings + _ITP_N0 - 1
+    kappa = _ITP_KAPPA / width
+
+    est, fest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    iterations = 0
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        if itp:
+            bound = math.ldexp(anchor, top - iterations)
+            est = _itp_point(lo, hi, mid, flo, fhi, kappa, bound)
+        else:
+            est = mid
+        fest = float(f(est))
+        iterations += 1
+        if math.isnan(fest):
+            raise ValueError(f"f({est!r}) is nan inside the bracket [{lo!r}, {hi!r}]")
+        if fest == 0.0:
+            break
+        if _opposite_signs(flo, fest):
+            hi, fhi = est, fest
+        else:
+            lo, flo = est, fest
+        if hi - lo <= width_tol:
+            break
+    return RootEstimate(
+        value=est,
+        residual=abs(fest),
+        bracket_lo=lo,
+        bracket_hi=hi,
+        iterations=iterations,
+        origin=RootOrigin.BISECTION,
+    )

@@ -120,6 +120,16 @@ def test_intersect_with_empty():
     assert intersect(RealInterval(0, 1), EMPTY_INTERVAL).empty
 
 
+def test_equal_intervals_hash_alike():
+    # frozen, with its own __eq__: equal intervals are one set member, and
+    # every empty interval hashes like every other
+    assert len({RealInterval(0, 1), RealInterval(0.0, 1.0)}) == 1
+    assert {RealInterval(-0.0, 1.0): "x"}[RealInterval(0.0, 1.0)] == "x"
+    other_empty = RealInterval(3.0, 4.0, empty=True)
+    assert hash(other_empty) == hash(EMPTY_INTERVAL)
+    assert len({EMPTY_INTERVAL, other_empty, intersect(RealInterval(0, 1), RealInterval(2, 3))}) == 1
+
+
 def test_intersect_algebraic_laws():
     rng = np.random.default_rng(5)
     for _ in range(50):

@@ -23,7 +23,9 @@ from common_eig import (
 import common_eig
 import common_eig.matrix as matrix_module
 from common_eig.matrix import (
+    PIVOT_RTOL,
     _HESSENBERG_MAX_ORDER,
+    _Tridiagonal,
     _char_form,
     _hessenberg,
     _hessenberg_det,
@@ -634,6 +636,15 @@ def test_hessenberg_det_matches_the_copying_loop_bitwise(n, seed, exponent, on_g
 @example(n=40, seed=0, exponent=-300, shape="on_grid")
 @example(n=4, seed=0, exponent=-262, shape="random")
 @example(n=2, seed=0, exponent=0, shape="zero_pivot")
+# Each outcome of the negative-count bookkeeping: on the grid, lam within
+# eps below an eigenvalue (n = 1), and within eps above one (n = 2); the
+# zero matrix at lam = 0, where eps = 0 and the pivot lies inside
+# (-pivmin, pivmin) on the lo pass and on the hi pass.  The example above
+# has a pivot negative on the hi pass where the lo pass's is not, and every
+# example has pivots negative on both passes.
+@example(n=1, seed=0, exponent=-200, shape="on_grid")
+@example(n=2, seed=0, exponent=150, shape="on_grid")
+@example(n=1, seed=0, exponent=0, shape="zero_pivot")
 def test_sturm_det_matches_the_scaled_pivot_product_bitwise(n, seed, exponent, shape):
     # The unit-scale pivot product with scale**n put into its exponent once
     # gives the values of the pass that multiplied every pivot by the scale,
@@ -678,6 +689,36 @@ def test_sturm_det_keeps_its_bits_where_the_unit_product_underflows():
         assert char_fn(m, mu * s).hex() == scaled_sturm_det(old, mu * s).hex()
     m = DenseMatrix(np.diag(d * 2.0**40))
     assert char_fn(m, mu * 2.0**40).hex() == "-0x1.3c43915f3376ap+67"
+
+
+@pytest.mark.parametrize("case", ["lo-pass", "hi-pass", "hi-pass-alone"])
+def test_sturm_det_clamps_a_vanishing_pivot_on_one_pass(case):
+    # A pivot exactly 0 on the lo pass (mu - eps), or on the hi pass
+    # (mu + eps) where the lo pass's pivot is negative, or positive: only
+    # its clamp, to -pivmin on the lo pass and +pivmin on the hi pass,
+    # keeps the next e^2/q finite and decides the sign of the next pivot,
+    # so the negative counts, which agree here.  The value is the nonzero
+    # pivot product of the pass that clamped as the scaled one did.
+    mu = norm = 1.0
+    eps = PIVOT_RTOL * (mu + norm)
+    lo, hi = mu - eps, mu + eps
+    if case == "lo-pass":
+        pairs = [(lo, 0.0), (0.0, 1.0)]
+    elif case == "hi-pass":
+        pairs = [(hi, 0.0), (0.0, 1.0)]
+    else:
+        # 4*(hi - mu) / (hi - mu) is 4 exactly, and so is hi - d1: the
+        # second pivot on the hi pass is hi - d1 - 4 = 0, on the lo pass
+        # about 8.
+        d1 = hi - 4.0
+        assert hi - d1 == 4.0
+        pairs = [(mu, 0.0), (d1, 4.0 * (hi - mu)), (0.0, 1.0)]
+    pivmin = math.sqrt(sys.float_info.min)
+    form = _Tridiagonal(pairs, norm, 1.0, 0, pivmin)
+    diag, offdiag_sq = (list(column) for column in zip(*pairs))
+    value = _sturm_det(form, mu)
+    assert value != 0.0
+    assert value.hex() == scaled_sturm_det(SturmForm(diag, offdiag_sq, norm, 1.0, pivmin), mu).hex()
 
 
 @settings(max_examples=200, deadline=None)

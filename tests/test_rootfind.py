@@ -23,7 +23,7 @@ from common_eig import (
 )
 import common_eig.rootfind as rootfind
 from common_eig.rootfind import _opposite_signs
-from oracles import plain_bisect
+from oracles import itp_bisect, plain_bisect, walk_scan
 
 
 class Counted:
@@ -155,6 +155,76 @@ def test_scan_evaluates_each_point_as_the_walk_reaches_it():
     records = scan(lambda x: seen.append(x) or math.sin(3.0 * x), RealInterval(-1.0, 2.0), 0.25)
     assert seen == [r.lam for r in records]
     assert len(records) == 13
+
+
+def _planted(roots, exponent, holes=(), stop=None):
+    """10**exponent * prod(x - r), with a log of its calls: nan on the calls
+    numbered in holes, and ArithmeticError on the call numbered stop."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) - 1 == stop:
+            raise ArithmeticError("no value")
+        if len(calls) - 1 in holes:
+            return math.nan
+        p = 10.0**exponent
+        for r in roots:
+            p *= x - r
+        return p
+
+    return f, calls
+
+
+def _run(call, *args):
+    """call(*args), or the type and text of what it raised."""
+    try:
+        return call(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(st.floats(-1.0, 1.0), max_size=6),
+    exponent=st.integers(-200, 200),
+    lo=st.one_of(st.just(-0.0), st.floats(-1.5, 1.5), st.integers(-96, 96).map(lambda k: k / 64)),
+    step=st.one_of(st.floats(1e-3, 0.5), st.integers(1, 32).map(lambda k: k / 64)),
+    span=st.floats(0.0, 3.0),
+    end=st.sampled_from(["free", "on_grid", "degenerate"]),
+    holes=st.sets(st.integers(0, 60), max_size=3),
+    stop=st.one_of(st.none(), st.integers(0, 60)),
+)
+@example(roots=[0.5], exponent=200, lo=-0.0, step=0.25, span=1.0, end="on_grid", holes=set(), stop=None)
+@example(roots=[0.5], exponent=-200, lo=-0.0, step=0.1, span=0.0, end="degenerate", holes=set(), stop=None)
+@example(roots=[0.0], exponent=0, lo=-0.0, step=0.1, span=1.0, end="free", holes={1}, stop=None)
+def test_scan_matches_the_walked_grid_bitwise(roots, exponent, lo, step, span, end, holes, stop):
+    # The one-loop scan gives the records of the walk over a generated grid,
+    # to the bit, and calls f at the same points in the same order: at a
+    # first point of lo = -0.0 (read as 0.0), a degenerate interval, a last
+    # grid step that lands on hi exactly, products that underflow to exact
+    # zeros at 10**-200, a nan at either end of a cell, and an f that raises.
+    if end == "on_grid":
+        hi = lo + round(span / step) * step
+    else:
+        hi = lo if end == "degenerate" else lo + span
+    interval = RealInterval(lo, hi)
+    f, calls = _planted(roots, exponent, holes, stop)
+    ours = _run(scan, f, interval, step)
+    ref_f, ref_calls = _planted(roots, exponent, holes, stop)
+    ref = _run(walk_scan, ref_f, interval, step)
+    assert [x.hex() for x in calls] == [x.hex() for x in ref_calls]
+    if isinstance(ref, list):
+        assert [(r.lam.hex(), r.value.hex(), r.event) for r in ours] == [
+            (r.lam.hex(), r.value.hex(), r.event) for r in ref
+        ]
+    else:
+        assert ours == ref
+
+
+def test_scan_record_is_a_tuple_of_its_fields():
+    assert scan(lambda x: x, RealInterval(0.0, 0.0)) == [(0.0, 0.0, ScanEvent.ZERO_HIT)]
+    assert rootfind.ScanRecord(1.0, 2.0) == (1.0, 2.0, ScanEvent.NONE)
 
 
 # ----------------------------------------------------------------- bisect
@@ -332,6 +402,49 @@ def test_bisect_against_plain_halving(roots, exponent, ends, width_tol):
     ilo, ihi = f_inf(lo), f_inf(hi)
     est = bisect(f_inf, lo, hi, ilo, ihi, width_tol)
     assert _bits(est) == _bits(plain_bisect(f_inf, lo, hi, ilo, ihi, width_tol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9),
+    exponent=st.integers(-200, 200),
+    ends=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    width_tol=st.one_of(st.just(0.0), st.floats(1e-14, 1e-3)),
+    infinite=st.sampled_from(["nowhere", "left", "right", "everywhere"]),
+)
+@example(roots=[0.3, -0.2], exponent=200, ends=(-1.0, 1.0), width_tol=1e-10, infinite="nowhere")
+@example(roots=[0.3, -0.2], exponent=-200, ends=(-1.0, 1.0), width_tol=1e-10, infinite="nowhere")
+@example(roots=[0.3], exponent=-200, ends=(-1.0, 1.0), width_tol=0.0, infinite="nowhere")
+@example(roots=[0.3], exponent=0, ends=(-1.0, 1.0), width_tol=1e-10, infinite="right")
+def test_bisect_matches_the_helper_itp_steps_bitwise(roots, exponent, ends, width_tol, infinite):
+    # The inline ITP steps give the estimate of the steps a helper made, to
+    # the bit, and call f at the same points in the same order: with
+    # width_tol 0 (every step the midpoint) and positive, at scales 10**200
+    # and 10**-200 (exact zeros where the product underflows), and where f
+    # is infinite left or right of 0 or everywhere, so that one bracket end
+    # or both carry no slope and the step falls back to the midpoint.
+    beyond = {
+        "nowhere": lambda x: False,
+        "left": lambda x: x < 0.0,
+        "right": lambda x: x > 0.0,
+        "everywhere": lambda x: True,
+    }[infinite]
+
+    def planted():
+        f, calls = _planted(roots, exponent)
+        return (lambda x: math.copysign(math.inf, p) if (p := f(x)) and beyond(x) else p), calls
+
+    lo, hi = sorted(ends)
+    f, _ = planted()
+    flo, fhi = f(lo), f(hi)
+    assume(lo < hi and _opposite_signs(flo, fhi))
+    f, calls = planted()
+    est = bisect(f, lo, hi, flo, fhi, width_tol)
+    ref_f, ref_calls = planted()
+    ref = itp_bisect(ref_f, lo, hi, flo, fhi, width_tol)
+    assert [x.hex() for x in calls] == [x.hex() for x in ref_calls]
+    assert _bits(est) == _bits(ref)
+    assert est.origin is ref.origin is RootOrigin.BISECTION
 
 
 def test_bisect_near_the_largest_floats_with_a_positive_width_tol():
