@@ -9,12 +9,10 @@ only the intersection of their inclusion intervals.
 
 from .gerschgorin import (
     EMPTY_INTERVAL,
-    Axis,
     Disc,
     RealInterval,
     discs_of,
     intersect,
-    interval_of,
     matrix_bounds,
 )
 from .matrix import (
@@ -53,12 +51,10 @@ __all__ = [
     "parse_matrix",
     "char_fn",
     # disc geometry
-    "Axis",
     "Disc",
     "RealInterval",
     "EMPTY_INTERVAL",
     "discs_of",
-    "interval_of",
     "intersect",
     "matrix_bounds",
     # scalar root finding

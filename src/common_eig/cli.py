@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from .gerschgorin import Axis, discs_of, intersect
+from .gerschgorin import discs_of, intersect
 from .matrix import DenseMatrix, char_fn, parse_matrix
 from .pipeline import (
     AnalysisConfig,
@@ -184,7 +184,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
             _write_text(args.json, emit_json_report(report))
         if args.svg is not None:
             band = intersect(report.interval_a, report.interval_b)
-            svg = render_svg(discs_of(matrix_a, Axis.ROW), discs_of(matrix_b, Axis.ROW), band)
+            svg = render_svg(discs_of(matrix_a), discs_of(matrix_b), band)
             _write_text(args.svg, svg)
         if args.scan_table is not None:
             for name, matrix, interval in (

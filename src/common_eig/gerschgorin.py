@@ -2,34 +2,29 @@
 
 Every eigenvalue of a real square matrix lies in the union of the discs
 centered at the diagonal entries with radii equal to the off-diagonal
-absolute row (or column) sums.  Projected onto the real axis, the union
-yields an interval [D, E] that contains every real eigenvalue; intersecting
-the intervals of two matrices bounds where a common eigenvalue can live.
+absolute row sums, and also in the union of the column discs, which are
+the row discs of the transpose: ``discs_of(DenseMatrix(m.entries.T))``.
+Projected onto the real axis, each union yields an interval that contains
+every real eigenvalue.  ``matrix_bounds`` is the one interval rule: the
+row span intersected with the column span.  Intersecting the bounds of two
+matrices then bounds where a common eigenvalue can live.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .matrix import DenseMatrix, _abs_sums
 
 __all__ = [
-    "Axis",
     "Disc",
     "RealInterval",
     "EMPTY_INTERVAL",
     "discs_of",
-    "interval_of",
     "matrix_bounds",
     "intersect",
 ]
-
-
-class Axis(Enum):
-    ROW = "row"
-    COLUMN = "column"
 
 
 @dataclass(frozen=True)
@@ -102,20 +97,17 @@ class RealInterval:
 EMPTY_INTERVAL = RealInterval(math.nan, math.nan, empty=True)
 
 
-def discs_of(matrix: DenseMatrix, axis: Axis) -> list[Disc]:
-    """Discs from off-diagonal absolute row or column sums, in matrix index order."""
+def discs_of(matrix: DenseMatrix) -> list[Disc]:
+    """Row discs from off-diagonal absolute row sums, in matrix index order.
+
+    The column discs are ``discs_of(DenseMatrix(matrix.entries.T))``.  Their
+    radii need not equal the column sums ``matrix_bounds`` takes to the bit:
+    numpy picks the summation order from the memory layout, and from order
+    8 on it sums a row-major copy of the transpose in another order.
+    """
     diag = matrix.entries.diagonal()
-    radii = _abs_sums(matrix.entries, 1 if axis is Axis.ROW else 0) - abs(diag)
+    radii = _abs_sums(matrix.entries, 1) - abs(diag)
     return [Disc(float(c), float(r)) for c, r in zip(diag, radii)]
-
-
-def interval_of(discs: list[Disc]) -> RealInterval:
-    """Real-axis span of a disc union: [min(c - r), max(c + r)]."""
-    if not discs:
-        raise ValueError("cannot take the interval of zero discs")
-    lo = min(d.center - d.radius for d in discs)
-    hi = max(d.center + d.radius for d in discs)
-    return RealInterval(lo, hi)
 
 
 def intersect(first: RealInterval, second: RealInterval) -> RealInterval:
@@ -140,9 +132,9 @@ def matrix_bounds(matrix: DenseMatrix) -> RealInterval:
     Intersection of the row-disc and column-disc intervals; never empty,
     since both intervals contain every diagonal entry.  This is an inclusion
     region only: it bounds the real eigenvalues but generally contains much
-    more.  Computed from the absolute row and column sums directly, with the
-    float operations of ``intersect`` over ``interval_of(discs_of(...))``
-    for each axis, so the interval is the same to the bit.
+    more.  Each span is [min(c - r), max(c + r)] over the discs of that
+    axis, computed from the absolute row and column sums without building
+    ``Disc`` objects.
     """
     a = matrix.entries
     diag = a.diagonal()

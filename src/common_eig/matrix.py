@@ -118,9 +118,10 @@ class MatrixFormatError(ValueError):
 
     Raised for every bad matrix file; any other bad argument to the
     library raises a plain ``ValueError``, so catching ``ValueError``
-    catches both.  A token that is not a number carries the 1-based
-    ``line`` and ``column`` where it starts, and the message is prefixed
-    with them; for every other error both are ``None``.
+    catches both.  An error at one token (a token that is not a number,
+    a bad order, or a second token on the order line) carries the 1-based
+    ``line`` and ``column`` where that token starts, and the message is
+    prefixed with them; for every other error both are ``None``.
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
@@ -162,9 +163,9 @@ def parse_matrix(text: str) -> DenseMatrix:
     whitespace-separated reals each, read by Python's ``float()``
     (scientific notation accepted).  Any significant content after the
     n-th row is an error.  The first error in file order is raised as a
-    ``MatrixFormatError``; only a token that is not a number sets its
-    ``line`` and ``column``.  One leading byte order mark (U+FEFF), as some
-    editors write, is dropped.
+    ``MatrixFormatError``; only an error at one token (one that is not a
+    number, or a bad order line) sets its ``line`` and ``column``.  One
+    leading byte order mark (U+FEFF), as some editors write, is dropped.
     """
     lines = list(_significant_lines(text.removeprefix("\ufeff")))
     if not lines:

@@ -12,7 +12,6 @@ import pytest
 
 from common_eig import (
     AnalysisConfig,
-    Axis,
     DenseMatrix,
     Mode,
     RealInterval,
@@ -187,7 +186,7 @@ def test_09_rendered_outputs_match_golden_bytes(tmp_path):
         band = intersect(matrix_bounds(a), matrix_bounds(b))
 
         def artefacts():
-            svg = render_svg(discs_of(a, Axis.ROW), discs_of(b, Axis.ROW), band)
+            svg = render_svg(discs_of(a), discs_of(b), band)
             tables = []
             for m in (a, b):
                 fn = lambda x: char_fn(m, x)  # noqa: E731

@@ -1,6 +1,9 @@
 """Command-line behavior: flags, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from common_eig import (
 )
 from common_eig import cli
 from common_eig.cli import run_cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_cli_reference_pair_summary(matrix_files, capsys):
@@ -153,6 +158,34 @@ def test_cli_invalid_flag_value(matrix_files, capsys):
         for value in ("nan", "inf"):
             assert run_cli([path_a, path_b, flag, value]) == 1
     assert "match_tol must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["common_eig", "common_eig.cli"])
+def test_python_m_writes_the_golden_tables(module, tmp_path):
+    # python -m on the package (its __main__) and on the cli module, each
+    # in a fresh interpreter, on the demo pair
+    src = str(ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    data = ROOT / "demos" / "data"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+         str(data / "A.mat"), str(data / "B.mat"), "--scan-table", str(tmp_path / "t")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "common: 3" in done.stdout.splitlines()
+    for name in "AB":
+        golden = ROOT / "tests" / "golden" / f"reference_scan_{name}.csv"
+        assert (tmp_path / f"t_{name}.csv").read_bytes() == golden.read_bytes()
+
+
+def test_main_exits_with_the_run_code(matrix_files, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["common-eig", *matrix_files, "--no-such-flag"])
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main()
+    assert exc_info.value.code == 1
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
 
 
 def test_cli_writes_svg_and_scan_tables(matrix_files, tmp_path, capsys):

@@ -149,12 +149,14 @@ def test_package_exports_resolve_and_one_exception_type_remains():
 def test_parse_bad_order_line():
     with _raises_format_error("line 1, column 1: 'two' is not a positive integer order"):
         parse_matrix("two\n1 2\n3 4\n")
-    with _raises_format_error("line 1, column 1: '0' is not a positive integer order"):
+    with _raises_format_error("line 1, column 1: '0' is not a positive integer order") as exc_info:
         parse_matrix("0\n")
+    assert (exc_info.value.line, exc_info.value.column) == (1, 1)
     with _raises_format_error(
         "line 1, column 3: matrix order line must hold a single positive integer"
-    ):
+    ) as exc_info:
         parse_matrix("2 2\n1 2\n3 4\n")
+    assert (exc_info.value.line, exc_info.value.column) == (1, 3)
 
 
 def test_parse_rejects_non_finite():
@@ -290,6 +292,17 @@ def test_dense_matrix_is_immutable():
 def test_identity_and_equality():
     assert DenseMatrix(np.eye(2)) == DenseMatrix([[1.0, 0.0], [0.0, 1.0]])
     assert DenseMatrix(np.eye(2)) != DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
+    # another type is not equal, through __eq__'s NotImplemented
+    assert (DenseMatrix(np.eye(2)) == "x") is False
+
+
+def test_repr_evaluates_to_an_equal_matrix():
+    # -0.0, the smallest subnormal and a near-overflow entry survive repr
+    m = DenseMatrix([[-0.0, 5e-324, 1e308], [-1e308, -5e-324, 0.1], [1.0, 2.0, 3.0]])
+    back = eval(repr(m), {"DenseMatrix": DenseMatrix})
+    assert back == m
+    # bitwise: == reads -0.0 as 0.0
+    assert back.entries.tobytes() == m.entries.tobytes()
 
 
 # ------------------------------------------------------------ determinant

@@ -7,7 +7,6 @@ import pytest
 
 from common_eig import (
     EMPTY_INTERVAL,
-    Axis,
     DenseMatrix,
     Disc,
     RealInterval,
@@ -22,7 +21,7 @@ from common_eig import (
 )
 
 def _row_discs(*matrices):
-    return [discs_of(m, Axis.ROW) for m in matrices]
+    return [discs_of(m) for m in matrices]
 
 
 COORD = re.compile(r'(?:cx|cy|r|x|y|x1|x2|y1|y2|width|height)="(-?\d+\.\d+)"')
