@@ -7,7 +7,8 @@ the row discs of the transpose: ``discs_of(DenseMatrix(m.entries.T))``.
 Projected onto the real axis, each union yields an interval that contains
 every real eigenvalue.  ``matrix_bounds`` is the one interval rule: the
 row span intersected with the column span.  Intersecting the bounds of two
-matrices then bounds where a common eigenvalue can live.
+matrices then bounds where a common eigenvalue can live; where they do not
+meet, the intersection is ``EMPTY_INTERVAL``, the interval with no endpoints.
 """
 
 from __future__ import annotations
@@ -42,22 +43,20 @@ class Disc:
             raise ValueError("disc radius must be finite and non-negative")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RealInterval:
     """Closed real interval [lo, hi], or the empty interval.
 
-    When ``empty`` is true, ``lo`` and ``hi`` carry no meaning (they are
-    canonicalized to NaN and must not be read).
+    The empty interval is ``RealInterval(None, None)``, ``EMPTY_INTERVAL``:
+    it has no endpoints, so equality and hashing are the generated ones
+    over ``(lo, hi)``, and every empty interval equals every other.
     """
 
-    lo: float
-    hi: float
-    empty: bool = False
+    lo: float | None
+    hi: float | None
 
     def __post_init__(self):
-        if self.empty:
-            object.__setattr__(self, "lo", math.nan)
-            object.__setattr__(self, "hi", math.nan)
+        if self.lo is None and self.hi is None:
             return
         lo = float(self.lo)
         hi = float(self.hi)
@@ -68,16 +67,9 @@ class RealInterval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def __eq__(self, other):
-        if not isinstance(other, RealInterval):
-            return NotImplemented
-        if self.empty or other.empty:
-            return self.empty and other.empty
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        # every empty interval equals every other, whatever lo and hi hold
-        return hash(None if self.empty else (self.lo, self.hi))
+    @property
+    def empty(self) -> bool:
+        return self.lo is None
 
     def contains(self, x: float) -> bool:
         return (not self.empty) and self.lo <= x <= self.hi
@@ -91,10 +83,10 @@ class RealInterval:
     def __str__(self):
         if self.empty:
             return "(empty)"
-        return f"[{self.lo:g}, {self.hi:g}]"
+        return f"[{self.lo:.10g}, {self.hi:.10g}]"
 
 
-EMPTY_INTERVAL = RealInterval(math.nan, math.nan, empty=True)
+EMPTY_INTERVAL = RealInterval(None, None)
 
 
 def discs_of(matrix: DenseMatrix) -> list[Disc]:

@@ -134,7 +134,11 @@ class MatrixFormatError(ValueError):
 
 def _significant_lines(text: str):
     """Yield (1-based line number, raw line) skipping blanks and # comments."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only LF, CR LF and CR end a line, as grep -n and editors count;
+    # str.splitlines() also breaks at form feed, U+2028 and others
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -157,15 +161,17 @@ def _check_tokens(lineno: int, raw: str) -> None:
 def parse_matrix(text: str) -> DenseMatrix:
     """Parse the plain-text matrix format.
 
-    Blank lines and lines whose first non-blank character is ``#`` are
-    ignored; a ``#`` after a value is not a comment.  The first significant
-    line holds the order n; the next n significant lines hold n
-    whitespace-separated reals each, read by Python's ``float()``
-    (scientific notation accepted).  Any significant content after the
-    n-th row is an error.  The first error in file order is raised as a
-    ``MatrixFormatError``; only an error at one token (one that is not a
-    number, or a bad order line) sets its ``line`` and ``column``.  One
-    leading byte order mark (U+FEFF), as some editors write, is dropped.
+    A line ends at LF, CR LF or CR; any other whitespace, form feed and
+    U+2028 included, separates tokens within a line.  Blank lines and
+    lines whose first non-blank character is ``#`` are ignored; a ``#``
+    after a value is not a comment.  The first significant line holds the
+    order n; the next n significant lines hold n whitespace-separated
+    reals each, read by Python's ``float()`` (scientific notation
+    accepted).  Any significant content after the n-th row is an error.
+    The first error in file order is raised as a ``MatrixFormatError``;
+    only an error at one token (one that is not a number, or a bad order
+    line) sets its ``line`` and ``column``.  One leading byte order mark
+    (U+FEFF), as some editors write, is dropped.
     """
     lines = list(_significant_lines(text.removeprefix("\ufeff")))
     if not lines:

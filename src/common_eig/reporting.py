@@ -174,9 +174,7 @@ def emit_scan_table(records: Sequence[ScanRecord]) -> str:
 
 
 def _interval_obj(interval: RealInterval) -> dict:
-    if interval.empty:
-        return {"lo": None, "hi": None, "empty": True}
-    return {"lo": interval.lo, "hi": interval.hi, "empty": False}
+    return {"lo": interval.lo, "hi": interval.hi, "empty": interval.empty}
 
 
 def _root_obj(root: RootEstimate) -> dict:

@@ -105,7 +105,8 @@ def token_walk_parse(text: str) -> np.ndarray:
     file order, with the library's message, line and column."""
     lines = []
     text = text[1:] if text.startswith("\ufeff") else text
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # a line ends at LF, CR LF or CR; other breaks are whitespace in a line
+    for lineno, raw in enumerate(re.split("\r\n|\r|\n", text), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             lines.append((lineno, raw))

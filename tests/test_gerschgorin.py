@@ -1,9 +1,12 @@
 """Disc construction, inclusion intervals, and interval intersection."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import common_eig
 from common_eig import (
@@ -98,7 +101,7 @@ def test_real_interval_behavior():
     assert str(interval) == "[-1, 2]"
 
     assert EMPTY_INTERVAL.empty
-    assert math.isnan(EMPTY_INTERVAL.lo)
+    assert EMPTY_INTERVAL.lo is None
     assert not EMPTY_INTERVAL.contains(0.0)
     assert str(EMPTY_INTERVAL) == "(empty)"
     with pytest.raises(ValueError):
@@ -106,7 +109,7 @@ def test_real_interval_behavior():
     with pytest.raises(ValueError):
         RealInterval(2.0, 1.0)
     assert RealInterval(0.0, 1.0) == RealInterval(0.0, 1.0)
-    assert EMPTY_INTERVAL == RealInterval(0.0, 0.0, empty=True)
+    assert EMPTY_INTERVAL == RealInterval(None, None)
     assert RealInterval(0.0, 1.0) != EMPTY_INTERVAL
     # another type is not equal, through __eq__'s NotImplemented
     assert (RealInterval(0, 1) == (0, 1)) is False
@@ -140,13 +143,54 @@ def test_intersect_with_empty():
 
 
 def test_equal_intervals_hash_alike():
-    # frozen, with its own __eq__: equal intervals are one set member, and
-    # every empty interval hashes like every other
+    # a frozen dataclass: equal intervals are one set member, and every
+    # empty interval hashes like every other
     assert len({RealInterval(0, 1), RealInterval(0.0, 1.0)}) == 1
     assert {RealInterval(-0.0, 1.0): "x"}[RealInterval(0.0, 1.0)] == "x"
-    other_empty = RealInterval(3.0, 4.0, empty=True)
+    other_empty = RealInterval(None, None)
     assert hash(other_empty) == hash(EMPTY_INTERVAL)
     assert len({EMPTY_INTERVAL, other_empty, intersect(RealInterval(0, 1), RealInterval(2, 3))}) == 1
+
+
+# finite ends, with -0.0, the smallest subnormal, the largest exponent and
+# small integers drawn often, so that equal and -0.0/0.0 pairs come up
+_ENDS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0]),
+    st.integers(-2, 2),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENDS, _ENDS, _ENDS, _ENDS)
+def test_equality_and_hashing_follow_the_float_ends(a0, a1, b0, b1):
+    ends_a, ends_b = sorted((a0, a1)), sorted((b0, b1))
+    a, b = RealInterval(*ends_a), RealInterval(*ends_b)
+    key_a, key_b = tuple(map(float, ends_a)), tuple(map(float, ends_b))
+    assert (a == b) == (key_a == key_b)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert len({a, b}) == len({key_a, key_b})
+    hi = abs(float(a1))
+    assert len({RealInterval(-0.0, hi), RealInterval(0.0, hi)}) == 1
+
+
+def test_the_empty_interval_has_no_endpoints():
+    disjoint = intersect(RealInterval(0, 1), RealInterval(2, 3))
+    assert disjoint.lo is None and disjoint.hi is None
+    assert [f.name for f in dataclasses.fields(RealInterval)] == ["lo", "hi"]
+    with pytest.raises(TypeError):
+        RealInterval(0, 1, empty=True)
+    with pytest.raises(TypeError):
+        RealInterval(None, 1.0)
+    with pytest.raises(TypeError):
+        RealInterval(1.0, None)
+
+
+def test_str_keeps_ten_significant_digits():
+    # as the command line prints roots: six digits would show [1, 1]
+    assert str(RealInterval(1.0000001, 1.0000002)) == "[1.0000001, 1.0000002]"
+    assert str(RealInterval(12345.6789, 12345.68)) == "[12345.6789, 12345.68]"
 
 
 def test_intersect_algebraic_laws():

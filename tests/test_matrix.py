@@ -215,7 +215,11 @@ _TOKENS = st.one_of(
     *[_FINITE.map("{:.17g}".format)] * 3,
     st.sampled_from(["1e999", "1e-400", "inf", "-inf", "nan", "x", "1_0"]),
 )
-_SEPARATORS = st.sampled_from([" ", "\t", "\u00a0", " \t ", "\u00a0 "])
+# whitespace that str.splitlines() would take for a line break is still a
+# separator within a line
+_SEPARATORS = st.sampled_from(
+    [" ", "\t", "\u00a0", " \t ", "\u00a0 ", "\f", "\v", "\x1c", "\x85", "\u2028"]
+)
 _FILLER = st.sampled_from(["", "   ", "\t", "\u00a0", "#", "# note", "  # 1 2 3"])
 
 
@@ -231,7 +235,8 @@ def _matrix_texts(draw):
         row = sep.join(draw(st.lists(_TOKENS, min_size=width, max_size=width)))
         lines.append(draw(st.sampled_from(["", sep])) + row + draw(st.sampled_from(["", sep])))
         lines += draw(st.lists(_FILLER, max_size=1))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,6 +257,9 @@ def test_parse_matches_token_walk_oracle(text):
         # and a row's length before its values
         ("3\n1 2 3\n4 nan 6\n7 8\n", ("line 3: non-finite value 'nan'", None, None)),
         ("3\n1 2 3\n4 5 6\n7 1e999 9 1\n", ("line 4: expected 3 values, found 4", None, None)),
+        # a form feed neither ends a line nor counts as one, as grep -n counts
+        ("2\n1 2\n\f\n3 x\n", ("line 4, column 3: 'x' is not a number", 4, 3)),
+        ("3\n1 2\f3\n4 5 6\n7 8 9\n", ((3, 3), np.arange(1.0, 10.0).reshape(3, 3).tobytes())),
     ],
 )
 def test_parse_pinned_cases(text, outcome):
