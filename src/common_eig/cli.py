@@ -38,7 +38,7 @@ _TUNING_FLAGS = (
     ("step", "scan grid spacing"),
     ("width_tol", "bisection bracket width target"),
     ("match_tol", "max distance for pairing roots across matrices"),
-    ("dedupe_tol", "min gap between distinct roots of one matrix"),
+    ("dedupe_tol", "accepted and recorded in the JSON config; has no effect"),
 )
 
 

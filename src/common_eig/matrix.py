@@ -118,10 +118,11 @@ class MatrixFormatError(ValueError):
 
     Raised for every bad matrix file; any other bad argument to the
     library raises a plain ``ValueError``, so catching ``ValueError``
-    catches both.  An error at one token (a token that is not a number,
-    a bad order, or a second token on the order line) carries the 1-based
-    ``line`` and ``column`` where that token starts, and the message is
-    prefixed with them; for every other error both are ``None``.
+    catches both.  An error at one token (a token that is not a number, a
+    non-finite value, a bad order, or a second token on the order line)
+    carries the 1-based ``line`` and ``column`` where that token starts,
+    and the message is prefixed with them; for every other error both are
+    ``None``.
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
@@ -155,7 +156,9 @@ def _check_tokens(lineno: int, raw: str) -> None:
                 f"{tok.group()!r} is not a number", lineno, tok.start() + 1
             ) from None
         if not math.isfinite(value):
-            raise MatrixFormatError(f"line {lineno}: non-finite value {tok.group()!r}")
+            raise MatrixFormatError(
+                f"non-finite value {tok.group()!r}", lineno, tok.start() + 1
+            )
 
 
 def parse_matrix(text: str) -> DenseMatrix:
@@ -169,8 +172,8 @@ def parse_matrix(text: str) -> DenseMatrix:
     reals each, read by Python's ``float()`` (scientific notation
     accepted).  Any significant content after the n-th row is an error.
     The first error in file order is raised as a ``MatrixFormatError``;
-    only an error at one token (one that is not a number, or a bad order
-    line) sets its ``line`` and ``column``.  One leading byte order mark
+    only an error at one token (one that is not a finite number, or a bad
+    order line) sets its ``line`` and ``column``.  One leading byte order mark
     (U+FEFF), as some editors write, is dropped.
     """
     lines = list(_significant_lines(text.removeprefix("\ufeff")))

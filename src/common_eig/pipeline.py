@@ -22,7 +22,6 @@ from typing import Sequence
 from .gerschgorin import RealInterval, intersect, matrix_bounds
 from .matrix import DenseMatrix, char_fn
 from .rootfind import (
-    DEFAULT_DEDUPE_TOL,
     DEFAULT_STEP,
     DEFAULT_WIDTH_TOL,
     RootEstimate,
@@ -57,7 +56,10 @@ class AnalysisConfig:
     step: float = DEFAULT_STEP
     width_tol: float = DEFAULT_WIDTH_TOL
     match_tol: float = DEFAULT_MATCH_TOL
-    dedupe_tol: float = DEFAULT_DEDUPE_TOL
+    # Validated and recorded in the JSON config, but it has no effect: every
+    # root found is returned.  It stays only while the benchmark harness
+    # still sets it.
+    dedupe_tol: float = 1e-6
 
     def __post_init__(self):
         _check_finite("step", self.step, positive=True)
@@ -178,7 +180,7 @@ def common_eigenvalues(
     counted_a = _CountedFn(partial(char_fn, matrix_a))
     counted_b = _CountedFn(partial(char_fn, matrix_b))
     roots_a, roots_b = (
-        tuple(find_real_roots(f, search, cfg.step, cfg.width_tol, cfg.dedupe_tol))
+        tuple(find_real_roots(f, search, cfg.step, cfg.width_tol))
         for f, search in ((counted_a, search_a), (counted_b, search_b))
     )
     common = match_roots(roots_a, roots_b, cfg.match_tol)

@@ -10,6 +10,8 @@ most two steps more than halving anywhere else.  "Exactly zero" is f's
 own decision: ``char_fn`` returns 0.0 when lambda*I - M is singular to
 working precision, by a rule relative to the matrix's scale, and no
 absolute threshold is added here.
+Every zero hit and every sign-change cell is a distinct root, and every
+root found is returned, however close to its neighbours.
 Roots of even multiplicity (no sign change, no grid hit) are invisible to
 this method, and two roots closer together than the step can cancel inside
 one cell; the mitigation for both is a smaller step.
@@ -34,12 +36,10 @@ __all__ = [
     "find_real_roots",
     "DEFAULT_STEP",
     "DEFAULT_WIDTH_TOL",
-    "DEFAULT_DEDUPE_TOL",
 ]
 
 DEFAULT_STEP = 0.1
 DEFAULT_WIDTH_TOL = 1e-10
-DEFAULT_DEDUPE_TOL = 1e-6
 
 # scan refuses a grid of more points than this, which at about 128 bytes
 # of records per point would take some 13 GB.
@@ -283,7 +283,6 @@ def find_real_roots(
     interval: RealInterval,
     step: float = DEFAULT_STEP,
     width_tol: float = DEFAULT_WIDTH_TOL,
-    dedupe_tol: float = DEFAULT_DEDUPE_TOL,
 ) -> list[RootEstimate]:
     """All real roots of f over a closed interval, in ascending order.
 
@@ -291,17 +290,15 @@ def find_real_roots(
     endpoints are tagged ENDPOINT_ZERO); every sign-change cell is refined
     by ``bisect`` (ITP steps) from the two scan values that bracket it, so
     the total cost is one evaluation per grid point plus one per bisection
-    step.  A cell holding an odd number of roots yields one of them.  Each
-    root lies in its own grid point or cell, so they come out in the
-    grid's order, which is ascending.  A run of roots whose consecutive
-    gaps are at most dedupe_tol collapses to its smallest
-    ``(residual, value)`` member, so consecutive returned roots are always
-    more than dedupe_tol apart.  An empty interval yields [] without
-    calling f.  Raises ValueError, before any call of f, as scan does, and
-    for a width_tol or dedupe_tol that is not finite and non-negative.
+    step of a returned root.  A cell holding an odd number of roots yields
+    one of them.  Every zero hit and every sign-change cell is a distinct
+    root and is returned, however close to its neighbours; each lies in
+    its own grid point or cell, so they come out in the grid's order,
+    which is ascending.  An empty interval yields [] without calling f.
+    Raises ValueError, before any call of f, as scan does, and for a
+    width_tol that is not finite and non-negative.
     """
     _check_finite("width_tol", width_tol)
-    _check_finite("dedupe_tol", dedupe_tol)
     records = scan(f, interval, step)
     last = len(records) - 1
 
@@ -313,23 +310,15 @@ def find_real_roots(
                 if idx in (0, last)
                 else RootOrigin.GRID_ZERO
             )
-            root = RootEstimate(
+            roots.append(RootEstimate(
                 value=rec.lam,
                 residual=abs(rec.value),
                 bracket_lo=rec.lam,
                 bracket_hi=rec.lam,
                 iterations=0,
                 origin=origin,
-            )
+            ))
         elif rec.event is ScanEvent.SIGN_CHANGE_AHEAD:
             nxt = records[idx + 1]
-            root = bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol)
-        else:
-            continue
-        # prev is the last root found, kept or not: clusters chain on gaps
-        if roots and root.value - prev <= dedupe_tol:
-            roots[-1] = min(roots[-1], root, key=lambda r: (r.residual, r.value))
-        else:
-            roots.append(root)
-        prev = root.value
+            roots.append(bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol))
     return roots

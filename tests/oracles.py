@@ -153,7 +153,7 @@ def token_walk_parse(text: str) -> np.ndarray:
                 ) from None
             if not math.isfinite(value):
                 raise MatrixFormatError(
-                    f"line {lineno}: non-finite value {tok.group()!r}"
+                    f"non-finite value {tok.group()!r}", lineno, tok.start() + 1
                 )
             row.append(value)
         rows.append(row)

@@ -160,11 +160,12 @@ def test_parse_bad_order_line():
 
 
 def test_parse_rejects_non_finite():
-    with _raises_format_error("line 2: non-finite value 'inf'") as exc_info:
+    with _raises_format_error("line 2, column 1: non-finite value 'inf'") as exc_info:
         parse_matrix("1\ninf\n")
-    assert (exc_info.value.line, exc_info.value.column) == (None, None)
-    with _raises_format_error("line 2: non-finite value 'nan'"):
-        parse_matrix("1\nnan\n")
+    assert (exc_info.value.line, exc_info.value.column) == (2, 1)
+    with _raises_format_error("line 2, column 3: non-finite value 'nan'") as exc_info:
+        parse_matrix("1\n  nan\n")
+    assert (exc_info.value.line, exc_info.value.column) == (2, 3)
 
 
 def test_parse_scientific_notation():
@@ -250,12 +251,12 @@ def test_parse_matches_token_walk_oracle(text):
     [
         # a sum of finite values that overflows is no error
         ("2\n1e308 1e308\n1 2\n", ((2, 2), np.array([[1e308, 1e308], [1, 2]]).tobytes())),
-        ("2\ninf x\n1 2\n", ("line 2: non-finite value 'inf'", None, None)),
+        ("2\ninf x\n1 2\n", ("line 2, column 1: non-finite value 'inf'", 2, 1)),
         ("2\nx inf\n1 2\n", ("line 2, column 1: 'x' is not a number", 2, 1)),
         (" 2\n 1\u00a0\tx\n1 2\n", ("line 2, column 5: 'x' is not a number", 2, 5)),
         # the first error in file order: row 2's value before row 3's length,
         # and a row's length before its values
-        ("3\n1 2 3\n4 nan 6\n7 8\n", ("line 3: non-finite value 'nan'", None, None)),
+        ("3\n1 2 3\n4 nan 6\n7 8\n", ("line 3, column 3: non-finite value 'nan'", 3, 3)),
         ("3\n1 2 3\n4 5 6\n7 1e999 9 1\n", ("line 4: expected 3 values, found 4", None, None)),
         # a form feed neither ends a line nor counts as one, as grep -n counts
         ("2\n1 2\n\f\n3 x\n", ("line 4, column 3: 'x' is not a number", 4, 3)),

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from common_eig import (
     intersect,
     match_roots,
     run_benchmark,
+    scan,
 )
 from oracles import numpy_qr_det, plain_bisect
 from test_matrix import _norm_inf, _on_grid_general
@@ -129,6 +131,73 @@ def test_common_residuals_small(mat_a, mat_b):
             assert abs(char_fn(matrix, c)) <= 1e-6 * scale
 
 
+def _near_double_pair():
+    """A's 0.9999995 and 1.0000004 sit in adjacent grid cells, 9e-7 apart;
+    B's 1.0000013 is within match_tol of the second only."""
+    a = DenseMatrix(np.diag([0.9999995, 1.0000004, 5.0, -1.0]))
+    b = DenseMatrix(np.diag([1.0000013, -0.5, 5.5]))
+    return a, b
+
+
+def test_near_double_root_is_kept_and_matched():
+    a, b = _near_double_pair()
+    report = common_eigenvalues(a, b)
+    assert len(report.common) == 1
+    assert abs(report.common[0] - 1.0000004) <= report.config.match_tol
+    assert abs(report.common[0] - 1.0000013) <= report.config.match_tol
+    assert (report.eval_count_a, report.eval_count_b) == (101, 61)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("pair", ["reference", "near_double"])
+def test_dedupe_tol_has_no_effect(pair, mode, mat_a, mat_b):
+    a, b = (mat_a, mat_b) if pair == "reference" else _near_double_pair()
+    reports = [
+        replace(
+            common_eigenvalues(a, b, AnalysisConfig(mode=mode, dedupe_tol=d)),
+            config=None, wall_time=0.0,
+        )
+        for d in (0.0, 1e-6, 0.15, 1e151)
+    ]
+    assert all(r == reports[0] for r in reports[1:])
+
+
+def _assert_every_evaluation_is_a_grid_point_or_a_step(report, a, b):
+    # each count is the search grid's size plus the bisection steps of the
+    # roots returned, so no evaluation went to a root that was dropped
+    for m, search, roots, count in (
+        (a, report.search_interval_a, report.roots_a, report.eval_count_a),
+        (b, report.search_interval_b, report.roots_b, report.eval_count_b),
+    ):
+        grid = scan(partial(char_fn, m), search, report.config.step)
+        assert count == len(grid) + sum(r.iterations for r in roots)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_evaluation_counts_add_up(mode, mat_a, mat_b):
+    for a, b in ((mat_a, mat_b), _near_double_pair()):
+        report = common_eigenvalues(a, b, AnalysisConfig(mode=mode))
+        _assert_every_evaluation_is_a_grid_point_or_a_step(report, a, b)
+
+
+_entries = st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _symmetric_or_upper_triangular(draw):
+    n = draw(st.integers(1, 5))
+    t = np.array(draw(st.lists(_entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    t = np.triu(t)
+    return DenseMatrix(t + np.triu(t, 1).T if draw(st.booleans()) else t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_or_upper_triangular(), _symmetric_or_upper_triangular(), st.sampled_from(Mode))
+def test_evaluation_counts_add_up_on_random_matrices(a, b, mode):
+    report = common_eigenvalues(a, b, AnalysisConfig(mode=mode))
+    _assert_every_evaluation_is_a_grid_point_or_a_step(report, a, b)
+
+
 # ------------------------------------------------------------ match_roots
 
 def test_match_roots_reference_sets():
@@ -226,7 +295,7 @@ def test_symmetric_path_common_values_match_qr_path():
         qr_roots = [
             find_real_roots(
                 lambda x, m=m: qr_det(m, x),
-                interval, cfg.step, cfg.width_tol, cfg.dedupe_tol,
+                interval, cfg.step, cfg.width_tol,
             )
             for m, interval in ((a, report.search_interval_a), (b, report.search_interval_b))
         ]

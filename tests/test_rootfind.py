@@ -542,56 +542,43 @@ def test_find_roots_empty_interval():
     assert counted.calls == 0
 
 
-def test_find_roots_rejects_negative_dedupe_tol():
-    with pytest.raises(ValueError, match="dedupe_tol must be finite and non-negative"):
-        find_real_roots(lambda x: x, RealInterval(0, 1), dedupe_tol=-1)
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize(
     "name, call",
     [
         ("width_tol", lambda f, v: bisect(f, 0.0, 1.0, -0.3, 0.7, width_tol=v)),
         ("width_tol", lambda f, v: find_real_roots(f, RealInterval(0, 1), width_tol=v)),
-        ("dedupe_tol", lambda f, v: find_real_roots(f, RealInterval(0, 1), dedupe_tol=v)),
         ("match_tol", lambda f, v: match_roots([], [], v)),
     ],
-    ids=["bisect", "find_real_roots-width", "find_real_roots-dedupe", "match_roots"],
+    ids=["bisect", "find_real_roots-width", "match_roots"],
 )
 def test_tolerances_must_be_finite_and_non_negative(name, call, value):
     # nan used to pass every `< 0` check, and inf made bisect fail in
-    # math.fmod, find_real_roots collapse all roots into one, and
-    # match_roots pair anything with anything.
+    # math.fmod and match_roots pair anything with anything.
     counted = Counted(lambda x: x - 0.3)
     with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
         call(counted, value)
     assert counted.calls == 0
 
 
-def test_find_roots_dedupes_loose_zero_band():
-    # f is exactly zero on a band covering two adjacent grid points; with a
-    # dedupe tolerance wider than the step only one of the two hits survives
+def test_find_roots_returns_both_zero_hits_of_a_band():
+    # f is exactly zero on a band covering two adjacent grid points: each
+    # hit is a root found, so both are returned
     def f(x):
         return 0.0 if 0.25 < x < 0.45 else x - 0.35
 
     zero_hits = find_real_roots(f, RealInterval(0, 1), step=0.1)
     assert [r.origin for r in zero_hits] == [RootOrigin.GRID_ZERO] * 2
-    roots = find_real_roots(f, RealInterval(0, 1), step=0.1, dedupe_tol=0.15)
-    assert len(roots) == 1
 
 
-def test_find_roots_dedupe_keeps_smallest_residual():
-    # a bisected root at 0.35 and a grid zero at 0.5 collapse to the zero,
-    # the smaller residual, although the bisected root comes first
+def test_find_roots_returns_bisected_root_beside_grid_zero():
+    # a bisected root at 0.35 and a grid zero at 0.5, 0.15 apart: both
     def f(x):
         return (x - 0.35) * (x - 0.5)
 
     apart = find_real_roots(f, RealInterval(0, 1), step=0.1)
     assert [r.origin for r in apart] == [RootOrigin.BISECTION, RootOrigin.GRID_ZERO]
     assert apart[0].residual > 0.0
-    roots = find_real_roots(f, RealInterval(0, 1), step=0.1, dedupe_tol=0.2)
-    assert [r.value for r in roots] == [0.5]
-    assert roots[0].residual == 0.0
 
 
 def test_find_roots_gap_invariant():
@@ -600,13 +587,14 @@ def test_find_roots_gap_invariant():
         diag = np.sort(rng.uniform(0, 5, 4))
         t = np.triu(rng.uniform(-1, 1, (4, 4)), 1) + np.diag(diag)
         m = DenseMatrix(t)
-        roots = find_real_roots(
-            lambda x: char_fn(m, x), RealInterval(-2, 7), dedupe_tol=1e-6
-        )
+        roots = find_real_roots(lambda x: char_fn(m, x), RealInterval(-2, 7))
         values = [r.value for r in roots]
         assert values == sorted(values)
-        assert all(b - a > 1e-6 for a, b in zip(values, values[1:]))
-        assert all(-2 <= v <= 7 for v in values)
+        # each root is its own eigenvalue: the nearest diagonal entries of
+        # ascending roots ascend strictly, so no entry is claimed twice
+        nearest = [int(np.argmin(abs(diag - v))) for v in values]
+        assert nearest == sorted(set(nearest))
+        assert all(abs(diag[i] - v) <= 1e-8 for i, v in zip(nearest, values))
 
 
 def test_find_roots_recovers_separated_triangular_spectrum():
@@ -619,6 +607,16 @@ def test_find_roots_recovers_separated_triangular_spectrum():
         assert len(roots) == 4
         for root, d in zip(roots, np.sort(diag)):
             assert abs(root.value - d) <= 1e-8
+
+
+def test_find_roots_returns_both_halves_of_a_near_double_eigenvalue():
+    # 0.9999998 and 1.0000002 sit in adjacent cells, 4e-7 apart: two sign
+    # changes, so two roots, and neither is dropped for being close
+    eigenvalues = [0.9999998, 1.0000002, 5.0]
+    m = DenseMatrix(np.diag(eigenvalues))
+    roots = find_real_roots(lambda x: char_fn(m, x), RealInterval(0, 6))
+    assert len(roots) == 3
+    assert all(abs(r.value - e) <= 1e-8 for r, e in zip(roots, eigenvalues))
 
 
 def test_find_roots_deterministic(mat_b):
