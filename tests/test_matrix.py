@@ -31,12 +31,14 @@ from common_eig.matrix import (
     _hessenberg_det,
     _shifted_qr_det,
     _sturm_det,
+    _tridiagonalize,
 )
 from conftest import A_TEXT
 from oracles import (
     SturmForm,
     cofactor_determinant,
     copying_hessenberg_det,
+    jacobi_eigenvalues,
     numpy_qr_det,
     scaled_sturm_det,
     token_walk_parse,
@@ -652,9 +654,11 @@ def test_hessenberg_det_matches_the_copying_loop_bitwise(n, seed, exponent, on_g
     n=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
     exponent=st.integers(-300, 300),
-    shape=st.sampled_from(["random", "on_grid", "zero_pivot"]),
+    shape=st.sampled_from(["random", "on_grid", "zero_pivot", "diagonal"]),
 )
 @example(n=40, seed=0, exponent=300, shape="random")
+@example(n=6, seed=0, exponent=-150, shape="diagonal")
+@example(n=1, seed=0, exponent=100, shape="diagonal")
 @example(n=40, seed=0, exponent=-300, shape="on_grid")
 @example(n=4, seed=0, exponent=-262, shape="random")
 @example(n=2, seed=0, exponent=0, shape="zero_pivot")
@@ -674,17 +678,23 @@ def test_sturm_det_matches_the_scaled_pivot_product_bitwise(n, seed, exponent, s
     # pivot of exactly 0 at lam = 0, and products that leave the normal
     # range at scale 2**exponent: inf at order 40 and 2**300, the smallest
     # subnormal at 2**-300, and subnormals rounded by the scaled product
-    # at order 4 and 2**-262.
+    # at order 4 and 2**-262.  Points within 4 eps of either end of T's
+    # Gerschgorin interval, on both sides, cross the margin where the value
+    # recurrence runs alone; a diagonal T has its extreme eigenvalues on
+    # those ends.
     rng = np.random.default_rng(seed)
     if shape == "on_grid":
         ks = 1 + rng.choice(59, size=n, replace=False)
         a = _rotated_symmetric(rng, [-3.0 + int(k) * 0.1 for k in ks])
+    elif shape == "diagonal":
+        a = np.diag(rng.normal(size=n))
     else:
         x = rng.normal(size=(n, n))
         a = x + x.T
         if shape == "zero_pivot":
             a[0, 0] = 0.0
     lams = [-3.0 + k * 0.1 for k in range(61)] + rng.uniform(-8.0, 8.0, 20).tolist() + [0.0]
+    offsets = [*range(-4, 5), *rng.uniform(-4.0, 4.0, 8).tolist()]
     for s in (1.0, 2.0**exponent):
         m = DenseMatrix(a * s)
         evaluator = _char_form(m)
@@ -694,6 +704,11 @@ def test_sturm_det_matches_the_scaled_pivot_product_bitwise(n, seed, exponent, s
         old = SturmForm(diag, offdiag_sq, form.norm, form.scale, form.pivmin)
         for lam in lams:
             assert char_fn(m, lam * s).hex() == scaled_sturm_det(old, lam * s).hex()
+        for end in (form.lower, form.upper):
+            eps = PIVOT_RTOL * (abs(end) + form.norm)
+            for k in offsets:
+                lam = (end + k * eps) * form.scale
+                assert char_fn(m, lam).hex() == scaled_sturm_det(old, lam).hex()
 
 
 def test_sturm_det_keeps_its_bits_where_the_unit_product_underflows():
@@ -741,6 +756,51 @@ def test_sturm_det_clamps_a_vanishing_pivot_on_one_pass(case):
     value = _sturm_det(form, mu)
     assert value != 0.0
     assert value.hex() == scaled_sturm_det(SturmForm(diag, offdiag_sq, norm, 1.0, pivmin), mu).hex()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", ["random", "diagonal", "zero", "order_one"])
+def test_tridiagonal_interval_holds_the_spectrum(shape, seed):
+    # _tridiagonalize's [lower, upper] is T's Gerschgorin interval, the
+    # certificate that lets _sturm_det skip its count passes outside it.
+    # It is the same at every scale 2**k, and T's eigenvalues, by Jacobi
+    # rotations of the T the form holds, lie in it to within
+    # PIVOT_RTOL * ||T||_inf, the least eps of the singular rule.  Where T
+    # is diagonal (the zero matrix and order 1 too), its extreme
+    # eigenvalues are the interval's ends.
+    rng = np.random.default_rng(seed)
+    n = 1 if shape == "order_one" else int(rng.integers(2, 13))
+    if shape == "zero":
+        a = np.zeros((n, n))
+    elif shape == "random":
+        x = rng.normal(size=(n, n))
+        a = x + x.T
+    else:
+        a = np.diag(rng.normal(size=n))
+    form, *scaled = (_tridiagonalize(a * 2.0**k) for k in (0, -300, -1, 7, 300))
+    for other in scaled:
+        assert (other.lower, other.upper, other.norm) == (form.lower, form.upper, form.norm)
+    diag, offdiag_sq = (np.array(column) for column in zip(*form.pairs))
+    off = np.sqrt(offdiag_sq[1:])
+    eigs = jacobi_eigenvalues(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    slack = PIVOT_RTOL * form.norm
+    assert form.lower - slack <= eigs[0] <= eigs[-1] <= form.upper + slack
+    if shape != "random":
+        assert (form.lower, form.upper) == (eigs[0], eigs[-1])
+
+
+def test_char_fn_reads_zero_just_outside_the_tridiagonal_interval():
+    # diag(1, 2, 3) is T = diag(0.5, 1, 1.5) at scale 2, with eigenvalues on
+    # both ends of its interval [0.5, 1.5].  lam = 3 + 2e-13 and 1 - 2e-13
+    # lie just outside it, but within eps = 1e-13 * (|mu| + ||T||_inf) of an
+    # eigenvalue, so they read exactly 0.0: only the margin of 2 * eps
+    # keeps them off the single value pass, which reads +-4e-13 there.
+    m = DenseMatrix(np.diag([1.0, 2.0, 3.0]))
+    form = _char_form(m).args[0]
+    assert (form.lower, form.upper, form.scale) == (0.5, 1.5, 2.0)
+    for lam in (3.0 + 2e-13, 1.0 - 2e-13):
+        assert not form.lower <= lam / form.scale <= form.upper
+        assert char_fn(m, lam) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
