@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .matrix import DenseMatrix, _abs_sums
+from .matrix import DenseMatrix, _abs_sums, _gerschgorin_span
 
 __all__ = [
     "Disc",
@@ -129,10 +129,4 @@ def matrix_bounds(matrix: DenseMatrix) -> RealInterval:
     ``Disc`` objects.
     """
     a = matrix.entries
-    diag = a.diagonal()
-    los, his = [], []
-    for axis in (1, 0):  # rows, then columns
-        radii = _abs_sums(a, axis) - abs(diag)
-        los.append(min((diag - radii).tolist()))
-        his.append(max((diag + radii).tolist()))
-    return RealInterval(max(los), min(his))
+    return RealInterval(*_gerschgorin_span(a.diagonal(), _abs_sums(a, 1), _abs_sums(a, 0)))

@@ -13,8 +13,8 @@ depends on the matrix alone:
   value at ``mu = lam / scale`` and the inertia counts at ``mu -+ eps``
   that decide an exact zero, or the value recurrence alone where ``mu``
   lies more than ``2*eps`` outside T's Gerschgorin interval, so that no
-  eigenvalue is within ``eps`` (about 30 % of the evaluations on the
-  benchmark's symmetric order-30 pairs).  The pivot product takes
+  eigenvalue is within ``eps``: in a windowed scan, only at the two grid
+  points that bracket the window (see below).  The pivot product takes
   ``scale**n`` once, through its exponent, rather than one factor of
   ``scale`` per pivot;
 * any other matrix keeps the upper Hessenberg G = J*H^T*J, with the
@@ -28,6 +28,12 @@ depends on the matrix alone:
   most of a dense QR's O(n^3) work goes.  The direct call gives the values
   of ``np.linalg.qr`` bit for bit, the same routine on the same input with
   the same workspace, without that wrapper's per-call overhead.
+
+The same reduction gives the form interval (``_form_interval``): the
+Gerschgorin interval of T or G, moved out just enough that ``char_fn`` has
+no zero and no sign change outside it (``_sturm_ends``,
+``_hessenberg_ends``).  The pipeline's proposed mode scans only the grid
+points that bracket its intersection with the search interval.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ _ORDER = re.compile(r"\+?\d+")
 class DenseMatrix:
     """Immutable real n-by-n matrix backed by a read-only float64 array."""
 
-    __slots__ = ("_entries", "_form")
+    __slots__ = ("_entries", "_form", "_ends")
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=np.float64, copy=True)
@@ -96,9 +102,11 @@ class DenseMatrix:
             raise ValueError("matrix entries must all be finite")
         arr.flags.writeable = False
         self._entries = arr
-        # None until the first char_fn call; then the cached evaluator
-        # lam -> det(lam*I - M) that _char_form builds.
+        # None until the first char_fn call or _form_interval; then the
+        # cached evaluator lam -> det(lam*I - M) that _char_form builds, and
+        # the ends of its form's interval.
         self._form = None
+        self._ends = None
 
     @property
     def entries(self) -> np.ndarray:
@@ -255,6 +263,17 @@ def _abs_sums(a: np.ndarray, axis: int) -> np.ndarray:
     if math.isinf(sums.max()):
         raise ValueError("an absolute row or column sum of the matrix overflows float64")
     return sums
+
+
+def _gerschgorin_span(diag: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray):
+    """``(lo, hi)``, the Gerschgorin interval of a matrix from its diagonal
+    and its absolute row and column sums: the span [min(c - r), max(c + r)]
+    of its row discs intersected with that of its column discs."""
+    off = abs(diag)
+    radii = row_sums - off, col_sums - off
+    lo = max(min((diag - r).tolist()) for r in radii)
+    hi = min(max((diag + r).tolist()) for r in radii)
+    return lo, hi
 
 
 def _unit_scale(a: np.ndarray) -> float:
@@ -539,17 +558,81 @@ def _sturm_det(form: _Tridiagonal, lam: float) -> float:
     return math.prod(scaled) or _full_prod(_pivots(form, mu), form.exponent)
 
 
+def _sturm_ends(form: _Tridiagonal) -> tuple[float, float]:
+    """The ends, in lam, of where ``_sturm_det``'s single-pass test fails:
+    mu -+ 2*eps against T's interval [lower, upper], with
+    eps = PIVOT_RTOL * (|mu| + ||T||_inf), solved for mu and multiplied
+    by scale, rounded outward."""
+    # At an end and beyond it mu -+ eps lie outside [lower, upper] by eps,
+    # less a few ulps of |mu| for the rounding of the solution, against
+    # eps >= 1e-13 of it; for the zero matrix, whose interval is the point
+    # 0 and whose eps is 0 there, beyond it only.  So x*I - T is diagonally
+    # dominant for every x in [mu - eps, mu + eps], as in _sturm_det: its
+    # single pass or, where rounding leaves its test an ulp short, its
+    # three passes see no clamp and equal counts, and the value is a
+    # product of n pivots of one sign, positive above T's interval and of
+    # sign (-1)**n below it.
+    r2 = 2.0 * PIVOT_RTOL
+    c = form.upper + r2 * form.norm
+    mu_hi = c / (1.0 - r2) if c >= 0.0 else c / (1.0 + r2)
+    c = form.lower - r2 * form.norm
+    mu_lo = c / (1.0 - r2) if c <= 0.0 else c / (1.0 + r2)
+    # scale is a power of two: only a product below the normal range rounds
+    lo, hi = mu_lo * form.scale, mu_hi * form.scale
+    if lo / form.scale > mu_lo:
+        lo = math.nextafter(lo, -math.inf)
+    if hi / form.scale < mu_hi:
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def _hessenberg_ends(neg: np.ndarray, norm: float) -> tuple[float, float]:
+    """The ends of G's Gerschgorin interval, its row span intersected with
+    its column span, each moved out by 2*n*PIVOT_RTOL*(|end| + norm); neg
+    is -G and norm is ||M||_inf.  An end whose abs sum overflows, or whose
+    margin is below the normal range, is infinite."""
+    # Where lam lies outside G's row (column) span by delta, lam*I - G is
+    # strictly diagonally dominant by rows (columns) by delta, so the inf
+    # (1) norm of its inverse is at most 1/delta (Varah, 1975) and
+    # sigma_min(lam*I - G) >= delta/sqrt(n).  Each |R_ii| of a QR of it is
+    # at least sigma_min, and each pivot of its Hessenberg elimination at
+    # least sigma_min/2: up to the row swaps, L is unit lower bidiagonal
+    # with multipliers at most 1, so ||L||_2 <= 2.  For lam past an end
+    # moved out by the margin, delta/(2*sqrt(n)) exceeds the zero rule's
+    # PIVOT_RTOL*(|lam| + norm) by at least (sqrt(2) - 1)*PIVOT_RTOL*
+    # (|end| + norm), as n >= 2 here (order 1 is symmetric).  Rounding
+    # moves the spans by some n ulps of ||G||_inf, and the computed pivots
+    # and |R_ii| by some n ulps of |lam| + ||G||, with ||G||_2 = ||M||_2:
+    # far below that slack.  So no pivot meets the zero rule, none changes
+    # sign, and the value has the sign of det(lam*I - G): positive above
+    # every real eigenvalue, (-1)**n below them.
+    with np.errstate(over="ignore"):
+        mag = abs(neg)
+        lo, hi = _gerschgorin_span(-neg.diagonal(), mag.sum(1), mag.sum(0))
+    rn = 2.0 * neg.shape[0] * PIVOT_RTOL
+    margins = rn * (abs(lo) + norm), rn * (abs(hi) + norm)
+    if not margins[0] >= _MIN_NORMAL:
+        lo = -math.inf
+    if not margins[1] >= _MIN_NORMAL:
+        hi = math.inf
+    return lo - margins[0], hi + margins[1]
+
+
 def _char_form(matrix: DenseMatrix) -> partial:
     """The cached evaluator behind ``char_fn``, a ``partial`` of one kernel
     bound to the matrix's reduced form: ``_sturm_det`` for an exactly
     symmetric matrix, else ``_hessenberg_det`` up to order
-    ``_HESSENBERG_MAX_ORDER`` and ``_shifted_qr_det`` above it."""
+    ``_HESSENBERG_MAX_ORDER`` and ``_shifted_qr_det`` above it.  The same
+    reduction caches the ends that ``_form_interval`` reads."""
     if matrix._form is None:
         a = matrix.entries
         if np.array_equal(a, a.T):
-            matrix._form = partial(_sturm_det, _tridiagonalize(a))
+            form = _tridiagonalize(a)
+            matrix._ends = _sturm_ends(form)
+            matrix._form = partial(_sturm_det, form)
         else:
             norm, neg = float(_abs_sums(a, 1).max()), _hessenberg(a)
+            matrix._ends = _hessenberg_ends(neg, norm)
             bound = max(norm, float(abs(neg.diagonal()).max()))
             if matrix.order <= _HESSENBERG_MAX_ORDER:
                 first, *rest = neg.tolist()
@@ -560,6 +643,21 @@ def _char_form(matrix: DenseMatrix) -> partial:
                 lwork = _geqrf_lwork(matrix.order)
                 matrix._form = partial(_shifted_qr_det, neg.T.copy(), lwork, norm, bound)
     return matrix._form
+
+
+def _form_interval(matrix: DenseMatrix) -> tuple[float, float]:
+    """``(lo, hi)`` such that ``char_fn(matrix, lam)`` is nonzero, with the
+    monic sign, positive above and of sign ``(-1)**n`` below, at every
+    ``lam`` outside ``[lo, hi]``, and so has no zero and no sign change
+    there; at ``lo`` and ``hi`` too, but for the zero matrix, whose
+    interval is ``(0.0, 0.0)``.  Either end may be infinite.  It is the Gerschgorin interval of
+    the reduced form, T or G, moved out just enough for the kernels' zero
+    rule (see ``_sturm_ends`` and ``_hessenberg_ends``), and is computed
+    once, by the reduction that ``char_fn`` caches; reading it evaluates
+    nothing."""
+    if matrix._form is None:
+        _char_form(matrix)
+    return matrix._ends
 
 
 def char_fn(matrix: DenseMatrix, lam: float) -> float:

@@ -203,6 +203,8 @@ def emit_json_report(report: CommonEigenReport) -> str:
         "interval_b": _interval_obj(report.interval_b),
         "search_interval_a": _interval_obj(report.search_interval_a),
         "search_interval_b": _interval_obj(report.search_interval_b),
+        "window_a": _interval_obj(report.window_a),
+        "window_b": _interval_obj(report.window_b),
         "roots_a": [_root_obj(r) for r in report.roots_a],
         "roots_b": [_root_obj(r) for r in report.roots_b],
         "common": list(report.common),

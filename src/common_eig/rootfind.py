@@ -15,6 +15,9 @@ root found is returned, however close to its neighbours.
 Roots of even multiplicity (no sign change, no grid hit) are invisible to
 this method, and two roots closer together than the step can cancel inside
 one cell; the mitigation for both is a smaller step.
+A window known to hold every zero and sign change of f lets the scan skip
+the grid points outside it without moving the grid, so the roots stay
+those of the whole grid.
 """
 
 from __future__ import annotations
@@ -105,10 +108,34 @@ def _check_finite(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {sign}, got {value}")
 
 
+def _check_grid(interval: RealInterval, step: float) -> None:
+    """Raise ValueError where step puts more than 1e8 points on the scan
+    grid of a non-empty interval."""
+    points = (interval.hi - interval.lo) / step
+    if not points <= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"step {step} puts about {points:.3g} points on the scan grid, "
+            f"more than {_MAX_GRID_POINTS:.0e}"
+        )
+
+
+def _start_index(lo: float, hi: float, step: float, w: float) -> int:
+    """The index of the last point of the grid lo, lo+step, ..., hi at or
+    below w, for lo <= w <= hi: a guess, moved to where the walk's own
+    rounding of lo + i*step puts it."""
+    i = int((w - lo) / step)
+    while i and lo + i * step > w:
+        i -= 1
+    while lo + i * step < hi and min(lo + (i + 1) * step, hi) <= w:
+        i += 1
+    return i
+
+
 def scan(
     f: Callable[[float], float],
     interval: RealInterval,
     step: float = DEFAULT_STEP,
+    window: RealInterval | None = None,
 ) -> list[ScanRecord]:
     """Evaluate f on the grid lo, lo+step, ... with hi appended exactly.
 
@@ -119,32 +146,45 @@ def scan(
     strictly positive at its successor, or the other way round (so a cell
     with a zero hit or a nan at either end is never flagged).  An empty
     interval has no grid: the result is [] and f is not called.
+
+    A ``window`` skips the grid points outside it: the walk starts at the
+    last grid point at or below ``window.lo`` (the first grid point if
+    none is) and stops at the first one at or above ``window.hi`` (the
+    last grid point if none is).  The grid itself does not move, so the
+    records are a contiguous slice of the un-windowed scan's, except that
+    the last one's event is decided as though it ended the grid.  The two
+    agree wherever f has no sign change between that point and its
+    successor: with a window outside which f has no zero and no sign
+    change, the slice holds every zero hit and every sign-change cell of
+    the whole grid.  An empty window gives [] without calling f.
     Raises ValueError, before any call of f, for a step that is not finite
     and positive, or one that puts more than 1e8 points on the grid.
     """
     _check_finite("step", step, positive=True)
     if interval.empty:
         return []
-    points = (interval.hi - interval.lo) / step
-    if not points <= _MAX_GRID_POINTS:
-        raise ValueError(
-            f"step {step} puts about {points:.3g} points on the scan grid, "
-            f"more than {_MAX_GRID_POINTS:.0e}"
-        )
+    _check_grid(interval, step)
+    if window is not None and window.empty:
+        return []
 
     # The grid is lo + i*step while below hi, then hi itself, each point
     # made as the walk reaches it; lo + 0*step reads lo = -0.0 as 0.0.  Each
     # point's record is made as soon as the next value decides its event.
+    # A window moves the walk's first index i and its end, nothing else.
     lo, hi = interval.lo, interval.hi
+    i, end = 0, hi
+    if window is not None:
+        end = min(window.hi, hi)
+        if window.lo > lo:
+            i = _start_index(lo, hi, step, min(window.lo, hi))
     none, zero_hit, ahead = ScanEvent.NONE, ScanEvent.ZERO_HIT, ScanEvent.SIGN_CHANGE_AHEAD
     records = []
     append = records.append
-    i = 0
     x = lo + i * step
     if not x < hi:
         x = hi
     v = float(f(x))
-    while x < hi:
+    while x < end:
         i += 1
         nxt = lo + i * step
         if not nxt < hi:
@@ -283,6 +323,7 @@ def find_real_roots(
     interval: RealInterval,
     step: float = DEFAULT_STEP,
     width_tol: float = DEFAULT_WIDTH_TOL,
+    window: RealInterval | None = None,
 ) -> list[RootEstimate]:
     """All real roots of f over a closed interval, in ascending order.
 
@@ -295,11 +336,14 @@ def find_real_roots(
     root and is returned, however close to its neighbours; each lies in
     its own grid point or cell, so they come out in the grid's order,
     which is ascending.  An empty interval yields [] without calling f.
+    A ``window`` outside which f has no zero and no sign change, and at
+    whose ends f is nonzero where they lie strictly inside the interval,
+    gives the same roots for only the grid points ``scan`` walks with it.
     Raises ValueError, before any call of f, as scan does, and for a
     width_tol that is not finite and non-negative.
     """
     _check_finite("width_tol", width_tol)
-    records = scan(f, interval, step)
+    records = scan(f, interval, step, window)
     last = len(records) - 1
 
     roots = []

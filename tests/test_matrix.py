@@ -27,6 +27,7 @@ from common_eig.matrix import (
     _HESSENBERG_MAX_ORDER,
     _Tridiagonal,
     _char_form,
+    _form_interval,
     _hessenberg,
     _hessenberg_det,
     _shifted_qr_det,
@@ -801,6 +802,86 @@ def test_char_fn_reads_zero_just_outside_the_tridiagonal_interval():
     for lam in (3.0 + 2e-13, 1.0 - 2e-13):
         assert not form.lower <= lam / form.scale <= form.upper
         assert char_fn(m, lam) == 0.0
+
+
+def _window_family(rng, family, n):
+    """A matrix of order n from one of the families the form interval is
+    checked on."""
+    if family == "dense":
+        return rng.normal(size=(n, n))
+    if family == "triangular":
+        return np.triu(rng.normal(size=(n, n)))
+    if family == "block_diagonal":
+        # blocks of order 1 to 3, so G has zero subdiagonal entries
+        a = np.zeros((n, n))
+        k = 0
+        while k < n:
+            size = min(n - k, int(rng.integers(1, 4)))
+            a[k : k + size, k : k + size] = rng.normal(size=(size, size))
+            k += size
+        return a
+    if family == "ill_conditioned":
+        # X*D*X^-1 with cond(X) = 1e6: eigenvalues far more sensitive than
+        # the entries
+        q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        x = q1 @ np.diag(np.logspace(0.0, -6.0, n)) @ q2
+        return x @ np.diag(rng.normal(size=n)) @ np.linalg.inv(x)
+    if family == "symmetric":
+        x = rng.normal(size=(n, n))
+        return x + x.T
+    if family == "diagonal":
+        return np.diag(rng.normal(size=n))
+    # Jordan-like: Jordan blocks on two eigenvalues, as they are or rotated
+    # by an orthogonal similarity
+    values = rng.normal(size=2)
+    j = np.diag(values[rng.integers(0, 2, n)]) + np.diag((rng.random(n - 1) < 0.8) * 1.0, 1)
+    if rng.random() < 0.5:
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        j = q @ j @ q.T
+    return j
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(
+        ["dense", "triangular", "block_diagonal", "ill_conditioned", "symmetric", "diagonal",
+         "jordan"]
+    ),
+    n=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-300, 300),
+)
+@example(family="symmetric", n=5, seed=0, exponent=0)
+@example(family="dense", n=_HESSENBERG_MAX_ORDER, seed=0, exponent=-300)
+@example(family="dense", n=_HESSENBERG_MAX_ORDER + 1, seed=0, exponent=300)
+def test_char_fn_keeps_the_monic_sign_outside_the_form_interval(family, n, seed, exponent):
+    # The scan skips the grid points outside _form_interval, so char_fn must
+    # read nonzero there, positive above and of sign (-1)**n below, on all
+    # three kernels (Sturm, elimination up to _HESSENBERG_MAX_ORDER, QR
+    # above it) and at every scale: at the ends, one ulp out, and from
+    # 2**-40 to 4 times |end| + ||M||_inf out.
+    m = DenseMatrix(_window_family(np.random.default_rng(seed), family, n) * 2.0**exponent)
+    lo, hi = _form_interval(m)
+    norm = _norm_inf(m.entries)
+    for end, out, sign in ((lo, -math.inf, (-1.0) ** n), (hi, math.inf, 1.0)):
+        assert not math.isinf(end)
+        reach = math.copysign(abs(end) + norm, out)
+        points = [end, math.nextafter(end, out)] + [end + 2.0**k * reach for k in range(-40, 3)]
+        for lam in points:
+            assert char_fn(m, lam) * sign > 0.0, (lam, char_fn(m, lam))
+
+
+def test_form_interval_holds_the_zeros_just_outside_the_tridiagonal_interval():
+    # diag(1, 2, 3) reads exactly 0.0 at 3 + 2e-13 and 1 - 2e-13, just
+    # outside T's Gerschgorin interval [1, 3]: the form interval holds them,
+    # and it is computed once, with the reduction, without an evaluation.
+    m = DenseMatrix(np.diag([1.0, 2.0, 3.0]))
+    lo, hi = _form_interval(m)
+    assert m._form is not None
+    assert lo < 1.0 - 2e-13 and 3.0 + 2e-13 < hi
+    assert hi - 3.0 < 1e-11 and 1.0 - lo < 1e-11
+    assert _form_interval(m) is m._ends
 
 
 @settings(max_examples=200, deadline=None)

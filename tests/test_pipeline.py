@@ -26,7 +26,7 @@ from common_eig import (
     scan,
 )
 from oracles import numpy_qr_det, plain_bisect
-from test_matrix import _norm_inf, _on_grid_general
+from test_matrix import _norm_inf, _on_grid_general, _rotated_symmetric
 
 
 def _estimate(value):
@@ -163,13 +163,14 @@ def test_dedupe_tol_has_no_effect(pair, mode, mat_a, mat_b):
 
 
 def _assert_every_evaluation_is_a_grid_point_or_a_step(report, a, b):
-    # each count is the search grid's size plus the bisection steps of the
-    # roots returned, so no evaluation went to a root that was dropped
-    for m, search, roots, count in (
-        (a, report.search_interval_a, report.roots_a, report.eval_count_a),
-        (b, report.search_interval_b, report.roots_b, report.eval_count_b),
+    # each count is the number of the search grid's points that bracket the
+    # window plus the bisection steps of the roots returned, so no
+    # evaluation went to a root that was dropped
+    for m, search, window, roots, count in (
+        (a, report.search_interval_a, report.window_a, report.roots_a, report.eval_count_a),
+        (b, report.search_interval_b, report.window_b, report.roots_b, report.eval_count_b),
     ):
-        grid = scan(partial(char_fn, m), search, report.config.step)
+        grid = scan(partial(char_fn, m), search, report.config.step, window)
         assert count == len(grid) + sum(r.iterations for r in roots)
 
 
@@ -196,6 +197,125 @@ def _symmetric_or_upper_triangular(draw):
 def test_evaluation_counts_add_up_on_random_matrices(a, b, mode):
     report = common_eigenvalues(a, b, AnalysisConfig(mode=mode))
     _assert_every_evaluation_is_a_grid_point_or_a_step(report, a, b)
+
+
+def _without_windows(a, b, cfg):
+    """The proposed-mode report with every window the whole search interval."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_form_interval", lambda m: (-math.inf, math.inf))
+        return common_eigenvalues(a, b, cfg)
+
+
+def _assert_windows_change_only_the_counts(a, b, cfg=AnalysisConfig()):
+    windowed = common_eigenvalues(a, b, cfg)
+    whole = _without_windows(a, b, cfg)
+    assert (whole.window_a, whole.window_b) == (whole.search_interval_a, whole.search_interval_b)
+    for report in (windowed, whole):
+        for window, search in ((report.window_a, report.search_interval_a),
+                               (report.window_b, report.search_interval_b)):
+            assert window.empty or search.lo <= window.lo <= window.hi <= search.hi
+    assert windowed.eval_count_a <= whole.eval_count_a
+    assert windowed.eval_count_b <= whole.eval_count_b
+
+    def bare(report):
+        return replace(report, window_a=None, window_b=None, eval_count_a=0, eval_count_b=0,
+                       wall_time=0.0)
+
+    def bits(roots):
+        return [(r.value.hex(), r.residual.hex(), r.bracket_lo.hex(), r.bracket_hi.hex())
+                for r in roots]
+
+    # == on the reports compares floats by value, so compare their bits too
+    assert bare(windowed) == bare(whole)
+    assert bits(windowed.roots_a + windowed.roots_b) == bits(whole.roots_a + whole.roots_b)
+    assert [c.hex() for c in windowed.common] == [c.hex() for c in whole.common]
+    return windowed, whole
+
+
+@st.composite
+def _any_matrix(draw):
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, n)) * 2.0 ** draw(st.integers(-8, 8))
+    shape = draw(st.sampled_from(["dense", "symmetric", "triangular"]))
+    if shape == "symmetric":
+        a = a + a.T
+    elif shape == "triangular":
+        a = np.triu(a)
+    return DenseMatrix(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_any_matrix(), _any_matrix())
+def test_windows_change_only_the_counts(a, b):
+    _assert_windows_change_only_the_counts(a, b)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "dense"])
+def test_windows_change_only_the_counts_on_large_pairs(kind):
+    # order 30 symmetric pairs sharing two eigenvalues, order 60 dense ones
+    # with a handful of real eigenvalues among complex pairs
+    rng = np.random.default_rng(20261020)
+    if kind == "symmetric":
+        # the rest from lattices 0.4 apart, off the shared values and 0.2
+        # apart from each other's
+        spectra = []
+        for offset in (-6.03, -5.83):
+            pool = [offset + 0.4 * k for k in range(31)]
+            pool = [v for v in pool if min(abs(v + 1.55), abs(v - 2.25)) > 0.1]
+            spectra.append(np.append([-1.55, 2.25], rng.choice(pool, 28, replace=False)))
+        pair = [DenseMatrix(_rotated_symmetric(rng, s)) for s in spectra]
+    else:
+        pair = [DenseMatrix(rng.normal(size=(60, 60))) for _ in range(2)]
+    windowed, whole = _assert_windows_change_only_the_counts(*pair)
+    assert windowed.roots_a and windowed.roots_b
+    if kind == "symmetric":
+        assert windowed.common == pytest.approx([-1.55, 2.25], abs=1e-6)
+    assert (windowed.eval_count_a + windowed.eval_count_b
+            < whole.eval_count_a + whole.eval_count_b)
+
+
+def test_windows_that_miss_the_search_interval_cost_nothing():
+    # A = J (all ones) has Gerschgorin interval [-1, 3], its T
+    # [1 - sqrt(2), 2 + sqrt(2)]; B = -1.8*I - J has [-4.8, -0.8], its T
+    # [-3.8 - sqrt(2), -2.8 + sqrt(2)].  The search interval [-1, -0.8]
+    # meets neither, so neither matrix is evaluated, where the whole grid
+    # costs 4 evaluations each (-2.8 + 2 rounds to a hi just past the grid
+    # point -0.8); no root lies there.
+    a = DenseMatrix(np.ones((3, 3)))
+    b = DenseMatrix(-1.8 * np.eye(3) - np.ones((3, 3)))
+    windowed, whole = _assert_windows_change_only_the_counts(a, b)
+    search = windowed.search_interval_a
+    assert (search.lo, search.hi) == (-1.0, pytest.approx(-0.8, abs=1e-15))
+    assert windowed.window_a.empty and windowed.window_b.empty
+    assert (windowed.eval_count_a, windowed.eval_count_b) == (0, 0)
+    assert (whole.eval_count_a, whole.eval_count_b) == (4, 4)
+    assert windowed.roots_a == windowed.roots_b == windowed.common == ()
+
+
+def test_conventional_mode_is_not_windowed(mat_a):
+    # the paper's baseline scans each whole interval, window or not
+    a = DenseMatrix(np.ones((3, 3)))
+    report = common_eigenvalues(a, mat_a, AnalysisConfig(mode=Mode.CONVENTIONAL))
+    assert report.window_a == report.search_interval_a == RealInterval(-1.0, 3.0)
+    assert report.window_b == report.search_interval_b
+    assert report.eval_count_a == len(scan(partial(char_fn, a), report.search_interval_a)) + sum(
+        r.iterations for r in report.roots_a
+    )
+
+
+def test_grid_too_large_is_refused_before_the_reduction():
+    # The grid's size is checked before either matrix is reduced, as when
+    # the scan's first evaluation reduced it; a disjoint pair is never
+    # reduced at all.
+    a = DenseMatrix(np.diag([1e308, -1e308]))
+    b = DenseMatrix([[1e308, 1.0], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="points on the scan grid"):
+        common_eigenvalues(a, b)
+    assert a._form is None and b._form is None
+    one, ten = DenseMatrix([[1.0]]), DenseMatrix([[10.0]])
+    common_eigenvalues(one, ten)
+    assert one._form is None and ten._form is None
 
 
 # ------------------------------------------------------------ match_roots

@@ -176,6 +176,8 @@ def test_json_reference_report(mat_a, mat_b):
         "interval_b",
         "search_interval_a",
         "search_interval_b",
+        "window_a",
+        "window_b",
         "roots_a",
         "roots_b",
         "common",
@@ -186,6 +188,8 @@ def test_json_reference_report(mat_a, mat_b):
     ]
     assert payload["mode"] == "proposed"
     assert payload["search_interval_a"] == {"lo": 0.0, "hi": 4.0, "empty": False}
+    # A's G and B's T have Gerschgorin intervals that cover [0, 4]
+    assert payload["window_a"] == payload["window_b"] == payload["search_interval_a"]
     assert payload["common"] == [3.0]
     assert payload["eval_count_a"] == 41
     # full-precision round trip

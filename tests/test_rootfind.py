@@ -222,6 +222,115 @@ def test_scan_matches_the_walked_grid_bitwise(roots, exponent, lo, step, span, e
         assert ours == ref
 
 
+def _window_slice(records, window):
+    """The records of the whole grid that a scan with this window walks:
+    from the last at or below window.lo (the first if none is) through the
+    first after it at or above window.hi (the last if none is)."""
+    first = max([i for i, r in enumerate(records) if r.lam <= window.lo], default=0)
+    last = next(
+        (i for i in range(first, len(records)) if records[i].lam >= window.hi), len(records) - 1
+    )
+    return records[first : last + 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exponent=st.integers(-200, 200),
+    lo=st.one_of(st.just(-0.0), st.floats(-1.5, 1.5), st.integers(-96, 96).map(lambda k: k / 64)),
+    step=st.one_of(st.floats(1e-3, 0.5), st.integers(1, 32).map(lambda k: k / 64)),
+    span=st.floats(0.0, 3.0),
+    place=st.sampled_from(["free", "on_grid", "below_lo", "beyond_hi", "outside", "point",
+                           "point_on_grid"]),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=5),
+    inside=st.booleans(),
+)
+@example(exponent=0, lo=0.0, step=0.25, span=2.0, place="on_grid", ends=(0.25, 0.75),
+         fractions=[0.5], inside=True)
+@example(exponent=0, lo=0.0, step=0.25, span=2.0, place="point_on_grid", ends=(0.5, 0.5),
+         fractions=[0.0], inside=True)
+def test_windowed_scan_is_a_slice_of_the_whole_grid(
+    exponent, lo, step, span, place, ends, fractions, inside
+):
+    # A window moves neither the grid nor its rounding: the scan calls f at
+    # the points of the whole grid that bracket the window, in order, and
+    # gives their records to the bit.  Where every root of f lies in the
+    # window, so that f has no zero and no sign change outside it, the last
+    # record's event is the whole grid's too; elsewhere it is decided as
+    # though that point ended the grid.
+    interval = RealInterval(lo, lo + span)
+    whole = walk_scan(lambda x: x, interval, step)
+    lams = [r.lam for r in whole]
+    a, b = sorted(ends)
+    if place == "on_grid":
+        window = RealInterval(lams[int(a * (len(lams) - 1))], lams[int(b * (len(lams) - 1))])
+    elif place == "below_lo":
+        window = RealInterval(lo - 1.0 - a, lo + b * span)
+    elif place == "beyond_hi":
+        window = RealInterval(lo + a * span, interval.hi + 1.0 + b)
+    elif place == "outside":
+        window = RealInterval(interval.hi + a, interval.hi + 1.0 + b)
+    elif place == "point":
+        window = RealInterval(lo + a * span, lo + a * span)
+    elif place == "point_on_grid":
+        window = RealInterval(lams[int(a * (len(lams) - 1))], lams[int(a * (len(lams) - 1))])
+    else:
+        window = RealInterval(lo + a * span, lo + b * span)
+    if inside:
+        roots = [window.lo + t * (window.hi - window.lo) for t in fractions]
+    else:
+        roots = [lo - 1.0 + t * (span + 2.0) for t in fractions]
+    f, calls = _planted(roots, exponent)
+    ours = scan(f, interval, step, window)
+    expected = _window_slice(walk_scan(_planted(roots, exponent)[0], interval, step), window)
+    assert [x.hex() for x in calls] == [r.lam.hex() for r in expected]
+    got = [(r.lam.hex(), r.value.hex(), r.event) for r in ours]
+    want = [(r.lam.hex(), r.value.hex(), r.event) for r in expected]
+    if not inside:
+        got[-1], want[-1] = got[-1][:2], want[-1][:2]
+    assert got == want
+
+
+def test_windowed_scan_edge_cases():
+    # An empty window calls f nowhere; the grid's size is checked first.
+    # A window the whole interval wide is the whole scan.
+    counted = Counted(lambda x: x - 0.3)
+    assert scan(counted, RealInterval(0.0, 1.0), 0.1, EMPTY_INTERVAL) == []
+    assert counted.calls == 0
+    with pytest.raises(ValueError, match="points on the scan grid"):
+        scan(counted, RealInterval(1.0, 1e308), 0.1, EMPTY_INTERVAL)
+    interval = RealInterval(0.0, 1.0)
+    assert scan(counted, interval, 0.1, interval) == scan(counted, interval, 0.1)
+    assert scan(counted, EMPTY_INTERVAL, 0.1, interval) == []
+    # [0.32, 0.48] on the grid 0, 0.1, ..., 1: from 0.3 through 0.5
+    assert [r.lam for r in scan(counted, interval, 0.1, RealInterval(0.32, 0.48))] == [
+        0.30000000000000004, 0.4, 0.5,
+    ]
+
+
+def test_find_roots_in_a_window_match_the_whole_grid():
+    # Roots, brackets, iterations and origins, endpoint zeros included, are
+    # those of the whole grid when f has no zero and no sign change outside
+    # the window; only the evaluations differ.
+    f = lambda x: (x - 0.0) * (x - 0.35) * (x - 0.62)  # noqa: E731
+    interval = RealInterval(0.0, 2.0)
+    for window in (RealInterval(-1.0, 0.7), RealInterval(0.0, 0.62), RealInterval(-0.5, 3.0)):
+        whole, windowed = Counted(f), Counted(f)
+        expected = find_real_roots(whole, interval, 0.1)
+        assert find_real_roots(windowed, interval, 0.1, window=window) == expected
+        assert [r.origin for r in expected] == [
+            RootOrigin.ENDPOINT_ZERO, RootOrigin.BISECTION, RootOrigin.BISECTION,
+        ]
+        # a window short of hi skips the grid points past it
+        assert (windowed.calls < whole.calls) == (window.hi < interval.hi)
+    # a window past both ends keeps the zeros on the grid's ends endpoint zeros
+    g = lambda x: x * (x - 2.0)  # noqa: E731
+    window = RealInterval(-1.0, 3.0)
+    assert [r.origin for r in find_real_roots(g, interval, 0.1, window=window)] == [
+        RootOrigin.ENDPOINT_ZERO, RootOrigin.ENDPOINT_ZERO,
+    ]
+
+
 def test_scan_record_is_a_tuple_of_its_fields():
     assert scan(lambda x: x, RealInterval(0.0, 0.0)) == [(0.0, 0.0, ScanEvent.ZERO_HIT)]
     assert rootfind.ScanRecord(1.0, 2.0) == (1.0, 2.0, ScanEvent.NONE)
