@@ -11,12 +11,8 @@ depends on the matrix alone:
   for a power of two ``scale``; each call costs O(n) in ``_sturm_det``:
   three LDL^T pivot recurrences of T in lockstep (Sturm sequences), the
   value at ``mu = lam / scale`` and the inertia counts at ``mu -+ eps``
-  that decide an exact zero, or the value recurrence alone where ``mu``
-  lies more than ``2*eps`` outside T's Gerschgorin interval, so that no
-  eigenvalue is within ``eps``: in a windowed scan, only at the two grid
-  points that bracket the window (see below).  The pivot product takes
-  ``scale**n`` once, through its exponent, rather than one factor of
-  ``scale`` per pivot;
+  that decide an exact zero.  The pivot product takes ``scale**n`` once,
+  through its exponent, rather than one factor of ``scale`` per pivot;
 * any other matrix keeps the upper Hessenberg G = J*H^T*J, with the
   characteristic polynomial of M (see ``_hessenberg``).  Up to order
   ``_HESSENBERG_MAX_ORDER`` each call costs one O(n^2) Gaussian elimination
@@ -348,16 +344,12 @@ class _Tridiagonal(NamedTuple):
     scale: float  # a power of two, so M / scale is exact
     exponent: int  # log2(scale**n), so det(lam*I - M) = 2**exponent * det(mu*I - T)
     pivmin: float  # smallest pivot magnitude the recurrence lets through
-    # T's Gerschgorin interval, min and max of d_k -+ (|e_k| + |e_k+1|),
-    # which holds its spectrum; unbounded unless _tridiagonalize sets it.
-    lower: float = -math.inf
-    upper: float = math.inf
 
 
-def _tridiagonalize(a: np.ndarray) -> _Tridiagonal:
+def _tridiagonalize(a: np.ndarray) -> tuple[_Tridiagonal, tuple[float, float]]:
     """The tridiagonal T of the symmetric ``a``, read off ``_householder``'s
-    H^T: its diagonal and first superdiagonal.  A tridiagonal input comes
-    back unchanged."""
+    H^T: its diagonal and first superdiagonal, and the ends of its form
+    interval (``_sturm_ends``).  A tridiagonal input comes back unchanged."""
     g, scale = _householder(a)
     diag = g.diagonal()
     off = np.append(0.0, g.diagonal(1))
@@ -376,9 +368,11 @@ def _tridiagonalize(a: np.ndarray) -> _Tridiagonal:
     pivmin = math.sqrt(sys.float_info.min) * max(1.0, max(offdiag_sq)) if norm else 5e-324
     exponent = len(diag) * (math.frexp(scale)[1] - 1)
     pairs = list(zip(diag.tolist(), offdiag_sq))
+    # T's Gerschgorin interval, min and max of d_k -+ (|e_k| + |e_k+1|)
     lower = float((diag - abs_off - abs_next).min())
     upper = float((diag + abs_off + abs_next).max())
-    return _Tridiagonal(pairs, norm, scale, exponent, pivmin, lower, upper)
+    form = _Tridiagonal(pairs, norm, scale, exponent, pivmin)
+    return form, _sturm_ends(lower, upper, norm, scale)
 
 
 def _hessenberg(a: np.ndarray) -> np.ndarray:
@@ -484,63 +478,45 @@ def _pivots(form: _Tridiagonal, mu: float):
 
 def _sturm_det(form: _Tridiagonal, lam: float) -> float:
     # det(lam*I - M) = scale**n * prod(q_k) over the LDL^T pivots q_k of
-    # mu*I - T, mu = lam / scale.  Where mu may lie within eps of an
-    # eigenvalue, two more recurrences run the pivots at mu -+ eps: by
-    # Sylvester's law of inertia their negative counts differ exactly when
-    # an eigenvalue lies in [mu - eps, mu + eps], and then the value is
-    # exactly 0.0.  A pivot below pivmin counts as negative at mu - eps but
+    # mu*I - T, mu = lam / scale.  Two more recurrences run the pivots at
+    # mu -+ eps: by Sylvester's law of inertia their negative counts differ
+    # exactly when an eigenvalue lies in [mu - eps, mu + eps], and then the
+    # value is exactly 0.0.  A pivot below pivmin counts as negative at mu - eps but
     # as positive at mu + eps, which closes the interval for eps = 0 (T = 0
     # at lam = 0).  eps is PIVOT_RTOL * (|lam| + ||T||_inf), unscaled.
     mu = lam / form.scale
     eps = PIVOT_RTOL * (abs(mu) + form.norm)
-    unit = q = 1.0
-    if mu - 2.0 * eps > form.upper or mu + 2.0 * eps < form.lower:
-        # mu -+ eps lie at least eps outside T's Gerschgorin interval, so no
-        # eigenvalue is near, and the margin of 2*eps keeps the result bit
-        # for bit that of the three passes below.  For x in [mu - eps,
-        # mu + eps], x*I - T is diagonally dominant by at least eps, so each
-        # pivot of x*I - T lies on x's side of zero, at least |e_k+1| + eps
-        # from it less rounding: a step costs a few ulps of |mu| + ||T||_inf,
-        # against eps = 1e-13 of it, and the losses do not add up, since
-        # e^2/q stays below |e_k|.  No clamp fires on any pass and the two
-        # counts are equal (0 or n), so this loop is the value recurrence
-        # alone, the same float operations in the same order.
-        for d, e2 in form.pairs:
-            q = mu - d - e2 / q
-            unit *= q
-    else:
-        # Each pass's clamp only sets its own input to the next step, so the
-        # three recurrences run first.  count is the negative count at
-        # mu - eps less the one at mu + eps, so it moves only where one pass
-        # counts a pivot negative and the other does not: a pivot at or
-        # above pivmin on both passes takes two comparisons, a negative one
-        # on both three.
-        pivmin = form.pivmin
-        neg_pivmin = -pivmin
-        lo, hi = mu - eps, mu + eps
-        q_lo = q_hi = 1.0
-        count = 0
-        for d, e2 in form.pairs:
-            q = mu - d - e2 / q
-            q_lo = lo - d - e2 / q_lo
-            q_hi = hi - d - e2 / q_hi
-            if q < pivmin and q > neg_pivmin:
-                q = neg_pivmin
-            unit *= q
-            if q_lo < pivmin:
-                if q_lo > neg_pivmin:
-                    q_lo = neg_pivmin
-                if not q_hi <= neg_pivmin:  # a nan q_hi is not negative
-                    count += 1
-                    if q_hi < pivmin:
-                        q_hi = pivmin
-            elif q_hi < pivmin:
-                if q_hi > neg_pivmin:
+    # Each pass's clamp only sets its own input to the next step, so the
+    # three recurrences run first.  count is the negative count at mu - eps
+    # less the one at mu + eps, so it moves only where one pass counts a
+    # pivot negative and the other does not: a pivot at or above pivmin on
+    # both passes takes two comparisons, a negative one on both three.
+    pivmin = form.pivmin
+    neg_pivmin = -pivmin
+    lo, hi = mu - eps, mu + eps
+    unit = q = q_lo = q_hi = 1.0
+    count = 0
+    for d, e2 in form.pairs:
+        q = mu - d - e2 / q
+        q_lo = lo - d - e2 / q_lo
+        q_hi = hi - d - e2 / q_hi
+        if q < pivmin and q > neg_pivmin:
+            q = neg_pivmin
+        unit *= q
+        if q_lo < pivmin:
+            if q_lo > neg_pivmin:
+                q_lo = neg_pivmin
+            if not q_hi <= neg_pivmin:  # a nan q_hi is not negative
+                count += 1
+                if q_hi < pivmin:
                     q_hi = pivmin
-                else:
-                    count -= 1
-        if count:
-            return 0.0
+        elif q_hi < pivmin:
+            if q_hi > neg_pivmin:
+                q_hi = pivmin
+            else:
+                count -= 1
+    if count:
+        return 0.0
     # scale is a power of two, so scale**n goes into the exponent once, and
     # exactly: while the running products of q_k and of scale*q_k stay
     # normal floats, and so does the result, this is the product of the
@@ -558,30 +534,33 @@ def _sturm_det(form: _Tridiagonal, lam: float) -> float:
     return math.prod(scaled) or _full_prod(_pivots(form, mu), form.exponent)
 
 
-def _sturm_ends(form: _Tridiagonal) -> tuple[float, float]:
-    """The ends, in lam, of where ``_sturm_det``'s single-pass test fails:
-    mu -+ 2*eps against T's interval [lower, upper], with
-    eps = PIVOT_RTOL * (|mu| + ||T||_inf), solved for mu and multiplied
-    by scale, rounded outward."""
+def _sturm_ends(lower: float, upper: float, norm: float, scale: float) -> tuple[float, float]:
+    """The ends, in lam, of T's Gerschgorin interval [lower, upper] moved
+    out by 2*eps: the mu at which mu -+ 2*eps meets an end, with
+    eps = PIVOT_RTOL * (|mu| + norm) and norm = ||T||_inf, multiplied by
+    scale and rounded outward."""
     # At an end and beyond it mu -+ eps lie outside [lower, upper] by eps,
     # less a few ulps of |mu| for the rounding of the solution, against
     # eps >= 1e-13 of it; for the zero matrix, whose interval is the point
-    # 0 and whose eps is 0 there, beyond it only.  So x*I - T is diagonally
-    # dominant for every x in [mu - eps, mu + eps], as in _sturm_det: its
-    # single pass or, where rounding leaves its test an ulp short, its
-    # three passes see no clamp and equal counts, and the value is a
-    # product of n pivots of one sign, positive above T's interval and of
-    # sign (-1)**n below it.
+    # 0 and whose eps is 0 there, beyond it only.  So for every x in
+    # [mu - eps, mu + eps], x*I - T is diagonally dominant by at least eps,
+    # and each pivot of x*I - T lies on x's side of zero, at least
+    # |e_k+1| + eps from it less rounding: a step costs a few ulps of
+    # |mu| + ||T||_inf, against eps = 1e-13 of it, and the losses do not
+    # add up, since e^2/q stays below |e_k|.  No clamp fires on any of
+    # _sturm_det's three passes, the two counts are equal (0 or n), and
+    # the value is a product of n pivots of one sign, positive above T's
+    # interval and of sign (-1)**n below it.
     r2 = 2.0 * PIVOT_RTOL
-    c = form.upper + r2 * form.norm
+    c = upper + r2 * norm
     mu_hi = c / (1.0 - r2) if c >= 0.0 else c / (1.0 + r2)
-    c = form.lower - r2 * form.norm
+    c = lower - r2 * norm
     mu_lo = c / (1.0 - r2) if c <= 0.0 else c / (1.0 + r2)
     # scale is a power of two: only a product below the normal range rounds
-    lo, hi = mu_lo * form.scale, mu_hi * form.scale
-    if lo / form.scale > mu_lo:
+    lo, hi = mu_lo * scale, mu_hi * scale
+    if lo / scale > mu_lo:
         lo = math.nextafter(lo, -math.inf)
-    if hi / form.scale < mu_hi:
+    if hi / scale < mu_hi:
         hi = math.nextafter(hi, math.inf)
     return lo, hi
 
@@ -627,8 +606,7 @@ def _char_form(matrix: DenseMatrix) -> partial:
     if matrix._form is None:
         a = matrix.entries
         if np.array_equal(a, a.T):
-            form = _tridiagonalize(a)
-            matrix._ends = _sturm_ends(form)
+            form, matrix._ends = _tridiagonalize(a)
             matrix._form = partial(_sturm_det, form)
         else:
             norm, neg = float(_abs_sums(a, 1).max()), _hessenberg(a)

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to cross-check results.
 
 Deliberately naive and deliberately different from the library:
-determinants by cofactor expansion in pure Python arithmetic, symmetric
+determinants by cofactor expansion in pure Python arithmetic, and exactly
+by fraction-free (Bareiss) elimination over ``fractions.Fraction``, symmetric
 eigenvalues by cyclic Jacobi rotations with explicit J^T A J products,
 matrix files read token by token with one regex match and one float() per
 token, and sign-change brackets refined by plain halving.  Five are
@@ -20,6 +21,7 @@ reference for ``det(x)``.
 
 import math
 import re
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +61,32 @@ def _cofactor(rows) -> float:
             total += sign * rows[0][j] * _cofactor(minor)
         sign = -sign
     return total
+
+
+def exact_char_det(matrix, lam) -> Fraction:
+    """det(lam*I - M) exactly: every float is a rational, and Bareiss
+    elimination over them divides only where the quotient is exact (each
+    entry after step k is a minor of order k + 2), with a row swap where a
+    pivot is 0."""
+    rows = [[-Fraction(float(v)) for v in row] for row in np.asarray(matrix)]
+    n = len(rows)
+    for i in range(n):
+        rows[i][i] += Fraction(float(lam))
+    sign, prev = 1, Fraction(1)
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for row in rows[k + 1 :]:
+            head = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - head * rows[k][j]) / prev
+        prev = pivot
+    return sign * rows[n - 1][n - 1]
 
 
 def jacobi_eigenvalues(matrix, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:

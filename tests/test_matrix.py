@@ -32,13 +32,13 @@ from common_eig.matrix import (
     _hessenberg_det,
     _shifted_qr_det,
     _sturm_det,
-    _tridiagonalize,
 )
 from conftest import A_TEXT
 from oracles import (
     SturmForm,
     cofactor_determinant,
     copying_hessenberg_det,
+    exact_char_det,
     jacobi_eigenvalues,
     numpy_qr_det,
     scaled_sturm_det,
@@ -679,10 +679,10 @@ def test_sturm_det_matches_the_scaled_pivot_product_bitwise(n, seed, exponent, s
     # pivot of exactly 0 at lam = 0, and products that leave the normal
     # range at scale 2**exponent: inf at order 40 and 2**300, the smallest
     # subnormal at 2**-300, and subnormals rounded by the scaled product
-    # at order 4 and 2**-262.  Points within 4 eps of either end of T's
-    # Gerschgorin interval, on both sides, cross the margin where the value
-    # recurrence runs alone; a diagonal T has its extreme eigenvalues on
-    # those ends.
+    # at order 4 and 2**-262.  Points within 4 eps of either end of the
+    # form interval, on both sides, reach from 2 eps inside T's Gerschgorin
+    # interval to 6 eps outside it; a diagonal T has its extreme eigenvalues
+    # on the ends of that.
     rng = np.random.default_rng(seed)
     if shape == "on_grid":
         ks = 1 + rng.choice(59, size=n, replace=False)
@@ -705,10 +705,10 @@ def test_sturm_det_matches_the_scaled_pivot_product_bitwise(n, seed, exponent, s
         old = SturmForm(diag, offdiag_sq, form.norm, form.scale, form.pivmin)
         for lam in lams:
             assert char_fn(m, lam * s).hex() == scaled_sturm_det(old, lam * s).hex()
-        for end in (form.lower, form.upper):
-            eps = PIVOT_RTOL * (abs(end) + form.norm)
+        for end in _form_interval(m):
+            eps = PIVOT_RTOL * (abs(end) + form.norm * form.scale)
             for k in offsets:
-                lam = (end + k * eps) * form.scale
+                lam = end + k * eps
                 assert char_fn(m, lam).hex() == scaled_sturm_det(old, lam).hex()
 
 
@@ -762,13 +762,12 @@ def test_sturm_det_clamps_a_vanishing_pivot_on_one_pass(case):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("shape", ["random", "diagonal", "zero", "order_one"])
 def test_tridiagonal_interval_holds_the_spectrum(shape, seed):
-    # _tridiagonalize's [lower, upper] is T's Gerschgorin interval, the
-    # certificate that lets _sturm_det skip its count passes outside it.
-    # It is the same at every scale 2**k, and T's eigenvalues, by Jacobi
-    # rotations of the T the form holds, lie in it to within
-    # PIVOT_RTOL * ||T||_inf, the least eps of the singular rule.  Where T
-    # is diagonal (the zero matrix and order 1 too), its extreme
-    # eigenvalues are the interval's ends.
+    # A symmetric matrix's form interval is T's Gerschgorin interval moved
+    # out by 2 eps, in lam.  It is the same at every scale 2**k, and T's
+    # eigenvalues, by Jacobi rotations of the T the form holds, lie in it.
+    # Where T is diagonal (the zero matrix and order 1 too), its extreme
+    # eigenvalues are the ends of T's interval, so each lies within the
+    # margin of an end: the zero matrix's interval is the point 0.
     rng = np.random.default_rng(seed)
     n = 1 if shape == "order_one" else int(rng.integers(2, 13))
     if shape == "zero":
@@ -778,29 +777,34 @@ def test_tridiagonal_interval_holds_the_spectrum(shape, seed):
         a = x + x.T
     else:
         a = np.diag(rng.normal(size=n))
-    form, *scaled = (_tridiagonalize(a * 2.0**k) for k in (0, -300, -1, 7, 300))
-    for other in scaled:
-        assert (other.lower, other.upper, other.norm) == (form.lower, form.upper, form.norm)
+    m = DenseMatrix(a)
+    lo, hi = _form_interval(m)
+    for k in (-300, -1, 7, 300):
+        scaled = _form_interval(DenseMatrix(a * 2.0**k))
+        assert (scaled[0] * 2.0**-k, scaled[1] * 2.0**-k) == (lo, hi)
+    form = _char_form(m).args[0]
     diag, offdiag_sq = (np.array(column) for column in zip(*form.pairs))
     off = np.sqrt(offdiag_sq[1:])
-    eigs = jacobi_eigenvalues(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    slack = PIVOT_RTOL * form.norm
-    assert form.lower - slack <= eigs[0] <= eigs[-1] <= form.upper + slack
+    eigs = jacobi_eigenvalues(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)) * form.scale
+    assert lo <= eigs[0] <= eigs[-1] <= hi
     if shape != "random":
-        assert (form.lower, form.upper) == (eigs[0], eigs[-1])
+        for end, eig in ((lo, eigs[0]), (hi, eigs[-1])):
+            assert abs(end - eig) <= 3.0 * PIVOT_RTOL * (abs(end) + form.norm * form.scale)
+    if shape == "zero":
+        assert (lo, hi) == (0.0, 0.0)
 
 
 def test_char_fn_reads_zero_just_outside_the_tridiagonal_interval():
     # diag(1, 2, 3) is T = diag(0.5, 1, 1.5) at scale 2, with eigenvalues on
     # both ends of its interval [0.5, 1.5].  lam = 3 + 2e-13 and 1 - 2e-13
     # lie just outside it, but within eps = 1e-13 * (|mu| + ||T||_inf) of an
-    # eigenvalue, so they read exactly 0.0: only the margin of 2 * eps
-    # keeps them off the single value pass, which reads +-4e-13 there.
+    # eigenvalue, so the count passes at mu -+ eps read exactly 0.0 there,
+    # where the pivot product alone reads +-4e-13.
     m = DenseMatrix(np.diag([1.0, 2.0, 3.0]))
     form = _char_form(m).args[0]
-    assert (form.lower, form.upper, form.scale) == (0.5, 1.5, 2.0)
+    assert (form.pairs, form.scale) == ([(0.5, 0.0), (1.0, 0.0), (1.5, 0.0)], 2.0)
     for lam in (3.0 + 2e-13, 1.0 - 2e-13):
-        assert not form.lower <= lam / form.scale <= form.upper
+        assert not 0.5 <= lam / form.scale <= 1.5
         assert char_fn(m, lam) == 0.0
 
 
@@ -882,6 +886,48 @@ def test_form_interval_holds_the_zeros_just_outside_the_tridiagonal_interval():
     assert lo < 1.0 - 2e-13 and 3.0 + 2e-13 < hi
     assert hi - 3.0 < 1e-11 and 1.0 - lo < 1e-11
     assert _form_interval(m) is m._ends
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    family=st.sampled_from(["symmetric", "dense", "triangular"]),
+    n=st.integers(1, 8),
+    halves=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-300, 300),
+)
+@example(family="triangular", n=8, halves=True, seed=0, exponent=0)
+@example(family="symmetric", n=8, halves=True, seed=1, exponent=-300)
+def test_char_fn_agrees_with_the_exact_determinant(family, n, halves, seed, exponent):
+    # Against det(lam*I - M) in exact rational arithmetic, on all three
+    # kernels' inputs at order 8 and below: char_fn reads exactly 0.0
+    # wherever the exact determinant is 0, and has its sign wherever
+    # lam*I - M is far from singular, sigma_min > 1e-6 * (|lam| + ||M||_inf).
+    # Entries that are multiples of 1/2, and lam at the diagonal entries
+    # and on the half-integers, give exact zeros: every diagonal entry of a
+    # triangular matrix is an eigenvalue.  At scale s = 2**exponent the
+    # exact determinant is that of the unscaled inputs times s**n, exactly.
+    rng = np.random.default_rng(seed)
+    if halves:
+        x = rng.integers(-6, 7, size=(n, n)) / 2.0
+    else:
+        x = rng.normal(size=(n, n))
+    if family == "symmetric":
+        x = np.triu(x) + np.triu(x, 1).T
+    elif family == "triangular":
+        x = np.triu(x)
+    norm = _norm_inf(x)
+    lams = {*np.diag(x).tolist(), *(rng.integers(-8, 9, 4) / 2.0).tolist()}
+    lams.update(rng.uniform(-norm - 1.0, norm + 1.0, 3).tolist())
+    s = 2.0**exponent
+    m = DenseMatrix(x * s)
+    for lam in sorted(lams):
+        exact = exact_char_det(x, lam)
+        value = char_fn(m, lam * s)
+        if exact == 0:
+            assert value == 0.0, lam
+        elif np.linalg.svd(lam * np.eye(n) - x, compute_uv=False)[-1] > 1e-6 * (abs(lam) + norm):
+            assert value != 0.0 and (value > 0.0) == (exact > 0), (lam, value, exact)
 
 
 @settings(max_examples=200, deadline=None)
