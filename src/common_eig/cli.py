@@ -3,12 +3,11 @@
 Loads two matrix files, runs the pipeline in the requested mode(s), prints
 a plain-text summary, and optionally writes the JSON report, per-matrix
 CSV scan tables, and the SVG disc diagram.  A scan table re-scans the
-report's search interval within its window, so it lists exactly the grid
-points the run evaluated.  The tuning flags map straight
-onto one AnalysisConfig and take their defaults from it, so a value that
-AnalysisConfig rejects with ValueError is a usage error here too.  Exit
-codes: 0 on success (an empty common set is a success), 1 on input or
-usage errors, 2 on internal numeric failures.
+report's window, so it lists exactly the grid points the run evaluated.
+The tuning flags map straight onto one AnalysisConfig and take their
+defaults from it, so a value that AnalysisConfig rejects with ValueError
+is a usage error here too.  Exit codes: 0 on success (an empty common set
+is a success), 1 on input or usage errors, 2 on internal numeric failures.
 """
 
 from __future__ import annotations
@@ -191,12 +190,11 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
             svg = render_svg(discs_of(matrix_a), discs_of(matrix_b), band)
             _write_text(args.svg, svg)
         if args.scan_table is not None:
-            for name, matrix, interval, window in (
-                ("A", matrix_a, report.search_interval_a, report.window_a),
-                ("B", matrix_b, report.search_interval_b, report.window_b),
+            for name, matrix, window in (
+                ("A", matrix_a, report.window_a),
+                ("B", matrix_b, report.window_b),
             ):
-                f = functools.partial(char_fn, matrix)
-                records = scan(f, interval, config.step, window)
+                records = scan(functools.partial(char_fn, matrix), window, config.step)
                 _write_text(f"{args.scan_table}_{name}.csv", emit_scan_table(records))
         if args.bench > 0:
             _print_benchmark(run_benchmark(matrix_a, matrix_b, config, args.bench))

@@ -8,13 +8,14 @@ them up across matrices.  Characteristic-function evaluations are counted
 per matrix and the wall time recorded, so the two modes can be compared on
 actual work.
 
-The proposed mode also gives each matrix a window: its search interval
-intersected with the Gerschgorin interval of the form ``char_fn`` reduces
-it to, outside which the characteristic function has no zero and no sign
-change.  The scan walks the search interval's own grid but evaluates only
-the points that bracket the window, so the roots are those of the whole
-grid, bit for bit, for fewer evaluations.  The conventional mode stays the
-paper's un-windowed baseline.
+The proposed mode narrows each matrix's scan further, to its window: the
+part of the search interval's grid that brackets the Gerschgorin interval
+of the form ``char_fn`` reduces it to, outside which the characteristic
+function has no zero and no sign change.  Every grid lies on one lattice,
+so the window's grid is a slice of the search interval's, and the roots
+are those of the whole grid, bit for bit, for fewer evaluations.  The
+conventional mode stays the paper's baseline, scanning each whole
+interval on the same lattice.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import Enum
 from functools import partial
 from typing import Sequence
 
-from .gerschgorin import EMPTY_INTERVAL, RealInterval, intersect, matrix_bounds
+from .gerschgorin import RealInterval, intersect, matrix_bounds
 from .matrix import DenseMatrix, _form_interval, char_fn
 from .rootfind import (
     DEFAULT_STEP,
@@ -35,6 +36,7 @@ from .rootfind import (
     RootEstimate,
     _check_finite,
     _check_grid,
+    _grid_span,
     find_real_roots,
 )
 
@@ -88,9 +90,9 @@ class CommonEigenReport:
     interval_b: RealInterval
     search_interval_a: RealInterval
     search_interval_b: RealInterval
-    # The part of each search interval that was scanned: in the proposed
-    # mode the search interval intersected with the matrix's form interval,
-    # in the conventional mode the search interval itself.
+    # The interval each scan covered: in the proposed mode the part of the
+    # search interval's grid that brackets the matrix's form interval, in
+    # the conventional mode the search interval itself.
     window_a: RealInterval
     window_b: RealInterval
     roots_a: tuple[RootEstimate, ...]
@@ -107,9 +109,11 @@ class BenchmarkSummary:
 
     ``modes_agree`` is true exactly when both modes report the same number
     of common values and each value of either lies within ``match_tol`` of
-    a value of the other.  It can be false on correct runs: each mode's
-    grid starts at its own interval's lower end, so two roots that cancel
-    in one mode's cell can fall in different cells of the other's.
+    a value of the other.  It can be false on correct runs: every interior
+    point of a proposed grid is a conventional grid point, but its two end
+    cells can differ from the conventional cells around them, so two roots
+    that cancel in one mode's cell can fall in different cells of the
+    other's.
     """
 
     repetitions: int
@@ -177,9 +181,9 @@ def common_eigenvalues(
 
     Bounds each matrix on the real axis, picks the search interval(s) for
     the configured mode, finds each matrix's real roots there, and matches
-    them across matrices.  In the proposed mode each scan evaluates only
-    the grid points that bracket the matrix's window (see the module
-    docstring); the roots are the same as without it.  An empty
+    them across matrices.  In the proposed mode each scan covers only the
+    matrix's window (see the module docstring); the roots are the same as
+    without it.  An empty
     intersection has no grid, so it costs no reduction and no evaluations
     and gives an empty common set, and that is a success, not an error.
     The two matrices may have different orders.
@@ -220,19 +224,17 @@ def common_eigenvalues(
 def _search(matrix: DenseMatrix, search: RealInterval, cfg: AnalysisConfig):
     """One matrix's window, its roots and the evaluations they cost.
 
-    In the proposed mode the window is the search interval intersected with
-    the matrix's form interval.  The grid's size is checked before the
-    matrix is reduced, so a grid too large to walk raises first, as it did
-    when the scan's first evaluation reduced the matrix.
+    In the proposed mode the window is the part of the search interval's
+    grid that brackets the matrix's form interval.  The grid is checked
+    before the matrix is reduced, so a grid the scan refuses raises first,
+    as it did when the scan's first evaluation reduced the matrix.
     """
     window = search
     if cfg.mode is Mode.PROPOSED and not search.empty:
         _check_grid(search, cfg.step)
-        lo, hi = _form_interval(matrix)
-        lo, hi = max(search.lo, lo), min(search.hi, hi)
-        window = RealInterval(lo, hi) if lo <= hi else EMPTY_INTERVAL
+        window = _grid_span(search, cfg.step, *_form_interval(matrix))
     f = _CountedFn(partial(char_fn, matrix))
-    roots = tuple(find_real_roots(f, search, cfg.step, cfg.width_tol, window))
+    roots = tuple(find_real_roots(f, window, cfg.step, cfg.width_tol))
     return window, roots, f.count
 
 

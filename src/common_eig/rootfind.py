@@ -15,9 +15,10 @@ root found is returned, however close to its neighbours.
 Roots of even multiplicity (no sign change, no grid hit) are invisible to
 this method, and two roots closer together than the step can cancel inside
 one cell; the mitigation for both is a smaller step.
-A window known to hold every zero and sign change of f lets the scan skip
-the grid points outside it without moving the grid, so the roots stay
-those of the whole grid.
+Every grid's interior points lie on one lattice, the multiples k·step, so
+a grid point depends only on its value, never on where the interval
+begins: a sub-interval whose ends are grid points has, as its own grid,
+exactly that slice of the whole grid (``_grid_span`` finds one).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .gerschgorin import RealInterval
+from .gerschgorin import EMPTY_INTERVAL, RealInterval
 
 __all__ = [
     "ScanEvent",
@@ -110,85 +111,87 @@ def _check_finite(name: str, value: float, positive: bool = False) -> None:
 
 def _check_grid(interval: RealInterval, step: float) -> None:
     """Raise ValueError where step puts more than 1e8 points on the scan
-    grid of a non-empty interval."""
+    grid of a non-empty interval, or, unless the interval is a point, where
+    step is at most twice the float spacing at its larger end in magnitude:
+    there neighbouring lattice points could round to one float."""
     points = (interval.hi - interval.lo) / step
     if not points <= _MAX_GRID_POINTS:
         raise ValueError(
             f"step {step} puts about {points:.3g} points on the scan grid, "
             f"more than {_MAX_GRID_POINTS:.0e}"
         )
+    spacing = math.ulp(max(-interval.lo, interval.hi))
+    if interval.lo < interval.hi and step <= 2.0 * spacing:
+        raise ValueError(
+            f"step {step} is not above twice the float spacing {spacing:.3g} "
+            f"on [{interval.lo!r}, {interval.hi!r}]"
+        )
 
 
-def _start_index(lo: float, hi: float, step: float, w: float) -> int:
-    """The index of the last point of the grid lo, lo+step, ..., hi at or
-    below w, for lo <= w <= hi: a guess, moved to where the walk's own
-    rounding of lo + i*step puts it."""
-    i = int((w - lo) / step)
-    while i and lo + i * step > w:
-        i -= 1
-    while lo + i * step < hi and min(lo + (i + 1) * step, hi) <= w:
-        i += 1
-    return i
+def _grid_span(interval: RealInterval, step: float, lo: float, hi: float) -> RealInterval:
+    """The part of a non-empty interval's scan grid that brackets [lo, hi]:
+    from its last grid point at or below max(lo, interval.lo) to its first
+    at or above min(hi, interval.hi), or EMPTY_INTERVAL where [lo, hi]
+    misses the interval.  Either of lo and hi may be infinite.  The span's
+    own scan grid is exactly that slice of the interval's, so where f has
+    no zero and no sign change outside [lo, hi] it has the same roots.
+    The step must be one that ``_check_grid`` admits for the interval."""
+    lo, hi = max(interval.lo, lo), min(interval.hi, hi)
+    if not lo <= hi:
+        return EMPTY_INTERVAL
+    # The lattice point nearest lo, moved one down if it lies above lo; but
+    # no lattice point at or beyond an end's own index is a grid point.
+    if interval.lo < lo < interval.hi:
+        k = round(lo / step)
+        k = min(k - (k * step > lo), round(interval.hi / step) - 1)
+        lo = k * step if k > round(interval.lo / step) else interval.lo
+    if interval.lo < hi < interval.hi:
+        k = round(hi / step)
+        k = max(k + (k * step < hi), round(interval.lo / step) + 1)
+        hi = k * step if k < round(interval.hi / step) else interval.hi
+    return RealInterval(lo, hi)
 
 
 def scan(
     f: Callable[[float], float],
     interval: RealInterval,
     step: float = DEFAULT_STEP,
-    window: RealInterval | None = None,
 ) -> list[ScanRecord]:
-    """Evaluate f on the grid lo, lo+step, ... with hi appended exactly.
+    """Evaluate f on the grid of [lo, hi]: lo, every k*step with
+    round(lo/step) < k < round(hi/step), and hi, in ascending order.
 
-    f is called once per grid point, in the grid's order, as the walk
-    reaches the point, so an f that raises ends the scan there.  Each
-    record carries at most one event: ZERO_HIT where f is exactly 0.0,
-    SIGN_CHANGE_AHEAD where f is strictly negative at the grid point and
-    strictly positive at its successor, or the other way round (so a cell
-    with a zero hit or a nan at either end is never flagged).  An empty
-    interval has no grid: the result is [] and f is not called.
-
-    A ``window`` skips the grid points outside it: the walk starts at the
-    last grid point at or below ``window.lo`` (the first grid point if
-    none is) and stops at the first one at or above ``window.hi`` (the
-    last grid point if none is).  The grid itself does not move, so the
-    records are a contiguous slice of the un-windowed scan's, except that
-    the last one's event is decided as though it ended the grid.  The two
-    agree wherever f has no sign change between that point and its
-    successor: with a window outside which f has no zero and no sign
-    change, the slice holds every zero hit and every sign-change cell of
-    the whole grid.  An empty window gives [] without calling f.
+    Each end stands in for its nearest lattice point, so no cell is
+    narrower than half a step unless the interval is, and every grid's
+    interior lies on the same lattice.  f is called once per grid point,
+    in the grid's order, as the walk reaches the point, so an f that
+    raises ends the scan there.  Each record carries at most one event:
+    ZERO_HIT where f is exactly 0.0, SIGN_CHANGE_AHEAD where f is strictly
+    negative at the grid point and strictly positive at its successor, or
+    the other way round (so a cell with a zero hit or a nan at either end
+    is never flagged).  An empty interval has no grid: the result is []
+    and f is not called; a point interval's grid is its one point.
     Raises ValueError, before any call of f, for a step that is not finite
-    and positive, or one that puts more than 1e8 points on the grid.
+    and positive, one that puts more than 1e8 points on the grid, or one
+    at most twice the float spacing at the interval's ends.
     """
     _check_finite("step", step, positive=True)
     if interval.empty:
         return []
     _check_grid(interval, step)
-    if window is not None and window.empty:
-        return []
 
-    # The grid is lo + i*step while below hi, then hi itself, each point
-    # made as the walk reaches it; lo + 0*step reads lo = -0.0 as 0.0.  Each
-    # point's record is made as soon as the next value decides its event.
-    # A window moves the walk's first index i and its end, nothing else.
+    # Each point is made as the walk reaches it, and its record as soon as
+    # the next value decides its event.  lo + 0.0 reads lo = -0.0 as 0.0.
+    # A point interval needs no lattice index, whose quotient could overflow.
     lo, hi = interval.lo, interval.hi
-    i, end = 0, hi
-    if window is not None:
-        end = min(window.hi, hi)
-        if window.lo > lo:
-            i = _start_index(lo, hi, step, min(window.lo, hi))
+    k, last = (round(lo / step), round(hi / step)) if lo < hi else (0, 0)
     none, zero_hit, ahead = ScanEvent.NONE, ScanEvent.ZERO_HIT, ScanEvent.SIGN_CHANGE_AHEAD
     records = []
     append = records.append
-    x = lo + i * step
-    if not x < hi:
-        x = hi
+    x = lo + 0.0
     v = float(f(x))
-    while x < end:
-        i += 1
-        nxt = lo + i * step
-        if not nxt < hi:
-            nxt = hi
+    while x < hi:
+        k += 1
+        nxt = k * step if k < last else hi
         fnxt = float(f(nxt))
         if v < 0.0 < fnxt or fnxt < 0.0 < v:
             append(ScanRecord(x, v, ahead))
@@ -323,7 +326,6 @@ def find_real_roots(
     interval: RealInterval,
     step: float = DEFAULT_STEP,
     width_tol: float = DEFAULT_WIDTH_TOL,
-    window: RealInterval | None = None,
 ) -> list[RootEstimate]:
     """All real roots of f over a closed interval, in ascending order.
 
@@ -336,14 +338,11 @@ def find_real_roots(
     root and is returned, however close to its neighbours; each lies in
     its own grid point or cell, so they come out in the grid's order,
     which is ascending.  An empty interval yields [] without calling f.
-    A ``window`` outside which f has no zero and no sign change, and at
-    whose ends f is nonzero where they lie strictly inside the interval,
-    gives the same roots for only the grid points ``scan`` walks with it.
     Raises ValueError, before any call of f, as scan does, and for a
     width_tol that is not finite and non-negative.
     """
     _check_finite("width_tol", width_tol)
-    records = scan(f, interval, step, window)
+    records = scan(f, interval, step)
     last = len(records) - 1
 
     roots = []

@@ -5,16 +5,16 @@ determinants by cofactor expansion in pure Python arithmetic, and exactly
 by fraction-free (Bareiss) elimination over ``fractions.Fraction``, symmetric
 eigenvalues by cyclic Jacobi rotations with explicit J^T A J products,
 matrix files read token by token with one regex match and one float() per
-token, and sign-change brackets refined by plain halving.  Five are
-frozen copies instead, which the library must match bit for bit:
+token, scan grids listed whole before f is called, and sign-change
+brackets refined by plain halving.  Four are frozen copies instead, which
+the library must match bit for bit:
 ``copying_hessenberg_det``, an earlier form of ``matrix._hessenberg_det``
 that copies its rows; ``numpy_qr_det``, the QR determinant through
 ``np.linalg.qr`` that ``matrix._shifted_qr_det`` computed before it called
 LAPACK ``dgeqrf`` directly; ``scaled_sturm_det``, the Sturm pass
 ``matrix._sturm_det`` ran when it multiplied every pivot by the scale;
-``walk_scan``, ``rootfind.scan`` as it was when a generator made its grid
-points and a helper chose each point's event; and ``itp_bisect``,
-``rootfind.bisect`` as it was when a helper made each ITP point.
+and ``itp_bisect``, ``rootfind.bisect`` as it was when a helper made each
+ITP point.
 ``numpy_qr_det`` of ``x`` with ``||x||_inf`` is also the tests' dense QR
 reference for ``det(x)``.
 """
@@ -37,8 +37,7 @@ from common_eig.rootfind import (
     _opposite_signs,
 )
 
-# The constants of the frozen scan and bisection, as they were written.
-_MAX_GRID_POINTS = 10**8
+# The constants of the frozen bisection, as they were written.
 _ITP_KAPPA = 0.2
 _ITP_N0 = 2
 
@@ -321,40 +320,25 @@ def scaled_sturm_det(form, lam):
     return det or _full_prod(_pivots(form, mu), len(form.diag) * (math.frexp(scale)[1] - 1))
 
 
-def walk_scan(f, interval, step):
-    """The scan grid walked by a generator, each point's event chosen by a
-    helper: ``rootfind.scan`` as it was, with the same records, calls of f
-    and errors."""
+def lattice_scan(f, interval, step):
+    """The scan grid listed whole, then evaluated in order: lo (-0.0 read
+    as 0.0), the multiples k*step with round(lo/step) < k < round(hi/step),
+    and hi, or lo alone for a point interval.  Each record's event is
+    decided by its value and the next one's.  The records, calls of f and
+    errors of ``rootfind.scan`` at a step its size and spacing checks
+    admit."""
     _check_finite("step", step, positive=True)
     if interval.empty:
         return []
-    points = (interval.hi - interval.lo) / step
-    if not points <= _MAX_GRID_POINTS:
-        raise ValueError(
-            f"step {step} puts about {points:.3g} points on the scan grid, "
-            f"more than {_MAX_GRID_POINTS:.0e}"
-        )
-
-    # Each point's record is made as soon as the next value decides its event.
-    grid = _grid(interval.lo, interval.hi, step)
-    x = next(grid)
-    v = float(f(x))
-    records = []
-    for nxt in grid:
-        fnxt = float(f(nxt))
-        records.append(ScanRecord(x, v, _event(v, fnxt)))
-        x, v = nxt, fnxt
-    records.append(ScanRecord(x, v, _event(v)))
-    return records
-
-
-def _grid(lo, hi, step):
-    """lo, lo+step, ... below hi, then hi itself; each point made on demand."""
-    i = 0
-    while (x := lo + i * step) < hi:
-        yield x
-        i += 1
-    yield hi
+    lo, hi = interval.lo, interval.hi
+    points = [lo + 0.0]
+    if lo < hi:
+        points += [k * step for k in range(round(lo / step) + 1, round(hi / step))] + [hi]
+    values = []
+    for x in points:
+        values.append(float(f(x)))
+    nexts = values[1:] + [math.nan]
+    return [ScanRecord(x, v, _event(v, w)) for x, v, w in zip(points, values, nexts)]
 
 
 def _event(value, next_value=math.nan):

@@ -264,9 +264,10 @@ def test_cli_empty_intersection(tmp_path, capsys):
 def test_cli_scan_tables_list_the_evaluated_grid_points(tmp_path, capsys):
     # A = 3*I - J (J all ones) has Gerschgorin interval [-1, 5], its
     # tridiagonal form [-sqrt(3), 2 + sqrt(3)]; B has eigenvalues 3,
-    # 4.5, 6, 7 and interval [3, 7.25].  Each table lists the grid points
-    # of its window, the run's evaluations less its bisection steps: 9 of
-    # the 21 points of [3, 5] for A.
+    # 4.5, 6, 7 and interval [3, 7.25].  A's window is the part of the
+    # grid of [3, 5] that brackets [3, 2 + sqrt(3)], [3, 3.8].  Each table
+    # lists the grid points of its window, the run's evaluations less its
+    # bisection steps: 9 of the 21 points of [3, 5] for A.
     a, b = tmp_path / "a.mat", tmp_path / "b.mat"
     a.write_text("4\n2 -1 -1 -1\n-1 2 -1 -1\n-1 -1 2 -1\n-1 -1 -1 2\n")
     b.write_text(
@@ -276,10 +277,10 @@ def test_cli_scan_tables_list_the_evaluated_grid_points(tmp_path, capsys):
     prefix, out_json = tmp_path / "t", tmp_path / "r.json"
     assert run_cli([str(a), str(b), "--scan-table", str(prefix), "--json", str(out_json)]) == 0
     out = capsys.readouterr().out
-    assert "window A: [3, 3.732050808]\nwindow B: [3, 5]\n" in out
+    assert "window A: [3, 3.8]\nwindow B: [3, 5]\n" in out
     assert "common: 3\n" in out
     payload = json.loads(out_json.read_text())
-    assert payload["window_a"] == {"lo": 3.0, "hi": 3.73205080757037, "empty": False}
+    assert payload["window_a"] == {"lo": 3.0, "hi": 3.8000000000000003, "empty": False}
     for name in ("a", "b"):
         rows = (tmp_path / f"t_{name.upper()}.csv").read_text().count("\n") - 1
         steps = sum(r["iterations"] for r in payload[f"roots_{name}"])

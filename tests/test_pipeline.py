@@ -36,13 +36,14 @@ def _estimate(value):
     )
 
 
-def _planted_symmetric_pair(rng, shared):
+def _planted_symmetric_pair(rng, shared, offset=0.0):
     """Two rotated symmetric matrices sharing exactly one eigenvalue.
 
-    Spectra are drawn from a 0.75-spaced lattice so every root is well
-    separated at the default step, and rotated by random orthogonal bases.
+    Spectra are drawn from a 0.75-spaced lattice from -3 + offset, so every
+    root is well separated at the default step, and rotated by random
+    orthogonal bases.
     """
-    lattice = [-3.0 + 0.75 * k for k in range(9)]
+    lattice = [-3.0 + offset + 0.75 * k for k in range(9)]
     pool = [v for v in lattice if v != shared]
 
     def build(n):
@@ -163,14 +164,14 @@ def test_dedupe_tol_has_no_effect(pair, mode, mat_a, mat_b):
 
 
 def _assert_every_evaluation_is_a_grid_point_or_a_step(report, a, b):
-    # each count is the number of the search grid's points that bracket the
-    # window plus the bisection steps of the roots returned, so no
-    # evaluation went to a root that was dropped
-    for m, search, window, roots, count in (
-        (a, report.search_interval_a, report.window_a, report.roots_a, report.eval_count_a),
-        (b, report.search_interval_b, report.window_b, report.roots_b, report.eval_count_b),
+    # each count is the number of the window's grid points plus the
+    # bisection steps of the roots returned, so no evaluation went to a
+    # root that was dropped
+    for m, window, roots, count in (
+        (a, report.window_a, report.roots_a, report.eval_count_a),
+        (b, report.window_b, report.roots_b, report.eval_count_b),
     ):
-        grid = scan(partial(char_fn, m), search, report.config.step, window)
+        grid = scan(partial(char_fn, m), window, report.config.step)
         assert count == len(grid) + sum(r.iterations for r in roots)
 
 
@@ -280,8 +281,7 @@ def test_windows_that_miss_the_search_interval_cost_nothing():
     # [1 - sqrt(2), 2 + sqrt(2)]; B = -1.8*I - J has [-4.8, -0.8], its T
     # [-3.8 - sqrt(2), -2.8 + sqrt(2)].  The search interval [-1, -0.8]
     # meets neither, so neither matrix is evaluated, where the whole grid
-    # costs 4 evaluations each (-2.8 + 2 rounds to a hi just past the grid
-    # point -0.8); no root lies there.
+    # -1, -0.9, -0.8 costs 3 evaluations each; no root lies there.
     a = DenseMatrix(np.ones((3, 3)))
     b = DenseMatrix(-1.8 * np.eye(3) - np.ones((3, 3)))
     windowed, whole = _assert_windows_change_only_the_counts(a, b)
@@ -289,7 +289,7 @@ def test_windows_that_miss_the_search_interval_cost_nothing():
     assert (search.lo, search.hi) == (-1.0, pytest.approx(-0.8, abs=1e-15))
     assert windowed.window_a.empty and windowed.window_b.empty
     assert (windowed.eval_count_a, windowed.eval_count_b) == (0, 0)
-    assert (whole.eval_count_a, whole.eval_count_b) == (4, 4)
+    assert (whole.eval_count_a, whole.eval_count_b) == (3, 3)
     assert windowed.roots_a == windowed.roots_b == windowed.common == ()
 
 
@@ -302,6 +302,44 @@ def test_conventional_mode_is_not_windowed(mat_a):
     assert report.eval_count_a == len(scan(partial(char_fn, a), report.search_interval_a)) + sum(
         r.iterations for r in report.roots_a
     )
+
+
+@st.composite
+def _scaled_pair(draw):
+    s = 2.0 ** draw(st.integers(-40, 40))
+    return tuple(DenseMatrix(draw(_any_matrix()).entries * s) for _ in "ab"), s
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_pair())
+def test_proposed_grid_interiors_are_conventional_grid_points(pair_and_scale):
+    # One lattice for both modes: every interior point of each proposed
+    # grid is, bit for bit, a point of the same matrix's conventional grid,
+    # so the two modes' cells differ only at a proposed grid's two ends.
+    (a, b), s = pair_and_scale
+    cfg = AnalysisConfig(step=0.1 * s, width_tol=1e-10 * s, match_tol=1e-6 * s)
+    prop = common_eigenvalues(a, b, cfg)
+    conv = common_eigenvalues(a, b, replace(cfg, mode=Mode.CONVENTIONAL))
+    for window, whole in ((prop.window_a, conv.window_a), (prop.window_b, conv.window_b)):
+        points = {r.lam.hex() for r in scan(lambda x: 1.0, whole, cfg.step)}
+        inner = scan(lambda x: 1.0, window, cfg.step)[1:-1]
+        assert {r.lam.hex() for r in inner} <= points
+
+
+def test_step_below_the_float_spacing_is_refused_before_the_reduction():
+    # Below twice the float spacing, neighbouring lattice points round to
+    # one float, and each repeat would read the same zero again: this
+    # pair's common set would be 1.0 repeated some 2 000 times.  Refused
+    # before either matrix is reduced; a point search interval keeps its
+    # one point.
+    a = DenseMatrix([[1.0, 1e-14], [0.0, 1.0 + 2e-14]])
+    b = DenseMatrix(np.diag([1.0, 3.0]))
+    cfg = AnalysisConfig(step=1e-17, width_tol=0.0, match_tol=0.0)
+    with pytest.raises(ValueError, match="not above twice the float spacing"):
+        common_eigenvalues(a, b, cfg)
+    assert a._form is None and b._form is None
+    one = DenseMatrix([[1.0]])
+    assert common_eigenvalues(one, b, cfg).common == (1.0,)
 
 
 def test_grid_too_large_is_refused_before_the_reduction():
@@ -428,7 +466,7 @@ def test_symmetric_path_common_values_match_qr_path():
 def test_symmetric_path_at_1e160_scale():
     # det(lam*I - T) is ~1e480 here, far past float64: values overflow to
     # +-inf with the right sign and never turn NaN, so the scan still sees
-    # the three sign changes.  113 evaluations per matrix, as the QR path:
+    # the three sign changes.  114 evaluations per matrix, as the QR path:
     # the scan's grid points plus the bisection iterations of three
     # brackets, whose end values come from the scan.
     t = DenseMatrix(
@@ -439,7 +477,7 @@ def test_symmetric_path_at_1e160_scale():
     expected = np.linalg.eigvalsh(t.entries)
     assert [r.value for r in report.roots_a] == pytest.approx(expected, abs=1e151)
     assert report.common == pytest.approx(expected, abs=1e151)
-    assert report.eval_count_a == report.eval_count_b == 113
+    assert report.eval_count_a == report.eval_count_b == 114
     lo, hi = report.search_interval_a.lo, report.search_interval_a.hi
     for lam in np.linspace(lo, hi, 200):
         assert not math.isnan(char_fn(t, lam))
@@ -537,16 +575,17 @@ def test_itp_steps_agree_with_plain_halving_and_cost_less(path, monkeypatch):
     # The same pairs through the pipeline twice, the second time with
     # bisect replaced by plain halving: every pair gives as many roots and
     # the same common values to width_tol, for strictly fewer evaluations.
-    # Planted eigenvalues sit off the search interval's grid, so most are
-    # bisected.
+    # Planted eigenvalues sit 0.03 off the grid's lattice, so most are
+    # bisected, and off its cells' midpoints, where halving's first step
+    # would land on them.
     rng = np.random.default_rng(67)
     if path == "sturm":
-        shared = rng.choice([-1.5, -0.75, 0.0, 0.75, 1.5], size=8)
-        pairs = [_planted_symmetric_pair(rng, float(s)) for s in shared]
+        shared = rng.choice(range(2, 7), size=8)
+        pairs = [_planted_symmetric_pair(rng, -2.97 + 0.75 * int(k), 0.03) for k in shared]
     else:
         orders = range(3, 9) if path == "hessenberg" else (12, 16)
         pairs = [
-            tuple(_on_grid_general(rng, n, 1, -3.0, 0.1)[0] for _ in "ab")
+            tuple(_on_grid_general(rng, n, 1, -2.97, 0.1)[0] for _ in "ab")
             for n in orders
         ]
     cfg = AnalysisConfig()
@@ -646,9 +685,10 @@ def test_benchmark_reports_a_conventional_value_proposed_lacks(mat_a, mat_b, mon
 
 
 def test_benchmark_modes_disagree_where_two_roots_share_a_conventional_cell():
-    # A's conventional grid starts at -2, so its roots 1.02 and 1.08 share
-    # the cell [1.0, 1.1] and cancel there; the proposed grid starts at
-    # 1.08, the common eigenvalue, and hits it exactly.
+    # A's roots 1.02 and 1.08 share the conventional lattice cell
+    # [1.0, 1.1] and cancel there; the proposed grid's end cell is
+    # [1.08, 1.2], which starts at the common eigenvalue and hits it
+    # exactly.
     a = DenseMatrix([[1.02, 0.3, 0.3], [0.0, 1.08, 0.3], [0.0, 0.0, -2.0]])
     b = DenseMatrix([[1.08, 0.2], [0.0, 2.0]])
     summary = run_benchmark(a, b, repetitions=1)

@@ -22,8 +22,8 @@ from common_eig import (
     scan,
 )
 import common_eig.rootfind as rootfind
-from common_eig.rootfind import _opposite_signs
-from oracles import itp_bisect, plain_bisect, walk_scan
+from common_eig.rootfind import _grid_span, _opposite_signs
+from oracles import itp_bisect, lattice_scan, plain_bisect
 
 
 class Counted:
@@ -45,7 +45,7 @@ def test_scan_reference_grid(mat_a):
     assert records[0].value == -30.0
     assert records[0].event is ScanEvent.NONE
     assert records[-1].lam == 4.0
-    # accumulated lo + i*step drifts below one ulp from the nominal tenths
+    # k*step lies within one ulp of the nominal tenths
     assert records[29].lam == pytest.approx(2.9, abs=1e-14)
     assert records[29].value == pytest.approx(0.189, abs=1e-12)
 
@@ -88,9 +88,10 @@ def test_scan_zero_hit_suppresses_adjacent_sign_changes():
 
 
 def test_scan_appends_endpoint_exactly():
+    # 0.35 stands in for its nearest lattice point 0.3: 0, 0.1, 0.2, 0.35
     records = scan(lambda x: 1.0, RealInterval(0, 0.35))
     assert records[-1].lam == 0.35
-    assert len(records) == 5
+    assert len(records) == 4
 
 
 def test_scan_degenerate_interval_single_point():
@@ -199,20 +200,20 @@ def _run(call, *args):
 @example(roots=[0.5], exponent=-200, lo=-0.0, step=0.1, span=0.0, end="degenerate", holes=set(), stop=None)
 @example(roots=[0.0], exponent=0, lo=-0.0, step=0.1, span=1.0, end="free", holes={1}, stop=None)
 def test_scan_matches_the_walked_grid_bitwise(roots, exponent, lo, step, span, end, holes, stop):
-    # The one-loop scan gives the records of the walk over a generated grid,
-    # to the bit, and calls f at the same points in the same order: at a
-    # first point of lo = -0.0 (read as 0.0), a degenerate interval, a last
-    # grid step that lands on hi exactly, products that underflow to exact
-    # zeros at 10**-200, a nan at either end of a cell, and an f that raises.
+    # The walk gives the records of the lattice grid listed whole, to the
+    # bit, and calls f at the same points in the same order: at a first
+    # point of lo = -0.0 (read as 0.0), a degenerate interval, an hi on the
+    # lattice, products that underflow to exact zeros at 10**-200, a nan at
+    # either end of a cell, and an f that raises.
     if end == "on_grid":
-        hi = lo + round(span / step) * step
+        hi = max(lo, round((lo + span) / step) * step)
     else:
         hi = lo if end == "degenerate" else lo + span
     interval = RealInterval(lo, hi)
     f, calls = _planted(roots, exponent, holes, stop)
     ours = _run(scan, f, interval, step)
     ref_f, ref_calls = _planted(roots, exponent, holes, stop)
-    ref = _run(walk_scan, ref_f, interval, step)
+    ref = _run(lattice_scan, ref_f, interval, step)
     assert [x.hex() for x in calls] == [x.hex() for x in ref_calls]
     if isinstance(ref, list):
         assert [(r.lam.hex(), r.value.hex(), r.event) for r in ours] == [
@@ -222,14 +223,75 @@ def test_scan_matches_the_walked_grid_bitwise(roots, exponent, lo, step, span, e
         assert ours == ref
 
 
-def _window_slice(records, window):
-    """The records of the whole grid that a scan with this window walks:
-    from the last at or below window.lo (the first if none is) through the
-    first after it at or above window.hi (the last if none is)."""
-    first = max([i for i, r in enumerate(records) if r.lam <= window.lo], default=0)
-    last = next(
-        (i for i in range(first, len(records)) if records[i].lam >= window.hi), len(records) - 1
-    )
+@settings(max_examples=500, deadline=None)
+@given(
+    lo=st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300) | st.floats(-4.0, 4.0),
+    cells=st.floats(0.0, 200.0),
+    ulps=st.floats(2.0, 8.0, exclude_min=True),
+)
+@example(lo=1.0, cells=225.0, ulps=2.0000001)
+@example(lo=-0.5, cells=100.0, ulps=2.0000001)
+@example(lo=0.0, cells=50.0, ulps=3.0)
+def test_every_grid_is_strictly_ascending_with_its_ends_exact(lo, cells, ulps):
+    # At every step the scan admits, down to just above twice the float
+    # spacing, the grid rises strictly from lo to hi, both exact, and each
+    # interior point is the lattice point k*step of its own index; at
+    # twice the spacing the step is refused.
+    hi = lo + cells * ulps * math.ulp(abs(lo))
+    assume(lo < hi < math.inf)
+    spacing = math.ulp(max(-lo, hi))
+    step = ulps * spacing
+    assume(step > 2.0 * spacing)  # not so where the spacing is subnormal
+    lams = [r.lam for r in scan(lambda x: 1.0, RealInterval(lo, hi), step)]
+    assert lams[0] == lo and lams[-1] == hi
+    assert all(x < y for x, y in zip(lams, lams[1:]))
+    assert all(round(x / step) * step == x for x in lams[1:-1])
+    with pytest.raises(ValueError, match="twice the float spacing"):
+        scan(lambda x: 1.0, RealInterval(lo, hi), 2.0 * spacing)
+
+
+def test_a_step_at_or_below_twice_the_float_spacing_is_refused():
+    # Lattice points closer than the float spacing would round to repeated
+    # grid points, each a zero hit of a root on one: 23 copies of one root.
+    counted = Counted(lambda x: x - (1.0 + 5e-14))
+    for interval, step in (
+        (RealInterval(1.0, 1.0 + 1e-13), 1e-17),
+        (RealInterval(1.0, 1.0 + 1e-13), 2.0 * math.ulp(1.0 + 1e-13)),
+        (RealInterval(-3.0, -3.0 + 1e-13), 2.0 * math.ulp(3.0)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"step {step!r} is not above twice")):
+            find_real_roots(counted, interval, step)
+    assert counted.calls == 0
+    # a step just above it is admitted, and a point interval keeps its one
+    # point at any step, however large its quotient by the step
+    assert len(scan(counted, RealInterval(1.0, 1.0 + 1e-13), 3.0 * math.ulp(1.0))) > 100
+    assert scan(lambda x: x, RealInterval(1e300, 1e300), 1e-300) == [(1e300, 1e300, ScanEvent.NONE)]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step",
+    [(0.0, 0.3000000000000001, 0.1), (0.0, 0.35, 0.1), (-0.04, 0.36, 0.1), (0.05, 0.06, 0.1),
+     (1.0, 1.0 + 1e-13, 5e-16)],
+)
+def test_no_cell_is_narrower_than_half_a_step_unless_the_interval_is(lo, hi, step):
+    # Each end stands in for its nearest lattice point: on [0, 0.3 + 1 ulp]
+    # a walk from lo by lo + i*step would leave a last cell one ulp wide.
+    lams = [r.lam for r in scan(lambda x: 1.0, RealInterval(lo, hi), step)]
+    cells = [b - a for a, b in zip(lams, lams[1:])]
+    assert min(cells) >= min(0.5 * step, hi - lo) * (1.0 - 1e-9)
+    assert max(cells) <= 1.5 * step * (1.0 + 1e-9)
+
+
+def _window_slice(records, interval, window):
+    """The records of the whole grid that bracket window ∩ interval, for a
+    window (lo, hi): from the last at or below its lower end through the
+    first after that at or above its upper end; [] where the window misses
+    the interval."""
+    lo, hi = max(window[0], interval.lo), min(window[1], interval.hi)
+    if not lo <= hi:
+        return []
+    first = max(i for i, r in enumerate(records) if r.lam <= lo)
+    last = next(i for i in range(first, len(records)) if records[i].lam >= hi)
     return records[first : last + 1]
 
 
@@ -240,7 +302,7 @@ def _window_slice(records, window):
     step=st.one_of(st.floats(1e-3, 0.5), st.integers(1, 32).map(lambda k: k / 64)),
     span=st.floats(0.0, 3.0),
     place=st.sampled_from(["free", "on_grid", "below_lo", "beyond_hi", "outside", "point",
-                           "point_on_grid"]),
+                           "point_on_grid", "unbounded"]),
     ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     fractions=st.lists(st.floats(0.0, 1.0), max_size=5),
     inside=st.booleans(),
@@ -252,60 +314,77 @@ def _window_slice(records, window):
 def test_windowed_scan_is_a_slice_of_the_whole_grid(
     exponent, lo, step, span, place, ends, fractions, inside
 ):
-    # A window moves neither the grid nor its rounding: the scan calls f at
-    # the points of the whole grid that bracket the window, in order, and
-    # gives their records to the bit.  Where every root of f lies in the
-    # window, so that f has no zero and no sign change outside it, the last
-    # record's event is the whole grid's too; elsewhere it is decided as
-    # though that point ended the grid.
+    # The scan of a window's grid span calls f at the points of the whole
+    # grid that bracket the window, in order, and gives their records to
+    # the bit.  Where every root of f lies in the window, so that f has no
+    # zero and no sign change outside it, the last record's event is the
+    # whole grid's too; elsewhere it is decided as though that point ended
+    # the grid.
     interval = RealInterval(lo, lo + span)
-    whole = walk_scan(lambda x: x, interval, step)
-    lams = [r.lam for r in whole]
+    lams = [r.lam for r in lattice_scan(lambda x: x, interval, step)]
     a, b = sorted(ends)
     if place == "on_grid":
-        window = RealInterval(lams[int(a * (len(lams) - 1))], lams[int(b * (len(lams) - 1))])
+        window = lams[int(a * (len(lams) - 1))], lams[int(b * (len(lams) - 1))]
     elif place == "below_lo":
-        window = RealInterval(lo - 1.0 - a, lo + b * span)
+        window = lo - 1.0 - a, lo + b * span
     elif place == "beyond_hi":
-        window = RealInterval(lo + a * span, interval.hi + 1.0 + b)
+        window = lo + a * span, interval.hi + 1.0 + b
     elif place == "outside":
-        window = RealInterval(interval.hi + a, interval.hi + 1.0 + b)
+        window = interval.hi + a, interval.hi + 1.0 + b
     elif place == "point":
-        window = RealInterval(lo + a * span, lo + a * span)
+        window = lo + a * span, lo + a * span
     elif place == "point_on_grid":
-        window = RealInterval(lams[int(a * (len(lams) - 1))], lams[int(a * (len(lams) - 1))])
+        window = lams[int(a * (len(lams) - 1))], lams[int(a * (len(lams) - 1))]
+    elif place == "unbounded":
+        window = -math.inf if a < 0.5 else lo + a * span, math.inf if b > 0.5 else lo + b * span
     else:
-        window = RealInterval(lo + a * span, lo + b * span)
+        window = lo + a * span, lo + b * span
     if inside:
-        roots = [window.lo + t * (window.hi - window.lo) for t in fractions]
+        w_lo, w_hi = max(window[0], lo), min(window[1], interval.hi)
+        roots = [w_lo + t * (w_hi - w_lo) for t in fractions]
     else:
         roots = [lo - 1.0 + t * (span + 2.0) for t in fractions]
     f, calls = _planted(roots, exponent)
-    ours = scan(f, interval, step, window)
-    expected = _window_slice(walk_scan(_planted(roots, exponent)[0], interval, step), window)
+    ours = scan(f, _grid_span(interval, step, *window), step)
+    expected = _window_slice(lattice_scan(_planted(roots, exponent)[0], interval, step),
+                             interval, window)
     assert [x.hex() for x in calls] == [r.lam.hex() for r in expected]
     got = [(r.lam.hex(), r.value.hex(), r.event) for r in ours]
     want = [(r.lam.hex(), r.value.hex(), r.event) for r in expected]
-    if not inside:
+    if not inside and got:
         got[-1], want[-1] = got[-1][:2], want[-1][:2]
     assert got == want
 
 
 def test_windowed_scan_edge_cases():
-    # An empty window calls f nowhere; the grid's size is checked first.
-    # A window the whole interval wide is the whole scan.
+    # A window that misses the interval spans nothing, and its scan calls
+    # f nowhere.  A window the whole interval wide, or unbounded on either
+    # side, spans the interval to that side.
     counted = Counted(lambda x: x - 0.3)
-    assert scan(counted, RealInterval(0.0, 1.0), 0.1, EMPTY_INTERVAL) == []
-    assert counted.calls == 0
-    with pytest.raises(ValueError, match="points on the scan grid"):
-        scan(counted, RealInterval(1.0, 1e308), 0.1, EMPTY_INTERVAL)
     interval = RealInterval(0.0, 1.0)
-    assert scan(counted, interval, 0.1, interval) == scan(counted, interval, 0.1)
-    assert scan(counted, EMPTY_INTERVAL, 0.1, interval) == []
+    assert _grid_span(interval, 0.1, 1.5, 2.0) == EMPTY_INTERVAL
+    assert _grid_span(interval, 0.1, -2.0, -0.5) == EMPTY_INTERVAL
+    assert scan(counted, EMPTY_INTERVAL, 0.1) == []
+    assert counted.calls == 0
+    assert _grid_span(interval, 0.1, 0.0, 1.0) == interval
+    assert _grid_span(interval, 0.1, -math.inf, math.inf) == interval
+    assert _grid_span(interval, 0.1, -math.inf, 0.48) == RealInterval(0.0, 0.5)
+    assert _grid_span(interval, 0.1, 0.32, math.inf) == RealInterval(0.30000000000000004, 1.0)
     # [0.32, 0.48] on the grid 0, 0.1, ..., 1: from 0.3 through 0.5
-    assert [r.lam for r in scan(counted, interval, 0.1, RealInterval(0.32, 0.48))] == [
-        0.30000000000000004, 0.4, 0.5,
-    ]
+    span = _grid_span(interval, 0.1, 0.32, 0.48)
+    assert [r.lam for r in scan(counted, span, 0.1)] == [0.30000000000000004, 0.4, 0.5]
+    # an end stands in for its nearest lattice point, which is then no grid
+    # point: 1.04 for 1.0, so the last grid point at or below 1.02 is 0.9,
+    # and -0.04 for 0.0, so the first at or above -0.02 is 0.1
+    assert _grid_span(RealInterval(0.03, 1.04), 0.1, 1.02, math.inf) == RealInterval(0.9, 1.04)
+    assert _grid_span(RealInterval(-0.04, 0.97), 0.1, -math.inf, -0.02) == RealInterval(
+        -0.04, 0.1
+    )
+    assert _grid_span(RealInterval(0.03, 0.97), 0.1, 0.97, 0.97) == RealInterval(0.97, 0.97)
+    # a point interval is its own span, at any step
+    assert _grid_span(RealInterval(1e300, 1e300), 1e-300, -math.inf, 2e300) == RealInterval(
+        1e300, 1e300
+    )
 
 
 def test_find_roots_in_a_window_match_the_whole_grid():
@@ -317,7 +396,8 @@ def test_find_roots_in_a_window_match_the_whole_grid():
     for window in (RealInterval(-1.0, 0.7), RealInterval(0.0, 0.62), RealInterval(-0.5, 3.0)):
         whole, windowed = Counted(f), Counted(f)
         expected = find_real_roots(whole, interval, 0.1)
-        assert find_real_roots(windowed, interval, 0.1, window=window) == expected
+        span = _grid_span(interval, 0.1, window.lo, window.hi)
+        assert find_real_roots(windowed, span, 0.1) == expected
         assert [r.origin for r in expected] == [
             RootOrigin.ENDPOINT_ZERO, RootOrigin.BISECTION, RootOrigin.BISECTION,
         ]
@@ -325,8 +405,8 @@ def test_find_roots_in_a_window_match_the_whole_grid():
         assert (windowed.calls < whole.calls) == (window.hi < interval.hi)
     # a window past both ends keeps the zeros on the grid's ends endpoint zeros
     g = lambda x: x * (x - 2.0)  # noqa: E731
-    window = RealInterval(-1.0, 3.0)
-    assert [r.origin for r in find_real_roots(g, interval, 0.1, window=window)] == [
+    span = _grid_span(interval, 0.1, -1.0, 3.0)
+    assert [r.origin for r in find_real_roots(g, span, 0.1)] == [
         RootOrigin.ENDPOINT_ZERO, RootOrigin.ENDPOINT_ZERO,
     ]
 
