@@ -26,10 +26,12 @@ depends on the matrix alone:
   the same workspace, without that wrapper's per-call overhead.
 
 The same reduction gives the form interval (``_form_interval``): the
-Gerschgorin interval of T or G, moved out just enough that ``char_fn`` has
-no zero and no sign change outside it (``_sturm_ends``,
-``_hessenberg_ends``).  The pipeline's proposed mode scans only the grid
-points that bracket its intersection with the search interval.
+Gerschgorin interval of T or G, intersected for a nonsymmetric matrix with
+its Bendixson interval, the span of the eigenvalues of (M + M^T)/2, each
+moved out just enough that ``char_fn`` has no zero and no sign change
+outside it (``_sturm_ends``, ``_hessenberg_ends``, ``_bendixson_ends``).
+The pipeline's proposed mode scans only the grid points that bracket its
+intersection with the search interval.
 """
 
 from __future__ import annotations
@@ -588,7 +590,14 @@ def _hessenberg_ends(neg: np.ndarray, norm: float) -> tuple[float, float]:
     with np.errstate(over="ignore"):
         mag = abs(neg)
         lo, hi = _gerschgorin_span(-neg.diagonal(), mag.sum(1), mag.sum(0))
-    rn = 2.0 * neg.shape[0] * PIVOT_RTOL
+    return _moved_out(lo, hi, neg.shape[0], norm)
+
+
+def _moved_out(lo: float, hi: float, n: int, norm: float) -> tuple[float, float]:
+    """``(lo, hi)`` each moved out by 2*n*PIVOT_RTOL*(|end| + norm), the
+    margin of ``_hessenberg_ends`` and ``_bendixson_ends``; an end whose
+    margin is below the normal range is infinite."""
+    rn = 2.0 * n * PIVOT_RTOL
     margins = rn * (abs(lo) + norm), rn * (abs(hi) + norm)
     if not margins[0] >= _MIN_NORMAL:
         lo = -math.inf
@@ -597,12 +606,59 @@ def _hessenberg_ends(neg: np.ndarray, norm: float) -> tuple[float, float]:
     return lo - margins[0], hi + margins[1]
 
 
+def _bendixson_ends(a: np.ndarray, norm: float) -> tuple[float, float]:
+    """The ends of M's Bendixson interval [lambda_min(H), lambda_max(H)],
+    H = (M + M^T)/2, each moved out by 2*n*PIVOT_RTOL*(|end| + norm); a is
+    M and norm is ||M||_inf.  H is formed from ``a / _unit_scale(a)``, so
+    the interval is the same at every scale 2**k, and its ends are padded
+    by the error of ``eigvalsh`` and of forming H, then multiplied back by
+    the scale and rounded outward.  An end whose margin is below the
+    normal range, or whose product overflows, is infinite."""
+    # A real eigenvalue lam of M with unit eigenvector x is x^T*M*x =
+    # x^T*H*x, so it lies in H's interval (Bendixson, 1902; Horn & Johnson,
+    # Topics in Matrix Analysis, 1.5).  Where lam lies outside it by delta,
+    # |x^T*(lam*I - M)*x| = |lam - x^T*H*x| >= delta for every unit x, so
+    # sigma_min(lam*I - M) >= delta, where _hessenberg_ends' diagonal
+    # dominance gives only delta/sqrt(n).  G is orthogonally similar to M,
+    # so sigma_min(lam*I - G) >= delta too, up to the reduction's rounding:
+    # each |R_ii| of a QR of lam*I - G is at least delta, and each pivot of
+    # its Hessenberg elimination at least delta/2 (see _hessenberg_ends).
+    # For lam past an end moved out by the margin, delta/2 exceeds the zero
+    # rule's PIVOT_RTOL*(|lam| + norm) by at least (n - 1)*PIVOT_RTOL*
+    # (|end| + norm) less a few ulps, with n >= 2 here (order 1 is
+    # symmetric).  eigvalsh's ends are within some n ulps of ||H||_2 of
+    # H's, and forming H in floating point moves them by at most half an ulp
+    # of ||H||_F <= sqrt(n)*||H||_2 more, so the pad of 8*(n + 1) ulps of
+    # ||H||_inf >= ||H||_2 covers both; the reduction moves the pivots and
+    # |R_ii| by some n ulps of |lam| + ||G||, far below that slack.  So no
+    # pivot meets the zero rule, none changes sign, and the value has the
+    # sign of det(lam*I - G): positive above every real eigenvalue,
+    # (-1)**n below them.
+    n = a.shape[0]
+    scale = _unit_scale(a)
+    u = a / scale
+    h = 0.5 * (u + u.T)
+    ends = np.linalg.eigvalsh(h)
+    pad = 8.0 * (n + 1) * sys.float_info.epsilon * float(abs(h).sum(1).max())
+    mu_lo, mu_hi = float(ends[0]) - pad, float(ends[-1]) + pad
+    # scale is a power of two: only a product below the normal range rounds
+    lo, hi = mu_lo * scale, mu_hi * scale
+    if lo / scale > mu_lo:
+        lo = math.nextafter(lo, -math.inf)
+    if hi / scale < mu_hi:
+        hi = math.nextafter(hi, math.inf)
+    return _moved_out(lo, hi, n, norm)
+
+
 def _char_form(matrix: DenseMatrix) -> partial:
     """The cached evaluator behind ``char_fn``, a ``partial`` of one kernel
     bound to the matrix's reduced form: ``_sturm_det`` for an exactly
     symmetric matrix, else ``_hessenberg_det`` up to order
     ``_HESSENBERG_MAX_ORDER`` and ``_shifted_qr_det`` above it.  The same
-    reduction caches the ends that ``_form_interval`` reads."""
+    reduction caches the ends that ``_form_interval`` reads: T's interval,
+    or G's intersected with the Bendixson interval, which costs one
+    ``eigvalsh``.  A symmetric matrix skips the latter: there H is M, and
+    its interval would be the spectrum itself."""
     if matrix._form is None:
         a = matrix.entries
         if np.array_equal(a, a.T):
@@ -610,7 +666,9 @@ def _char_form(matrix: DenseMatrix) -> partial:
             matrix._form = partial(_sturm_det, form)
         else:
             norm, neg = float(_abs_sums(a, 1).max()), _hessenberg(a)
-            matrix._ends = _hessenberg_ends(neg, norm)
+            g_lo, g_hi = _hessenberg_ends(neg, norm)
+            b_lo, b_hi = _bendixson_ends(a, norm)
+            matrix._ends = max(g_lo, b_lo), min(g_hi, b_hi)
             bound = max(norm, float(abs(neg.diagonal()).max()))
             if matrix.order <= _HESSENBERG_MAX_ORDER:
                 first, *rest = neg.tolist()
@@ -628,10 +686,12 @@ def _form_interval(matrix: DenseMatrix) -> tuple[float, float]:
     monic sign, positive above and of sign ``(-1)**n`` below, at every
     ``lam`` outside ``[lo, hi]``, and so has no zero and no sign change
     there; at ``lo`` and ``hi`` too, but for the zero matrix, whose
-    interval is ``(0.0, 0.0)``.  Either end may be infinite.  It is the Gerschgorin interval of
-    the reduced form, T or G, moved out just enough for the kernels' zero
-    rule (see ``_sturm_ends`` and ``_hessenberg_ends``), and is computed
-    once, by the reduction that ``char_fn`` caches; reading it evaluates
+    interval is ``(0.0, 0.0)``.  Either end may be infinite.  It is the
+    Gerschgorin interval of the reduced form, T or G, intersected with the
+    Bendixson interval for nonsymmetric matrices, each moved out just
+    enough for the kernels' zero rule (see ``_sturm_ends``,
+    ``_hessenberg_ends`` and ``_bendixson_ends``), and is computed once,
+    by the reduction that ``char_fn`` caches; reading it evaluates
     nothing."""
     if matrix._form is None:
         _char_form(matrix)

@@ -10,7 +10,8 @@ actual work.
 
 The proposed mode narrows each matrix's scan further, to its window: the
 part of the search interval's grid that brackets the Gerschgorin interval
-of the form ``char_fn`` reduces it to, outside which the characteristic
+of the form ``char_fn`` reduces it to, intersected with the Bendixson
+interval for nonsymmetric matrices, outside which the characteristic
 function has no zero and no sign change.  Every grid lies on one lattice,
 so the window's grid is a slice of the search interval's, and the roots
 are those of the whole grid, bit for bit, for fewer evaluations.  The
@@ -91,8 +92,10 @@ class CommonEigenReport:
     search_interval_a: RealInterval
     search_interval_b: RealInterval
     # The interval each scan covered: in the proposed mode the part of the
-    # search interval's grid that brackets the matrix's form interval, in
-    # the conventional mode the search interval itself.
+    # search interval's grid that brackets the matrix's form interval (its
+    # reduced form's Gerschgorin interval, intersected with its Bendixson
+    # interval if it is nonsymmetric), in the conventional mode the search
+    # interval itself.
     window_a: RealInterval
     window_b: RealInterval
     roots_a: tuple[RootEstimate, ...]

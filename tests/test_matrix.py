@@ -30,6 +30,7 @@ from common_eig.matrix import (
     _form_interval,
     _hessenberg,
     _hessenberg_det,
+    _hessenberg_ends,
     _shifted_qr_det,
     _sturm_det,
 )
@@ -836,6 +837,20 @@ def _window_family(rng, family, n):
         return x + x.T
     if family == "diagonal":
         return np.diag(rng.normal(size=n))
+    if family == "normal":
+        # Q*D*Q^T for D block diagonal with 1x1 entries and [[a, b], [-b, a]]
+        # blocks whose a lie between the real eigenvalues: H = (M + M^T)/2
+        # is Q*diag(reals, a, a)*Q^T, so the ends of M's Bendixson interval
+        # are real eigenvalues, and char_fn has a zero on each
+        pairs = int(rng.integers(0, n // 2 + 1))
+        reals = rng.normal(size=n - 2 * pairs)
+        d = np.diag(np.append(reals, np.zeros(2 * pairs)))
+        lo, hi = (reals.min(), reals.max()) if len(reals) else (-1.0, 1.0)
+        for k in range(len(reals), n, 2):
+            a, b = rng.uniform(lo, hi), rng.normal()
+            d[k : k + 2, k : k + 2] = [[a, b], [-b, a]]
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        return q @ d @ q.T
     # Jordan-like: Jordan blocks on two eigenvalues, as they are or rotated
     # by an orthogonal similarity
     values = rng.normal(size=2)
@@ -850,7 +865,7 @@ def _window_family(rng, family, n):
 @given(
     family=st.sampled_from(
         ["dense", "triangular", "block_diagonal", "ill_conditioned", "symmetric", "diagonal",
-         "jordan"]
+         "jordan", "normal"]
     ),
     n=st.integers(1, 24),
     seed=st.integers(0, 2**32 - 1),
@@ -859,6 +874,7 @@ def _window_family(rng, family, n):
 @example(family="symmetric", n=5, seed=0, exponent=0)
 @example(family="dense", n=_HESSENBERG_MAX_ORDER, seed=0, exponent=-300)
 @example(family="dense", n=_HESSENBERG_MAX_ORDER + 1, seed=0, exponent=300)
+@example(family="normal", n=2, seed=1, exponent=0)
 def test_char_fn_keeps_the_monic_sign_outside_the_form_interval(family, n, seed, exponent):
     # The scan skips the grid points outside _form_interval, so char_fn must
     # read nonzero there, positive above and of sign (-1)**n below, on all
@@ -874,6 +890,42 @@ def test_char_fn_keeps_the_monic_sign_outside_the_form_interval(family, n, seed,
         points = [end, math.nextafter(end, out)] + [end + 2.0**k * reach for k in range(-40, 3)]
         for lam in points:
             assert char_fn(m, lam) * sign > 0.0, (lam, char_fn(m, lam))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["dense", "triangular", "ill_conditioned", "jordan", "normal"]),
+    n=st.integers(2, 24),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.sampled_from([-300, 300]),
+)
+@example(family="normal", n=_HESSENBERG_MAX_ORDER + 1, seed=0, exponent=300)
+def test_general_form_interval_holds_every_real_eigenvalue(family, n, seed, exponent):
+    # A general matrix's form interval is G's Gerschgorin interval
+    # (_hessenberg_ends) intersected with M's Bendixson interval, so it lies
+    # within the former and holds every real eigenvalue numpy finds; it is
+    # the same at every scale 2**k.
+    a = _window_family(np.random.default_rng(seed), family, n)
+    assume(not np.array_equal(a, a.T))
+    lo, hi = _form_interval(DenseMatrix(a))
+    m = DenseMatrix(a * 2.0**exponent)
+    scaled = _form_interval(m)
+    assert (scaled[0] * 2.0**-exponent, scaled[1] * 2.0**-exponent) == (lo, hi)
+    g_lo, g_hi = _hessenberg_ends(_hessenberg(m.entries), _norm_inf(m.entries))
+    assert g_lo <= scaled[0] <= scaled[1] <= g_hi
+    eigs = np.linalg.eigvals(m.entries)
+    for lam in eigs[eigs.imag == 0.0].real:
+        assert scaled[0] < lam < scaled[1]
+
+
+def test_reference_a_form_interval_is_its_bendixson_interval(mat_a):
+    # The triangular A (eigenvalues 2, 3, 5) has H = (A + A^T)/2 with
+    # eigenvalues about -0.0140 and 7.6865, inside G's Gerschgorin
+    # interval, which is A's own [-4, 8] moved out by the margin.
+    lo, hi = _form_interval(mat_a)
+    assert (lo, hi) == pytest.approx((-0.01397, 7.6865), abs=1e-4)
+    g_ends = _hessenberg_ends(_hessenberg(mat_a.entries), _norm_inf(mat_a.entries))
+    assert g_ends == pytest.approx((-4.0, 8.0))
 
 
 def test_form_interval_holds_the_zeros_just_outside_the_tridiagonal_interval():

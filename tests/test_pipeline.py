@@ -636,10 +636,26 @@ def test_benchmark_reference_pair(mat_a, mat_b):
     assert summary.speedup > 0.0
 
 
-def test_benchmark_same_matrix_ratio_one(mat_a):
-    summary = run_benchmark(mat_a, mat_a, repetitions=1)
-    assert summary.proposed_evals == summary.conventional_evals
+def test_benchmark_same_matrix_ratio_one(mat_a, mat_b):
+    # A matrix against itself: the search interval is its own, so the
+    # conventional run scans it whole.  The symmetric B's window is its
+    # whole interval [0, 4], so the two modes cost the same.  The
+    # triangular A's proposed window is the grid of [-4, 8] that brackets
+    # its Bendixson interval, about [-0.014, 7.687]: 79 evaluations of
+    # each matrix where the conventional run takes 121, for the same
+    # common values.
+    summary = run_benchmark(mat_b, mat_b, repetitions=1)
+    assert (summary.proposed_evals, summary.conventional_evals) == (82, 82)
     assert summary.eval_ratio == 1.0
+    summary = run_benchmark(mat_a, mat_a, repetitions=1)
+    proposed, conventional = summary.proposed, summary.conventional
+    assert (proposed.eval_count_a, proposed.eval_count_b) == (79, 79)
+    assert (conventional.eval_count_a, conventional.eval_count_b) == (121, 121)
+    assert (summary.proposed_evals, summary.conventional_evals) == (158, 242)
+    assert proposed.window_a == proposed.window_b == RealInterval(-0.1, 7.7)
+    assert conventional.window_a == conventional.window_b == RealInterval(-4.0, 8.0)
+    assert proposed.common == conventional.common == (2.0, 3.0, 5.0)
+    assert summary.modes_agree
 
 
 def test_benchmark_disjoint_pair():
