@@ -17,6 +17,7 @@ from pathlib import Path
 
 from common_eig import (
     DenseMatrix,
+    GridScan,
     ScanEvent,
     bisect,
     char_fn,
@@ -60,7 +61,7 @@ for i, rec in enumerate(fib_records):
         )
 
 phi = (1.0 + math.sqrt(5.0)) / 2.0
-roots = find_real_roots(ff, matrix_bounds(fib))
+roots = find_real_roots(GridScan(ff, matrix_bounds(fib)))
 print("\nrecovered spectrum vs closed form:")
 print(f"  {roots[0].value:.12f}  vs  1 - phi = {1.0 - phi:.12f}")
 print(f"  {roots[1].value:.12f}  vs      phi = {phi:.12f}")

@@ -32,6 +32,7 @@ from .pipeline import (
 )
 from .reporting import emit_json_report, emit_scan_table, render_svg
 from .rootfind import (
+    GridScan,
     RootEstimate,
     RootOrigin,
     ScanEvent,
@@ -62,6 +63,7 @@ __all__ = [
     "ScanRecord",
     "RootOrigin",
     "RootEstimate",
+    "GridScan",
     "scan",
     "bisect",
     "find_real_roots",

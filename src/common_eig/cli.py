@@ -29,7 +29,7 @@ from .pipeline import (
     run_benchmark,
 )
 from .reporting import emit_json_report, emit_scan_table, render_svg
-from .rootfind import scan
+from .rootfind import RootOrigin, scan
 
 __all__ = ["run_cli", "main"]
 
@@ -94,8 +94,15 @@ def _load(path: str) -> DenseMatrix:
         return parse_matrix(fh.read())
 
 
-def _fmt_values(values) -> str:
-    return ", ".join(f"{v:.10g}" for v in values) or "(none)"
+def _fmt_values(texts) -> str:
+    return ", ".join(texts) or "(none)"
+
+
+def _fmt_root(root) -> str:
+    """A root's value, or for a cell left unrefined its bracket [lo, hi]."""
+    if root.origin is RootOrigin.CELL:
+        return f"[{root.bracket_lo:.10g}, {root.bracket_hi:.10g}]"
+    return f"{root.value:.10g}"
 
 
 def _print_summary(report: CommonEigenReport) -> None:
@@ -109,9 +116,9 @@ def _print_summary(report: CommonEigenReport) -> None:
         print(f"interval B: {report.search_interval_b}")
     print(f"window A: {report.window_a}")
     print(f"window B: {report.window_b}")
-    print(f"roots A: {_fmt_values(r.value for r in report.roots_a)}")
-    print(f"roots B: {_fmt_values(r.value for r in report.roots_b)}")
-    print(f"common: {_fmt_values(report.common)}")
+    print(f"roots A: {_fmt_values(map(_fmt_root, report.roots_a))}")
+    print(f"roots B: {_fmt_values(map(_fmt_root, report.roots_b))}")
+    print(f"common: {_fmt_values(f'{v:.10g}' for v in report.common)}")
     total = report.eval_count_a + report.eval_count_b
     print(f"evaluations: A={report.eval_count_a} B={report.eval_count_b} total={total}")
     print(f"wall time: {report.wall_time:.6f}s")

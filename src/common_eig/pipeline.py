@@ -17,6 +17,15 @@ so the window's grid is a slice of the search interval's, and the roots
 are those of the whole grid, bit for bit, for fewer evaluations.  The
 conventional mode stays the paper's baseline, scanning each whole
 interval on the same lattice.
+
+In both modes the pairing then narrows the refinement, the paper's
+pruning taken down from intervals to grid cells: both matrices are
+scanned before either is refined, and only the sign-change cells that can
+hold a common value are bisected.  Every other cell is reported unrefined,
+as a CELL root that brackets its root with the cell, and the common values
+are those of bisecting every cell, bit for bit (``_search`` gives the
+argument).  Each evaluation count is read from the run's own records: the
+grid points scanned plus the bisection steps of the roots returned.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -34,7 +44,10 @@ from .matrix import DenseMatrix, _form_interval, char_fn
 from .rootfind import (
     DEFAULT_STEP,
     DEFAULT_WIDTH_TOL,
+    GridScan,
     RootEstimate,
+    RootOrigin,
+    ScanEvent,
     _check_finite,
     _check_grid,
     _grid_span,
@@ -131,20 +144,6 @@ class BenchmarkSummary:
     modes_agree: bool
 
 
-class _CountedFn:
-    """Wrap a scalar function, counting invocations."""
-
-    __slots__ = ("_fn", "count")
-
-    def __init__(self, fn):
-        self._fn = fn
-        self.count = 0
-
-    def __call__(self, x):
-        self.count += 1
-        return self._fn(x)
-
-
 def match_roots(
     roots_a: Sequence[RootEstimate],
     roots_b: Sequence[RootEstimate],
@@ -201,8 +200,8 @@ def common_eigenvalues(
     else:
         search_a, search_b = interval_a, interval_b
 
-    (window_a, roots_a, count_a), (window_b, roots_b, count_b) = (
-        _search(m, search, cfg) for m, search in ((matrix_a, search_a), (matrix_b, search_b))
+    (window_a, roots_a, count_a), (window_b, roots_b, count_b) = _search(
+        matrix_a, matrix_b, search_a, search_b, cfg
     )
     common = match_roots(roots_a, roots_b, cfg.match_tol)
     elapsed = time.perf_counter() - start
@@ -224,8 +223,8 @@ def common_eigenvalues(
     )
 
 
-def _search(matrix: DenseMatrix, search: RealInterval, cfg: AnalysisConfig):
-    """One matrix's window, its roots and the evaluations they cost.
+def _grid(matrix: DenseMatrix, search: RealInterval, cfg: AnalysisConfig) -> GridScan:
+    """One matrix's characteristic function on its window's grid.
 
     In the proposed mode the window is the part of the search interval's
     grid that brackets the matrix's form interval.  The grid is checked
@@ -236,9 +235,68 @@ def _search(matrix: DenseMatrix, search: RealInterval, cfg: AnalysisConfig):
     if cfg.mode is Mode.PROPOSED and not search.empty:
         _check_grid(search, cfg.step)
         window = _grid_span(search, cfg.step, *_form_interval(matrix))
-    f = _CountedFn(partial(char_fn, matrix))
-    roots = tuple(find_real_roots(f, window, cfg.step, cfg.width_tol))
-    return window, roots, f.count
+    return GridScan(partial(char_fn, matrix), window, cfg.step)
+
+
+def _search(matrix_a, matrix_b, search_a, search_b, cfg: AnalysisConfig):
+    """Each matrix's window, roots and evaluation count, A's first.
+
+    Both windows are scanned before either is refined: B's scan is read
+    by A's cell test, inside A's ``find_real_roots``, right after A's own.
+    Then only two kinds of sign-change cell are bisected: a cell of A
+    within match_tol of a flag of B (a sign-change cell or a zero hit of
+    B's scan), and a cell of B within match_tol of a refined root of A (a
+    bisected root or a zero hit).  Every other cell is returned unrefined,
+    as a CELL root.  The common values cannot change, bit for bit.  A root
+    lies in its cell, so an unrefined root of A is more than match_tol from
+    every root of B, wherever in the cell it lies, and on the same side of
+    each: rounding is monotone, so ``fl(b - a) >= fl(lo_b - hi_a) >
+    match_tol`` for any a and b in cells that far apart.  An unrefined root
+    of B is as far from every refined root of A by its own test, and from
+    every unrefined one by A's.  So each comparison of ``match_roots``'
+    greedy walk that meets an unrefined root pairs nothing and steps the
+    same way as with that root bisected, the walk makes the same moves, and
+    every pair it takes is of two refined roots, from the same ``bisect``
+    calls as if every cell were bisected.  Each count is the grid points
+    scanned plus the bisection steps of the roots returned.
+    """
+    grid_a, grid_b = _grid(matrix_a, search_a, cfg), _grid(matrix_b, search_b, cfg)
+
+    def near_b():
+        return _near(_flags(grid_b.records), cfg.match_tol)
+
+    roots_a = find_real_roots(grid_a, cfg.width_tol, near_b)
+    refined_a = [(r.value, r.value) for r in roots_a if r.origin is not RootOrigin.CELL]
+    roots_b = find_real_roots(grid_b, cfg.width_tol, partial(_near, refined_a, cfg.match_tol))
+    return [
+        (grid.interval, tuple(roots), len(grid.records) + sum(r.iterations for r in roots))
+        for grid, roots in ((grid_a, roots_a), (grid_b, roots_b))
+    ]
+
+
+def _flags(records):
+    """A scan's flags as (lo, hi) marks: each sign-change cell, and each
+    zero hit as (lam, lam)."""
+    return [
+        (rec.lam, rec.lam if rec.event is ScanEvent.ZERO_HIT else records[i + 1].lam)
+        for i, rec in enumerate(records)
+        if rec.event is not ScanEvent.NONE
+    ]
+
+
+def _near(marks, tol):
+    """The cell test that [lo, hi] lies within tol of one of ``marks``,
+    (lo, hi) pairs whose ends both ascend.  Distances are the rounded
+    differences that ``match_roots`` compares with tol."""
+    ends = [hi for _, hi in marks]
+
+    def near(lo, hi):
+        # Past the marks that end more than tol below lo, the first starts
+        # lowest, so it alone can lie within tol of hi.
+        i = bisect_left(ends, True, key=lambda end: lo - end <= tol)
+        return i < len(marks) and marks[i][0] - hi <= tol
+
+    return near
 
 
 def _ratio(num: float, den: float) -> float:

@@ -182,6 +182,8 @@ def _root_obj(root: RootEstimate) -> dict:
         "value": root.value,
         # |f| overflows float64 at large scale; JSON has no inf, so null.
         "residual": root.residual if math.isfinite(root.residual) else None,
+        "bracket_lo": root.bracket_lo,
+        "bracket_hi": root.bracket_hi,
         "iterations": root.iterations,
         "origin": root.origin.value,
     }

@@ -2,8 +2,11 @@
 
 The strategy mirrors a desk calculation: walk a fixed grid across the
 interval recording f at every point, accept grid points where f is exactly
-0.0 directly as roots, and refine every strict sign change between adjacent
-grid points with bisection.  Bisection keeps halving's bracket and stop rules
+0.0 directly as roots, and refine the strict sign changes between adjacent
+grid points with bisection.  Which sign-change cells are refined is the
+caller's choice, made by a cell test once the scan is read; a cell left
+unrefined is still returned, as a CELL estimate that brackets its root
+with the cell itself.  Bisection keeps halving's bracket and stop rules
 but steps to ITP points (regula falsi pulled toward the midpoint), which
 converge superlinearly on the smooth cells of ``det(λI − M)`` and cost at
 most two steps more than halving anywhere else.  "Exactly zero" is f's
@@ -35,6 +38,7 @@ __all__ = [
     "RootOrigin",
     "ScanRecord",
     "RootEstimate",
+    "GridScan",
     "scan",
     "bisect",
     "find_real_roots",
@@ -66,6 +70,7 @@ class RootOrigin(Enum):
     BISECTION = "bisection"
     GRID_ZERO = "grid_zero"
     ENDPOINT_ZERO = "endpoint_zero"
+    CELL = "cell"
 
 
 class ScanRecord(NamedTuple):
@@ -84,8 +89,11 @@ class RootEstimate:
     ``bracket_lo == bracket_hi == value`` for grid and endpoint zeros; for
     bisection results the bracket is the final sign-change interval, with
     ``value`` one of its ends, or the step point inside it where f was
-    exactly 0.0.  ``iterations`` counts bisection steps, one evaluation of
-    f each.
+    exactly 0.0.  A CELL estimate is a sign-change cell left unrefined:
+    what ``bisect`` returns when it takes no step, with the cell as its
+    bracket, the end where |f| is smaller as its value and that |f| as its
+    residual.  ``iterations`` counts bisection steps, one evaluation of f
+    each, so a CELL estimate has 0.
     """
 
     value: float
@@ -321,28 +329,63 @@ def bisect(
     )
 
 
-def find_real_roots(
-    f: Callable[[float], float],
-    interval: RealInterval,
-    step: float = DEFAULT_STEP,
-    width_tol: float = DEFAULT_WIDTH_TOL,
-) -> list[RootEstimate]:
-    """All real roots of f over a closed interval, in ascending order.
+class GridScan:
+    """``scan(f, interval, step)``, made when ``records`` is first read and
+    then kept.
 
-    Grid zero hits are taken directly (grid zeros at the interval's own
-    endpoints are tagged ENDPOINT_ZERO); every sign-change cell is refined
-    by ``bisect`` (ITP steps) from the two scan values that bracket it, so
-    the total cost is one evaluation per grid point plus one per bisection
-    step of a returned root.  A cell holding an odd number of roots yields
-    one of them.  Every zero hit and every sign-change cell is a distinct
-    root and is returned, however close to its neighbours; each lies in
-    its own grid point or cell, so they come out in the grid's order,
-    which is ascending.  An empty interval yields [] without calling f.
-    Raises ValueError, before any call of f, as scan does, and for a
-    width_tol that is not finite and non-negative.
+    ``find_real_roots`` takes a GridScan rather than records, so a scan runs
+    inside the search that first reads it: perfbench credits a scan's
+    evaluations and time to the ``find_real_roots`` call around it.  A
+    pipeline that pairs two functions reads the second scan from the first
+    search's cell test (see ``find_real_roots``' refine) and the second
+    search reads it again, at no further evaluation.
+    """
+
+    __slots__ = ("f", "interval", "step", "_records")
+
+    def __init__(
+        self,
+        f: Callable[[float], float],
+        interval: RealInterval,
+        step: float = DEFAULT_STEP,
+    ):
+        self.f, self.interval, self.step = f, interval, step
+        self._records = None
+
+    @property
+    def records(self) -> list[ScanRecord]:
+        if self._records is None:
+            self._records = scan(self.f, self.interval, self.step)
+        return self._records
+
+
+def find_real_roots(
+    grid: GridScan,
+    width_tol: float = DEFAULT_WIDTH_TOL,
+    refine: Callable[[], Callable[[float, float], bool]] | None = None,
+) -> list[RootEstimate]:
+    """Every real root that ``grid``'s scan of f finds, in ascending order.
+
+    Grid zero hits are taken directly (zero hits on the scan's first or
+    last grid point are tagged ENDPOINT_ZERO).  ``refine``, if given, is
+    called once, after the scan is read and before any bisection, and
+    returns the cell test: a sign-change cell [lo, hi] is refined by
+    ``bisect`` (ITP steps) from the two scan values that bracket it where
+    the test of (lo, hi) is true, or everywhere where refine is None; any
+    other cell is returned unrefined, as a CELL estimate (see
+    RootEstimate).  So the cost is one evaluation of f per grid point and
+    per bisection step, ``len(grid.records)`` plus the roots' iterations.
+    A cell holding an odd number of roots yields one of them.  Every zero
+    hit and every sign-change cell is a distinct root and is returned,
+    however close to its neighbours; each lies in its own grid point or
+    cell, so they come out in the grid's order, which is ascending.  An
+    empty interval yields [] without calling f.  Raises ValueError, before
+    any call of f or of refine, for a width_tol that is not finite and
+    non-negative, and as ``scan`` does.
     """
     _check_finite("width_tol", width_tol)
-    records = scan(f, interval, step)
+    f, records = grid.f, grid.records
+    cell_test = refine() if refine is not None else None
     last = len(records) - 1
 
     roots = []
@@ -363,5 +406,17 @@ def find_real_roots(
             ))
         elif rec.event is ScanEvent.SIGN_CHANGE_AHEAD:
             nxt = records[idx + 1]
-            roots.append(bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol))
+            if cell_test is None or cell_test(rec.lam, nxt.lam):
+                roots.append(bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol))
+            else:
+                # bisect's estimate before any step: the end with smaller |f|, lo on a tie
+                end = min(rec, nxt, key=lambda r: abs(r.value))
+                roots.append(RootEstimate(
+                    value=end.lam,
+                    residual=abs(end.value),
+                    bracket_lo=rec.lam,
+                    bracket_hi=nxt.lam,
+                    iterations=0,
+                    origin=RootOrigin.CELL,
+                ))
     return roots

@@ -6,15 +6,16 @@ by fraction-free (Bareiss) elimination over ``fractions.Fraction``, symmetric
 eigenvalues by cyclic Jacobi rotations with explicit J^T A J products,
 matrix files read token by token with one regex match and one float() per
 token, scan grids listed whole before f is called, and sign-change
-brackets refined by plain halving.  Four are frozen copies instead, which
+brackets refined by plain halving.  Five are frozen copies instead, which
 the library must match bit for bit:
 ``copying_hessenberg_det``, an earlier form of ``matrix._hessenberg_det``
 that copies its rows; ``numpy_qr_det``, the QR determinant through
 ``np.linalg.qr`` that ``matrix._shifted_qr_det`` computed before it called
 LAPACK ``dgeqrf`` directly; ``scaled_sturm_det``, the Sturm pass
 ``matrix._sturm_det`` ran when it multiplied every pivot by the scale;
-and ``itp_bisect``, ``rootfind.bisect`` as it was when a helper made each
-ITP point.
+``itp_bisect``, ``rootfind.bisect`` as it was when a helper made each
+ITP point; and ``refine_every_cell``, the pipeline's search as it was
+before it paired the cells first, bisecting every sign-change cell.
 ``numpy_qr_det`` of ``x`` with ``||x||_inf`` is also the tests' dense QR
 reference for ``det(x)``.
 """
@@ -22,19 +23,25 @@ reference for ``det(x)``.
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from common_eig import MatrixFormatError
-from common_eig.matrix import PIVOT_RTOL, _full_prod
+from common_eig.gerschgorin import intersect, matrix_bounds
+from common_eig.matrix import PIVOT_RTOL, _form_interval, _full_prod, char_fn
+from common_eig.pipeline import Mode, match_roots
 from common_eig.rootfind import (
     RootEstimate,
     RootOrigin,
     ScanEvent,
     ScanRecord,
     _check_finite,
+    _grid_span,
     _opposite_signs,
+    bisect,
+    scan,
 )
 
 # The constants of the frozen bisection, as they were written.
@@ -425,3 +432,34 @@ def itp_bisect(f, lo, hi, flo, fhi, width_tol):
         iterations=iterations,
         origin=RootOrigin.BISECTION,
     )
+
+
+def refine_every_cell(matrix_a, matrix_b, config):
+    """The pipeline's search with every sign-change cell bisected: each
+    matrix's window (the proposed mode's span of the search grid around
+    the form interval, or the conventional mode's whole interval) scanned,
+    each zero hit taken and each sign-change cell refined by ``bisect``,
+    and the roots paired by ``match_roots``.  Returns ``(roots_a, roots_b,
+    common, evaluations)`` with the roots as tuples and ``evaluations``
+    the (A, B) counts: grid points plus bisection steps."""
+    bounds = matrix_bounds(matrix_a), matrix_bounds(matrix_b)
+    searches = bounds if config.mode is Mode.CONVENTIONAL else [intersect(*bounds)] * 2
+    roots, evaluations = [], []
+    for matrix, search in zip((matrix_a, matrix_b), searches):
+        window = search
+        if config.mode is Mode.PROPOSED and not search.empty:
+            window = _grid_span(search, config.step, *_form_interval(matrix))
+        f = partial(char_fn, matrix)
+        records = scan(f, window, config.step)
+        found = []
+        for idx, rec in enumerate(records):
+            if rec.event is ScanEvent.ZERO_HIT:
+                at_end = idx in (0, len(records) - 1)
+                origin = RootOrigin.ENDPOINT_ZERO if at_end else RootOrigin.GRID_ZERO
+                found.append(RootEstimate(rec.lam, abs(rec.value), rec.lam, rec.lam, 0, origin))
+            elif rec.event is ScanEvent.SIGN_CHANGE_AHEAD:
+                nxt = records[idx + 1]
+                found.append(bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, config.width_tol))
+        roots.append(tuple(found))
+        evaluations.append(len(records) + sum(r.iterations for r in found))
+    return (*roots, match_roots(*roots, config.match_tol), tuple(evaluations))

@@ -13,6 +13,7 @@ import pytest
 from common_eig import (
     AnalysisConfig,
     DenseMatrix,
+    GridScan,
     Mode,
     RealInterval,
     char_fn,
@@ -153,10 +154,7 @@ def test_07_triangular_spectra_recovered():
             m = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
             np.fill_diagonal(m, diag)
             matrix = DenseMatrix(m)
-            roots = find_real_roots(
-                lambda x: char_fn(matrix, x),
-                matrix_bounds(matrix),
-            )
+            roots = find_real_roots(GridScan(lambda x: char_fn(matrix, x), matrix_bounds(matrix)))
             assert len(roots) == n
             for est, want in zip(roots, diag):
                 assert est.value == pytest.approx(want, abs=1e-8)

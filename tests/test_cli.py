@@ -33,6 +33,19 @@ def test_cli_reference_pair_summary(matrix_files, capsys):
     assert "evaluations: A=41 B=41 total=82" in out
 
 
+def test_cli_prints_unrefined_roots_as_cells(tmp_path, capsys):
+    # A's 2.55 and B's 2.25 have no partner within match_tol, so each is
+    # left as its grid cell and printed as its bracket, in both modes
+    (tmp_path / "A.mat").write_text("3\n2.55 0 0\n0 3 0\n0 0 1\n")
+    (tmp_path / "B.mat").write_text("3\n3 0 0\n0 2.25 0\n0 0 1\n")
+    argv = [str(tmp_path / "A.mat"), str(tmp_path / "B.mat"), "--mode", "both"]
+    assert run_cli(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for line in ("roots A: 1, [2.5, 2.6], 3", "roots B: 1, [2.2, 2.3], 3", "common: 1, 3",
+                 "evaluations: A=21 B=21 total=42"):
+        assert lines.count(line) == 2
+
+
 def test_cli_missing_argument_is_usage_error(matrix_files, capsys):
     path_a, _ = matrix_files
     assert run_cli([path_a]) == 1

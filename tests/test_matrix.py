@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from common_eig import (
     DenseMatrix,
+    GridScan,
     MatrixFormatError,
     RealInterval,
     char_fn,
@@ -1036,7 +1037,7 @@ def test_on_grid_eigenvalues_of_small_general_matrices_are_found(multiplicity):
             m, grid = _on_grid_general(rng, n, multiplicity, lo, step)
             assert _char_form(m).func is _hessenberg_det
             roots = find_real_roots(
-                lambda x: char_fn(m, x), RealInterval(lo, lo + 60 * step), step, width_tol
+                GridScan(lambda x: char_fn(m, x), RealInterval(lo, lo + 60 * step), step), width_tol
             )
             for x in grid:
                 assert min(abs(r.value - x) for r in roots) <= width_tol
@@ -1055,7 +1056,7 @@ def test_on_grid_eigenvalues_of_large_general_matrices_are_exact_zeros(multiplic
             assert _char_form(m).func is _shifted_qr_det
             assert [char_fn(m, x) for x in grid] == [0.0] * len(grid)
             roots = find_real_roots(
-                lambda x: char_fn(m, x), RealInterval(lo, lo + 60 * step), step, width_tol
+                GridScan(lambda x: char_fn(m, x), RealInterval(lo, lo + 60 * step), step), width_tol
             )
             for x in grid:
                 assert min(abs(r.value - x) for r in roots) <= width_tol
@@ -1138,7 +1139,9 @@ def test_eigenvalues_on_both_ends_of_the_interval_are_found():
         inner = 1 + rng.choice(59, size=n - 2 * pairs - 2, replace=False)
         reals = [lo, hi, *(lo + int(k) * step for k in inner)]
         m = DenseMatrix(_planted_general(rng, reals, pairs))
-        roots = find_real_roots(lambda x: char_fn(m, x), RealInterval(lo, hi), step, width_tol)
+        roots = find_real_roots(
+            GridScan(lambda x: char_fn(m, x), RealInterval(lo, hi), step), width_tol
+        )
         for x in reals:
             assert min(abs(r.value - x) for r in roots) <= width_tol
 

@@ -6,13 +6,14 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import common_eig.pipeline as pipeline
 import common_eig.rootfind as rootfind
 from common_eig import (
     AnalysisConfig,
     DenseMatrix,
+    GridScan,
     Mode,
     RealInterval,
     RootEstimate,
@@ -25,7 +26,7 @@ from common_eig import (
     run_benchmark,
     scan,
 )
-from oracles import numpy_qr_det, plain_bisect
+from oracles import numpy_qr_det, plain_bisect, refine_every_cell
 from test_matrix import _norm_inf, _on_grid_general, _rotated_symmetric
 
 
@@ -198,6 +199,91 @@ def _symmetric_or_upper_triangular(draw):
 def test_evaluation_counts_add_up_on_random_matrices(a, b, mode):
     report = common_eigenvalues(a, b, AnalysisConfig(mode=mode))
     _assert_every_evaluation_is_a_grid_point_or_a_step(report, a, b)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_cells_without_a_partner_are_left_unrefined(mode):
+    # A's 2.55 lies in the cell [2.5, 2.6] and B's 2.25 in [2.2, 2.3]; no
+    # flag of the other matrix lies within match_tol of either, so neither
+    # is bisected: 21 grid points per matrix, where bisecting every cell
+    # costs one step more on each.  The zero hits 1 and 3 pair as before.
+    a = DenseMatrix(np.diag([2.55, 3.0, 1.0]))
+    b = DenseMatrix(np.diag([3.0, 2.25, 1.0]))
+    cfg = AnalysisConfig(mode=mode)
+    report = common_eigenvalues(a, b, cfg)
+    assert report.common == (1.0, 3.0)
+    assert (report.eval_count_a, report.eval_count_b) == (21, 21)
+    assert refine_every_cell(a, b, cfg)[2:] == ((1.0, 3.0), (22, 22))
+    for m, roots, k in ((a, report.roots_a, 25), (b, report.roots_b, 22)):
+        assert [r.origin for r in roots] == [
+            RootOrigin.ENDPOINT_ZERO, RootOrigin.CELL, RootOrigin.ENDPOINT_ZERO,
+        ]
+        cell = roots[1]
+        lo, hi = k * cfg.step, (k + 1) * cfg.step
+        assert (cell.bracket_lo, cell.bracket_hi, cell.iterations) == (lo, hi, 0)
+        assert cell.value in (lo, hi)
+        assert cell.residual == abs(char_fn(m, cell.value)) == min(
+            abs(char_fn(m, lo)), abs(char_fn(m, hi))
+        )
+
+
+def _bits(root):
+    return (root.value.hex(), root.residual.hex(), root.bracket_lo.hex(),
+            root.bracket_hi.hex(), root.iterations, root.origin)
+
+
+def _assert_same_common_values_as_bisecting_every_cell(a, b, cfg):
+    report = common_eigenvalues(a, b, cfg)
+    roots_a, roots_b, common, evaluations = refine_every_cell(a, b, cfg)
+    assert [c.hex() for c in report.common] == [c.hex() for c in common]
+    for new, old in ((report.roots_a, roots_a), (report.roots_b, roots_b)):
+        assert len(new) == len(old)
+        for n, o in zip(new, old):
+            if n.origin is RootOrigin.CELL:
+                # the cell that the oracle bisected
+                assert o.origin is RootOrigin.BISECTION
+                assert n.bracket_lo <= o.bracket_lo <= o.bracket_hi <= n.bracket_hi
+            else:
+                assert _bits(n) == _bits(o)
+    assert report.eval_count_a <= evaluations[0]
+    assert report.eval_count_b <= evaluations[1]
+    return report
+
+
+@st.composite
+def _pair_sharing_eigenvalues_or_not(draw):
+    """Two matrices from _any_matrix, or one and an orthogonal similarity
+    of it (symmetrized where it is symmetric), which shares its spectrum
+    to rounding, so that many cells pair and are bisected."""
+    a = draw(_any_matrix())
+    if draw(st.booleans()):
+        return a, draw(_any_matrix())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(a.order, a.order)))
+    b = q @ a.entries @ q.T
+    if (a.entries == a.entries.T).all():
+        b = 0.5 * (b + b.T)
+    return a, DenseMatrix(b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_pair_sharing_eigenvalues_or_not())
+# Each pair lies 9e-7 apart across the grid point 1, so that B's cell
+# starts 7e-7 above A's refined root 0.9999993 in the first, and ends 7e-7
+# below A's refined root 1.0000007 in the second: more than match_tol / 2.
+# In the third, A's cell [0.9, 1] pairs only with B's zero hit at 1, and
+# in the fourth, B's cell [1, 1.1] only with A's zero hit at 1.
+@example((DenseMatrix(np.diag([0.9999993, 3.0, 0.5])), DenseMatrix(np.diag([1.0000002, 3.0, 0.5]))))
+@example((DenseMatrix(np.diag([1.0000007, 3.0, 0.5])), DenseMatrix(np.diag([0.9999998, 3.0, 0.5]))))
+@example((DenseMatrix(np.diag([0.9999995, 3.0, 0.5])), DenseMatrix(np.diag([1.0, 3.0, 0.5]))))
+@example((DenseMatrix(np.diag([1.0, 3.0, 0.5])), DenseMatrix(np.diag([1.0000002, 3.0, 0.5]))))
+def test_common_values_are_those_of_bisecting_every_cell(pair):
+    # Symmetric, dense and triangular pairs of order 1 to 12 at scales 2^-8
+    # to 2^8, in both modes: the common values are the oracle's to the
+    # bit, every refined root is the oracle's, and every cell left
+    # unrefined holds the oracle's bisected root.
+    for mode in Mode:
+        _assert_same_common_values_as_bisecting_every_cell(*pair, AnalysisConfig(mode=mode))
 
 
 def _without_windows(a, b, cfg):
@@ -452,8 +538,7 @@ def test_symmetric_path_common_values_match_qr_path():
         report = common_eigenvalues(a, b, cfg)
         qr_roots = [
             find_real_roots(
-                lambda x, m=m: qr_det(m, x),
-                interval, cfg.step, cfg.width_tol,
+                GridScan(lambda x, m=m: qr_det(m, x), interval, cfg.step), cfg.width_tol,
             )
             for m, interval in ((a, report.search_interval_a), (b, report.search_interval_b))
         ]
@@ -590,6 +675,7 @@ def test_itp_steps_agree_with_plain_halving_and_cost_less(path, monkeypatch):
         ]
     cfg = AnalysisConfig()
     itp = [common_eigenvalues(a, b, cfg) for a, b in pairs]
+    assert any(r.iterations for report in itp for r in report.roots_a + report.roots_b)
     monkeypatch.setattr(rootfind, "bisect", plain_bisect)
     plain = [common_eigenvalues(a, b, cfg) for a, b in pairs]
     for new, old in zip(itp, plain):

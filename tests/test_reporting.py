@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from common_eig import (
@@ -217,3 +218,22 @@ def test_json_round_trips_root_fields(mat_b):
         assert parsed["value"] == root.value
         assert parsed["residual"] == root.residual
         assert parsed["iterations"] == root.iterations
+        assert parsed["bracket_lo"] == parsed["bracket_hi"] == root.value
+
+
+def test_json_gives_a_cell_root_its_bracket():
+    # A's 2.55 has no partner in B within match_tol, so it stays a cell
+    report = common_eigenvalues(
+        DenseMatrix(np.diag([2.55, 3.0, 1.0])), DenseMatrix(np.diag([3.0, 2.25, 1.0]))
+    )
+    payload = json.loads(emit_json_report(report))
+    assert list(payload["roots_a"][1]) == [
+        "value", "residual", "bracket_lo", "bracket_hi", "iterations", "origin",
+    ]
+    for parsed, root in zip(payload["roots_a"] + payload["roots_b"], report.roots_a + report.roots_b):
+        assert (parsed["bracket_lo"], parsed["bracket_hi"]) == (root.bracket_lo, root.bracket_hi)
+        assert parsed["origin"] == root.origin.value
+    cell = payload["roots_a"][1]
+    assert (cell["origin"], cell["iterations"]) == ("cell", 0)
+    assert cell["bracket_lo"] < 2.55 < cell["bracket_hi"]
+    assert cell["value"] in (cell["bracket_lo"], cell["bracket_hi"])

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from common_eig import (
     EMPTY_INTERVAL,
     DenseMatrix,
+    GridScan,
     RealInterval,
     RootOrigin,
     ScanEvent,
@@ -260,7 +261,7 @@ def test_a_step_at_or_below_twice_the_float_spacing_is_refused():
         (RealInterval(-3.0, -3.0 + 1e-13), 2.0 * math.ulp(3.0)),
     ):
         with pytest.raises(ValueError, match=re.escape(f"step {step!r} is not above twice")):
-            find_real_roots(counted, interval, step)
+            find_real_roots(GridScan(counted, interval, step))
     assert counted.calls == 0
     # a step just above it is admitted, and a point interval keeps its one
     # point at any step, however large its quotient by the step
@@ -395,9 +396,9 @@ def test_find_roots_in_a_window_match_the_whole_grid():
     interval = RealInterval(0.0, 2.0)
     for window in (RealInterval(-1.0, 0.7), RealInterval(0.0, 0.62), RealInterval(-0.5, 3.0)):
         whole, windowed = Counted(f), Counted(f)
-        expected = find_real_roots(whole, interval, 0.1)
+        expected = find_real_roots(GridScan(whole, interval, 0.1))
         span = _grid_span(interval, 0.1, window.lo, window.hi)
-        assert find_real_roots(windowed, span, 0.1) == expected
+        assert find_real_roots(GridScan(windowed, span, 0.1)) == expected
         assert [r.origin for r in expected] == [
             RootOrigin.ENDPOINT_ZERO, RootOrigin.BISECTION, RootOrigin.BISECTION,
         ]
@@ -406,7 +407,7 @@ def test_find_roots_in_a_window_match_the_whole_grid():
     # a window past both ends keeps the zeros on the grid's ends endpoint zeros
     g = lambda x: x * (x - 2.0)  # noqa: E731
     span = _grid_span(interval, 0.1, -1.0, 3.0)
-    assert [r.origin for r in find_real_roots(g, span, 0.1)] == [
+    assert [r.origin for r in find_real_roots(GridScan(g, span, 0.1))] == [
         RootOrigin.ENDPOINT_ZERO, RootOrigin.ENDPOINT_ZERO,
     ]
 
@@ -502,7 +503,7 @@ def test_bisect_with_zero_width_tol_stops_at_adjacent_floats():
     # f at a bracket end.
     target = math.asin(0.3)
     counted = Counted(lambda x: math.sin(x) - 0.3)
-    roots = find_real_roots(counted, RealInterval(0.0, 3.0), 0.1, 0.0)
+    roots = find_real_roots(GridScan(counted, RealInterval(0.0, 3.0), 0.1), 0.0)
     assert [r.value for r in roots] == pytest.approx([target, math.pi - target], abs=1e-12)
     for r in roots:
         assert r.origin is RootOrigin.BISECTION
@@ -688,23 +689,21 @@ def test_bisect_on_a_smooth_cell_takes_a_fraction_of_the_halvings():
 # --------------------------------------------------------- find_real_roots
 
 def test_find_roots_reference_a(mat_a):
-    roots = find_real_roots(lambda x: char_fn(mat_a, x), RealInterval(0, 4))
+    roots = find_real_roots(GridScan(lambda x: char_fn(mat_a, x), RealInterval(0, 4)))
     assert [r.value for r in roots] == [2.0, 3.0]
     assert all(r.origin is RootOrigin.GRID_ZERO for r in roots)
     assert all(r.iterations == 0 for r in roots)
 
 
 def test_find_roots_reference_b(mat_b):
-    roots = find_real_roots(lambda x: char_fn(mat_b, x), RealInterval(0, 4))
+    roots = find_real_roots(GridScan(lambda x: char_fn(mat_b, x), RealInterval(0, 4)))
     assert [r.value for r in roots] == [1.0, 3.0, 4.0]
     assert roots[-1].origin is RootOrigin.ENDPOINT_ZERO
     assert roots[0].origin is RootOrigin.GRID_ZERO
 
 
 def test_find_roots_via_bisection():
-    roots = find_real_roots(
-        lambda x: (x - 0.55) * (x - 2.05), RealInterval(0, 3)
-    )
+    roots = find_real_roots(GridScan(lambda x: (x - 0.55) * (x - 2.05), RealInterval(0, 3)))
     assert len(roots) == 2
     assert abs(roots[0].value - 0.55) <= 1e-9
     assert abs(roots[1].value - 2.05) <= 1e-9
@@ -718,16 +717,51 @@ def test_find_roots_costs_one_evaluation_per_grid_point_and_iteration():
 
     counted = Counted(f)
     interval = RealInterval(0, 3)
-    roots = find_real_roots(counted, interval)
+    roots = find_real_roots(GridScan(counted, interval))
     grid_points = len(scan(f, interval))
     assert len(roots) == 2
     assert all(r.origin is RootOrigin.BISECTION for r in roots)
     assert counted.calls == grid_points + sum(r.iterations for r in roots)
 
 
+def test_find_roots_leaves_the_cells_refine_rejects_unrefined():
+    # refine is called once, after the scan; its test sees each sign-change
+    # cell once, in ascending order.  A cell it rejects is returned as
+    # bisect returns a bracket it takes no step in, at no evaluation, and
+    # the cells it accepts are bisected as before.
+    def f(x):
+        return (x - 0.55) * (x - 1.23) * (x - 2.05)
+
+    counted = Counted(f)
+    grid = GridScan(counted, RealInterval(0, 3))
+    records, seen = [], []
+
+    def refine():
+        records.extend(grid.records)
+        return lambda lo, hi: seen.append((lo, hi)) or lo > 1
+
+    roots = find_real_roots(grid, refine=refine)
+    cells = [(rec.lam, nxt.lam) for rec, nxt in zip(records, records[1:])
+             if rec.event is ScanEvent.SIGN_CHANGE_AHEAD]
+    assert seen == cells and len(cells) == 3
+    assert [r.origin for r in roots] == [RootOrigin.CELL] + [RootOrigin.BISECTION] * 2
+    (lo, hi), cell = cells[0], roots[0]
+    assert (cell.bracket_lo, cell.bracket_hi, cell.iterations) == (lo, hi, 0)
+    assert (cell.value, cell.residual) == min((lo, abs(f(lo))), (hi, abs(f(hi))), key=lambda p: p[1])
+    assert counted.calls == len(records) + sum(r.iterations for r in roots) > len(records)
+    assert roots[1:] == find_real_roots(GridScan(f, RealInterval(0, 3)))[1:]
+    # the scan is kept: a second search of the same grid evaluates nothing
+    calls = counted.calls
+    unrefined = find_real_roots(grid, refine=lambda: lambda lo, hi: False)
+    assert [(r.bracket_lo, r.bracket_hi, r.origin) for r in unrefined] == [
+        (lo, hi, RootOrigin.CELL) for lo, hi in cells
+    ]
+    assert unrefined[0] == cell and counted.calls == calls
+
+
 def test_find_roots_empty_interval():
     counted = Counted(lambda x: x)
-    assert find_real_roots(counted, EMPTY_INTERVAL) == []
+    assert find_real_roots(GridScan(counted, EMPTY_INTERVAL)) == []
     assert counted.calls == 0
 
 
@@ -736,7 +770,7 @@ def test_find_roots_empty_interval():
     "name, call",
     [
         ("width_tol", lambda f, v: bisect(f, 0.0, 1.0, -0.3, 0.7, width_tol=v)),
-        ("width_tol", lambda f, v: find_real_roots(f, RealInterval(0, 1), width_tol=v)),
+        ("width_tol", lambda f, v: find_real_roots(GridScan(f, RealInterval(0, 1)), width_tol=v)),
         ("match_tol", lambda f, v: match_roots([], [], v)),
     ],
     ids=["bisect", "find_real_roots-width", "match_roots"],
@@ -756,7 +790,7 @@ def test_find_roots_returns_both_zero_hits_of_a_band():
     def f(x):
         return 0.0 if 0.25 < x < 0.45 else x - 0.35
 
-    zero_hits = find_real_roots(f, RealInterval(0, 1), step=0.1)
+    zero_hits = find_real_roots(GridScan(f, RealInterval(0, 1), step=0.1))
     assert [r.origin for r in zero_hits] == [RootOrigin.GRID_ZERO] * 2
 
 
@@ -765,7 +799,7 @@ def test_find_roots_returns_bisected_root_beside_grid_zero():
     def f(x):
         return (x - 0.35) * (x - 0.5)
 
-    apart = find_real_roots(f, RealInterval(0, 1), step=0.1)
+    apart = find_real_roots(GridScan(f, RealInterval(0, 1), step=0.1))
     assert [r.origin for r in apart] == [RootOrigin.BISECTION, RootOrigin.GRID_ZERO]
     assert apart[0].residual > 0.0
 
@@ -776,7 +810,7 @@ def test_find_roots_gap_invariant():
         diag = np.sort(rng.uniform(0, 5, 4))
         t = np.triu(rng.uniform(-1, 1, (4, 4)), 1) + np.diag(diag)
         m = DenseMatrix(t)
-        roots = find_real_roots(lambda x: char_fn(m, x), RealInterval(-2, 7))
+        roots = find_real_roots(GridScan(lambda x: char_fn(m, x), RealInterval(-2, 7)))
         values = [r.value for r in roots]
         assert values == sorted(values)
         # each root is its own eigenvalue: the nearest diagonal entries of
@@ -792,7 +826,7 @@ def test_find_roots_recovers_separated_triangular_spectrum():
         diag = np.array([0.7, 1.3, 2.2, 3.6]) + rng.uniform(-0.1, 0.1, 4)
         t = np.triu(rng.uniform(-1, 1, (4, 4)), 1) + np.diag(diag)
         m = DenseMatrix(t)
-        roots = find_real_roots(lambda x: char_fn(m, x), RealInterval(0, 4.5))
+        roots = find_real_roots(GridScan(lambda x: char_fn(m, x), RealInterval(0, 4.5)))
         assert len(roots) == 4
         for root, d in zip(roots, np.sort(diag)):
             assert abs(root.value - d) <= 1e-8
@@ -803,12 +837,12 @@ def test_find_roots_returns_both_halves_of_a_near_double_eigenvalue():
     # changes, so two roots, and neither is dropped for being close
     eigenvalues = [0.9999998, 1.0000002, 5.0]
     m = DenseMatrix(np.diag(eigenvalues))
-    roots = find_real_roots(lambda x: char_fn(m, x), RealInterval(0, 6))
+    roots = find_real_roots(GridScan(lambda x: char_fn(m, x), RealInterval(0, 6)))
     assert len(roots) == 3
     assert all(abs(r.value - e) <= 1e-8 for r, e in zip(roots, eigenvalues))
 
 
 def test_find_roots_deterministic(mat_b):
-    first = find_real_roots(lambda x: char_fn(mat_b, x), RealInterval(0, 4))
-    second = find_real_roots(lambda x: char_fn(mat_b, x), RealInterval(0, 4))
+    first = find_real_roots(GridScan(lambda x: char_fn(mat_b, x), RealInterval(0, 4)))
+    second = find_real_roots(GridScan(lambda x: char_fn(mat_b, x), RealInterval(0, 4)))
     assert first == second
