@@ -19,13 +19,16 @@ conventional mode stays the paper's baseline, scanning each whole
 interval on the same lattice.
 
 In both modes the pairing then narrows the refinement, the paper's
-pruning taken down from intervals to grid cells: both matrices are
-scanned before either is refined, and only the sign-change cells that can
-hold a common value are bisected.  Every other cell is reported unrefined,
-as a CELL root that brackets its root with the cell, and the common values
-are those of bisecting every cell, bit for bit (``_search`` gives the
-argument).  Each evaluation count is read from the run's own records: the
-grid points scanned plus the bisection steps of the roots returned.
+pruning taken down from intervals to grid cells and on to each bisection
+step: both matrices are scanned before either is refined, only the
+sign-change cells that can hold a common value are bisected, and each
+bisection stops once its bracket can no longer hold one.  Every other
+cell, and every bisection stopped, is reported as a CELL root that
+brackets its root with the cell or with the bracket reached, and the
+common values are those of bisecting every cell to width_tol, bit for bit
+(``_search`` gives the argument).  Each evaluation count is read from the
+run's own records: the grid points scanned plus the bisection steps of
+the roots returned.
 """
 
 from __future__ import annotations
@@ -243,22 +246,30 @@ def _search(matrix_a, matrix_b, search_a, search_b, cfg: AnalysisConfig):
 
     Both windows are scanned before either is refined: B's scan is read
     by A's cell test, inside A's ``find_real_roots``, right after A's own.
-    Then only two kinds of sign-change cell are bisected: a cell of A
-    within match_tol of a flag of B (a sign-change cell or a zero hit of
-    B's scan), and a cell of B within match_tol of a refined root of A (a
-    bisected root or a zero hit).  Every other cell is returned unrefined,
-    as a CELL root.  The common values cannot change, bit for bit.  A root
-    lies in its cell, so an unrefined root of A is more than match_tol from
-    every root of B, wherever in the cell it lies, and on the same side of
-    each: rounding is monotone, so ``fl(b - a) >= fl(lo_b - hi_a) >
-    match_tol`` for any a and b in cells that far apart.  An unrefined root
-    of B is as far from every refined root of A by its own test, and from
-    every unrefined one by A's.  So each comparison of ``match_roots``'
-    greedy walk that meets an unrefined root pairs nothing and steps the
-    same way as with that root bisected, the walk makes the same moves, and
-    every pair it takes is of two refined roots, from the same ``bisect``
-    calls as if every cell were bisected.  Each count is the grid points
-    scanned plus the bisection steps of the roots returned.
+    A root of A is refined only while its bracket lies within match_tol
+    of a flag of B (a sign-change cell or a zero hit of B's scan), and a
+    root of B only while its bracket lies within match_tol of a refined
+    root of A (one bisected to width_tol, or a zero hit).  A cell that
+    starts out of reach is returned unrefined, with no ``bisect`` call; a
+    bisection is stopped before the step at which its bracket has left
+    every such mark's reach.  Both are returned as CELL roots, whose
+    bracket holds the root and whose value, the last point evaluated or,
+    where no step was taken, a cell end, lies in that bracket.
+
+    The common values cannot change, bit for bit.  Brackets only shrink,
+    and every root of B lies in its flag, so a CELL root of A is more than
+    match_tol from every root of B, and on the same side of each, as its
+    value would be had it been bisected to width_tol: rounding is
+    monotone, so ``fl(b - a) >= fl(lo_b - hi_a) > match_tol`` for any a
+    and b in brackets that far apart.  A CELL root of B is as far from
+    every refined root of A by its own test, and from every CELL root of A
+    by A's.  So each comparison of ``match_roots``' greedy walk that meets
+    a CELL root pairs nothing and steps the same way as with that root
+    bisected, the walk makes the same moves, and every pair it takes is of
+    two roots that no test stopped.  The near test changes no step point,
+    so those come from the same ITP steps as if every cell were bisected.
+    Each count is the grid points scanned plus the bisection steps of the
+    roots returned, stopped or not.
     """
     grid_a, grid_b = _grid(matrix_a, search_a, cfg), _grid(matrix_b, search_b, cfg)
 
@@ -285,18 +296,35 @@ def _flags(records):
 
 
 def _near(marks, tol):
-    """The cell test that [lo, hi] lies within tol of one of ``marks``,
-    (lo, hi) pairs whose ends both ascend.  Distances are the rounded
-    differences that ``match_roots`` compares with tol."""
+    """The cell test over ``marks``, (lo, hi) pairs whose ends both ascend.
+
+    For a cell [lo, hi] it returns None where no mark lies within tol of
+    the cell, and otherwise ``bisect``'s near test: whether a bracket lies
+    within tol of one of the marks that the cell does.  A bracket inside
+    the cell can lie near no other mark.  Distances are the rounded
+    differences that ``match_roots`` compares with tol.
+    """
     ends = [hi for _, hi in marks]
 
-    def near(lo, hi):
-        # Past the marks that end more than tol below lo, the first starts
-        # lowest, so it alone can lie within tol of hi.
-        i = bisect_left(ends, True, key=lambda end: lo - end <= tol)
-        return i < len(marks) and marks[i][0] - hi <= tol
+    def cell_test(lo, hi):
+        # Past the marks that end more than tol below lo, those that start
+        # within tol of hi come first, as the starts ascend too.
+        i = j = bisect_left(ends, True, key=lambda end: lo - end <= tol)
+        while j < len(marks) and marks[j][0] - hi <= tol:
+            j += 1
+        if i == j:
+            return None
+        close = marks[i:j]
 
-    return near
+        def near(lo, hi):
+            for start, end in close:
+                if start - hi <= tol and lo - end <= tol:
+                    return True
+            return False
+
+        return near
+
+    return cell_test
 
 
 def _ratio(num: float, den: float) -> float:

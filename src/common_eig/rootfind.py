@@ -3,16 +3,18 @@
 The strategy mirrors a desk calculation: walk a fixed grid across the
 interval recording f at every point, accept grid points where f is exactly
 0.0 directly as roots, and refine the strict sign changes between adjacent
-grid points with bisection.  Which sign-change cells are refined is the
-caller's choice, made by a cell test once the scan is read; a cell left
-unrefined is still returned, as a CELL estimate that brackets its root
-with the cell itself.  Bisection keeps halving's bracket and stop rules
-but steps to ITP points (regula falsi pulled toward the midpoint), which
-converge superlinearly on the smooth cells of ``det(λI − M)`` and cost at
-most two steps more than halving anywhere else.  "Exactly zero" is f's
-own decision: ``char_fn`` returns 0.0 when lambda*I - M is singular to
-working precision, by a rule relative to the matrix's scale, and no
-absolute threshold is added here.
+grid points with bisection.  Which sign-change cells are refined, and how
+far, is the caller's choice, made by a cell test once the scan is read: it
+leaves a cell unrefined or hands bisection a test that can stop it early.
+A root left unrefined or stopped is still returned, as a CELL estimate
+that brackets it with the cell or with the part of it that bisection
+kept.  Bisection
+keeps halving's bracket and stop rules but steps to ITP points (regula
+falsi pulled toward the midpoint), which converge superlinearly on the
+smooth cells of ``det(λI − M)`` and cost at most two steps more than
+halving anywhere else.  "Exactly zero" is f's own decision: ``char_fn``
+returns 0.0 when lambda*I - M is singular to working precision, by a rule
+relative to the matrix's scale, and no absolute threshold is added here.
 Every zero hit and every sign-change cell is a distinct root, and every
 root found is returned, however close to its neighbours.
 Roots of even multiplicity (no sign change, no grid hit) are invisible to
@@ -49,8 +51,10 @@ __all__ = [
 DEFAULT_STEP = 0.1
 DEFAULT_WIDTH_TOL = 1e-10
 
-# scan refuses a grid of more points than this, which at about 128 bytes
-# of records per point would take some 13 GB.
+# scan refuses a grid of more points than this.  The records it returns
+# hold 128 bytes per point (tracemalloc over grids of 1e5 and 1e6 points on
+# CPython 3.11: a 64-byte ScanRecord, two 24-byte floats and a list slot),
+# so a grid at the limit would take some 13 GB.
 _MAX_GRID_POINTS = 10**8
 
 # The ITP step's pull toward the midpoint is _ITP_KAPPA·w²/(hi - lo) for a
@@ -58,6 +62,9 @@ _MAX_GRID_POINTS = 10**8
 _ITP_KAPPA = 0.2
 # The bracket may lag plain halving by _ITP_N0 steps (n0 in the ITP paper).
 _ITP_N0 = 2
+
+# bisect's near test of a bracket (lo, hi): refine it further only where true.
+_Near = Callable[[float, float], bool]
 
 
 class ScanEvent(Enum):
@@ -89,11 +96,13 @@ class RootEstimate:
     ``bracket_lo == bracket_hi == value`` for grid and endpoint zeros; for
     bisection results the bracket is the final sign-change interval, with
     ``value`` one of its ends, or the step point inside it where f was
-    exactly 0.0.  A CELL estimate is a sign-change cell left unrefined:
-    what ``bisect`` returns when it takes no step, with the cell as its
-    bracket, the end where |f| is smaller as its value and that |f| as its
-    residual.  ``iterations`` counts bisection steps, one evaluation of f
-    each, so a CELL estimate has 0.
+    exactly 0.0.  A CELL estimate is a sign-change cell refined only until
+    it could not pair: what ``bisect`` returns when its ``near`` test stops
+    it, with its bracket as far as it got, and as its value and residual
+    the last point evaluated, an end of that bracket, and |f| there.  A
+    cell left wholly unrefined is its own bracket, with the end where |f|
+    is smaller as its value.  ``iterations`` counts bisection steps, one
+    evaluation of f each, so a CELL estimate has 0 or more.
     """
 
     value: float
@@ -217,6 +226,7 @@ def bisect(
     flo: float,
     fhi: float,
     width_tol: float = DEFAULT_WIDTH_TOL,
+    near: _Near | None = None,
 ) -> RootEstimate:
     """Refine a strict sign-change bracket [lo, hi] to a root.
 
@@ -225,7 +235,13 @@ def bisect(
     Each step evaluates f at one point strictly inside the bracket and
     keeps the part that still changes sign, stopping as soon as f is
     exactly 0.0 there, the bracket is no wider than width_tol, or no
-    float64 lies strictly inside it.
+    float64 lies strictly inside it.  ``near``, if given, is asked before
+    each step whether the current bracket is still worth refining, as
+    ``near(lo, hi)``; where it is false bisect stops there and returns a
+    CELL estimate instead (see RootEstimate).  Those rules are tested
+    first, so a bracket that reaches width_tol is a BISECTION root
+    whatever near says, and ``near`` changes no step point: a root it
+    never stops is the one bisect gives without it, bit for bit.
 
     The point is the ITP one (interpolate, truncate, project; Oliveira &
     Takahashi, ACM TOMS 47(1), 2020): regula falsi, pulled toward the
@@ -246,8 +262,8 @@ def bisect(
     halvings over the whole float64 range, brackets out to ±max included.
 
     The estimate is the last point evaluated: an exact zero of f, or else
-    an end of the final bracket; where the bracket could not be split at
-    all, it is the end with the smaller |f|.  Costs exactly
+    an end of the final bracket; where no step was taken at all, it is the
+    end with the smaller |f|.  Costs exactly
     ``iterations`` evaluations of f.  Raises ValueError for a width_tol
     that is not finite and non-negative, an empty or reversed bracket,
     bracket values that do not change sign, or an f that returns nan
@@ -286,7 +302,11 @@ def bisect(
     isfinite, isnan, copysign, ldexp = math.isfinite, math.isnan, math.copysign, math.ldexp
     est, fest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     iterations = 0
+    origin = RootOrigin.BISECTION
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        if near is not None and not near(lo, hi):
+            origin = RootOrigin.CELL
+            break
         # The ITP point: regula falsi between the bracket ends, pulled
         # toward the midpoint by kappa·w², then clamped to within
         # bound − w/2 of the midpoint, so that neither sub-bracket is wider
@@ -325,7 +345,7 @@ def bisect(
         bracket_lo=lo,
         bracket_hi=hi,
         iterations=iterations,
-        origin=RootOrigin.BISECTION,
+        origin=origin,
     )
 
 
@@ -362,19 +382,22 @@ class GridScan:
 def find_real_roots(
     grid: GridScan,
     width_tol: float = DEFAULT_WIDTH_TOL,
-    refine: Callable[[], Callable[[float, float], bool]] | None = None,
+    refine: Callable[[], Callable[[float, float], _Near | None]] | None = None,
 ) -> list[RootEstimate]:
     """Every real root that ``grid``'s scan of f finds, in ascending order.
 
     Grid zero hits are taken directly (zero hits on the scan's first or
     last grid point are tagged ENDPOINT_ZERO).  ``refine``, if given, is
     called once, after the scan is read and before any bisection, and
-    returns the cell test: a sign-change cell [lo, hi] is refined by
-    ``bisect`` (ITP steps) from the two scan values that bracket it where
-    the test of (lo, hi) is true, or everywhere where refine is None; any
-    other cell is returned unrefined, as a CELL estimate (see
-    RootEstimate).  So the cost is one evaluation of f per grid point and
-    per bisection step, ``len(grid.records)`` plus the roots' iterations.
+    returns the cell test.  For a sign-change cell [lo, hi] the test of
+    (lo, hi) returns None, and the cell is returned unrefined, as a CELL
+    estimate (see RootEstimate) with no call of ``bisect``; or it returns
+    the ``near`` test with which ``bisect`` (ITP steps) refines the cell
+    from the two scan values that bracket it, and which may stop it early,
+    as a CELL estimate too.  Where refine is None every cell is bisected
+    to width_tol.  So the cost is one evaluation of f per grid point and
+    per bisection step, ``len(grid.records)`` plus the roots' iterations,
+    whether a root was refined to width_tol or stopped on the way.
     A cell holding an odd number of roots yields one of them.  Every zero
     hit and every sign-change cell is a distinct root and is returned,
     however close to its neighbours; each lies in its own grid point or
@@ -406,8 +429,9 @@ def find_real_roots(
             ))
         elif rec.event is ScanEvent.SIGN_CHANGE_AHEAD:
             nxt = records[idx + 1]
-            if cell_test is None or cell_test(rec.lam, nxt.lam):
-                roots.append(bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol))
+            near = cell_test(rec.lam, nxt.lam) if cell_test is not None else None
+            if cell_test is None or near is not None:
+                roots.append(bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol, near))
             else:
                 # bisect's estimate before any step: the end with smaller |f|, lo on a tie
                 end = min(rec, nxt, key=lambda r: abs(r.value))

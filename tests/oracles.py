@@ -194,10 +194,11 @@ def token_walk_parse(text: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def plain_bisect(f, lo, hi, flo, fhi, width_tol):
-    """Bisection by plain halving: the bracket, stop rules and estimate of
-    ``rootfind.bisect`` with every step at the midpoint 0.5·lo + 0.5·hi.
-    Returns a ``RootEstimate``; raises ``ValueError`` as ``bisect`` does."""
+def plain_bisect(f, lo, hi, flo, fhi, width_tol, near=None):
+    """Bisection by plain halving: the bracket, stop rules, near test and
+    estimate of ``rootfind.bisect`` with every step at the midpoint
+    0.5·lo + 0.5·hi.  Returns a ``RootEstimate``, a CELL one where near
+    stopped it; raises ``ValueError`` as ``bisect`` does."""
     if width_tol < 0.0:
         raise ValueError("width_tol must be non-negative")
     if not lo < hi:
@@ -207,7 +208,11 @@ def plain_bisect(f, lo, hi, flo, fhi, width_tol):
 
     est, fest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     iterations = 0
+    origin = RootOrigin.BISECTION
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        if near is not None and not near(lo, hi):
+            origin = RootOrigin.CELL
+            break
         est, fest = mid, float(f(mid))
         iterations += 1
         if fest == 0.0:
@@ -224,7 +229,7 @@ def plain_bisect(f, lo, hi, flo, fhi, width_tol):
         bracket_lo=lo,
         bracket_hi=hi,
         iterations=iterations,
-        origin=RootOrigin.BISECTION,
+        origin=origin,
     )
 
 

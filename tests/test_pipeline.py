@@ -286,6 +286,50 @@ def test_common_values_are_those_of_bisecting_every_cell(pair):
         _assert_same_common_values_as_bisecting_every_cell(*pair, AnalysisConfig(mode=mode))
 
 
+# Diagonals of pairs in which a bisection starts, because its cell lies
+# within match_tol of a mark of the other matrix, and then stops, once its
+# bracket has left every such mark's reach; and the matrix whose root stops.
+# A's 2.67 in [2.6, 2.7] touches B's cell [2.5, 2.6] from above and A's
+# 2.51 in [2.5, 2.6] touches B's [2.6, 2.7] from below; B's 2.57 shares its
+# cell with A's 2.53, which is refined to the bit; A's 2.56 and B's 2.65 lie
+# either side of 2.6, where |f| is smaller than at their cells' other ends,
+# so B's unrefined root reads 2.6, and so would A's, paired with it, if a
+# stopped root kept its cell end.  (Roots 9e-7 apart across a grid point,
+# which pair and so must never stop, are the test above's first examples.)
+_STOPS = {
+    "A above a touching B cell": ([2.67, 3.0, 1.0], [3.0, 2.55, 1.0], "a"),
+    "A below a touching B cell": ([2.51, 3.0, 1.0], [3.0, 2.69, 1.0], "a"),
+    "B beside a refined A root": ([2.53, 3.0, 1.0], [3.0, 2.57, 1.0], "b"),
+    "A off a shared cell end": ([2.56, 3.0, 1.0], [2.65, 2.0, 1.0, 5.0], "a"),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("case", list(_STOPS))
+def test_bisection_stops_once_its_root_cannot_pair(case, mode):
+    # The common values and every root refined to width_tol are those of
+    # bisecting every cell to the bit.  A stopped root is a CELL root with
+    # the steps it took: its value is the last point evaluated, an end of
+    # its bracket, more than match_tol from every root of the other matrix.
+    diag_a, diag_b, side = _STOPS[case]
+    a, b = DenseMatrix(np.diag(diag_a)), DenseMatrix(np.diag(diag_b))
+    cfg = AnalysisConfig(mode=mode)
+    report = _assert_same_common_values_as_bisecting_every_cell(a, b, cfg)
+    stopped = {
+        name: [r for r in roots if r.origin is RootOrigin.CELL and r.iterations > 0]
+        for name, roots in (("a", report.roots_a), ("b", report.roots_b))
+    }
+    assert len(stopped[side]) == 1 and stopped["b" if side == "a" else "a"] == []
+    root = stopped[side][0]
+    matrix, others = (a, report.roots_b) if side == "a" else (b, report.roots_a)
+    assert root.value in (root.bracket_lo, root.bracket_hi)
+    assert root.residual == abs(char_fn(matrix, root.value)) > 0.0
+    assert root.bracket_hi - root.bracket_lo < cfg.step
+    assert all(abs(root.value - other.value) > cfg.match_tol for other in others)
+    evaluations = refine_every_cell(a, b, cfg)[3]
+    assert report.eval_count_a + report.eval_count_b < sum(evaluations)
+
+
 def _without_windows(a, b, cfg):
     """The proposed-mode report with every window the whole search interval."""
     with pytest.MonkeyPatch.context() as mp:
@@ -684,6 +728,44 @@ def test_itp_steps_agree_with_plain_halving_and_cost_less(path, monkeypatch):
         assert all(abs(x - y) <= cfg.width_tol for x, y in zip(new.common, old.common))
     evals = [sum(r.eval_count_a + r.eval_count_b for r in side) for side in (itp, plain)]
     assert evals[0] < evals[1]
+
+
+def test_roots_bisected_to_width_tol_average_at_most_nine_itp_steps(monkeypatch):
+    # The regression guard on the ITP steps, over the roots refined to
+    # width_tol alone: a stopped root takes a step or two, so a mean over
+    # every bisect call, as perfbench's iters_per_root takes it, could hide
+    # a slide back toward halving.  On a fixed pool shaped like perfbench's
+    # symmetric one (order 30, eigenvalues uniform on [-3, 3], 4 shared),
+    # in both modes, the ITP steps average 7.7 per root, one step of slack
+    # would take 9.3 and plain halving takes 30.
+    rng = np.random.default_rng(67)
+
+    def rotated(spectrum):
+        q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+        m = q @ np.diag(spectrum) @ q.T
+        return DenseMatrix(0.5 * (m + m.T))
+
+    pairs = []
+    for _ in range(16):
+        shared = rng.uniform(-3.0, 3.0, 4)
+        pairs.append(tuple(rotated(np.concatenate([shared, rng.uniform(-3.0, 3.0, 26)]))
+                           for _ in "ab"))
+
+    def steps():
+        return [
+            r.iterations
+            for a, b in pairs
+            for mode in Mode
+            for report in [common_eigenvalues(a, b, AnalysisConfig(mode=mode))]
+            for r in report.roots_a + report.roots_b
+            if r.origin is RootOrigin.BISECTION
+        ]
+
+    itp = steps()
+    assert len(itp) >= 200 and sum(itp) <= 9 * len(itp)
+    monkeypatch.setattr(rootfind, "bisect", plain_bisect)
+    halving = steps()
+    assert sum(halving) > 9 * len(halving)
 
 
 @pytest.mark.parametrize("path", ["sturm", "hessenberg", "qr"])

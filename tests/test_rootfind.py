@@ -637,6 +637,53 @@ def test_bisect_matches_the_helper_itp_steps_bitwise(roots, exponent, ends, widt
     assert est.origin is ref.origin is RootOrigin.BISECTION
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    roots=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+    ends=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    mark=st.tuples(st.floats(-1.5, 1.5), st.floats(0.0, 0.5)),
+    tol=st.floats(0.0, 0.1),
+    width_tol=st.one_of(st.just(0.0), st.floats(1e-14, 1e-3)),
+)
+@example(roots=[0.3], ends=(0.0, 1.0), mark=(0.5, 0.5), tol=1e-6, width_tol=1e-10)
+def test_bisect_with_a_near_test_stops_the_same_steps_early(roots, ends, mark, tol, width_tol):
+    # near is the pipeline's test against one mark [m, m + w]: bisect calls
+    # f at the points it calls without near, in order, up to where near is
+    # first false of the bracket; there it stops, as a CELL estimate, and
+    # otherwise it gives the estimate it gives without near, to the bit.
+    m_lo, m_hi = mark[0], mark[0] + mark[1]
+    asked = []
+
+    def near(lo, hi):
+        asked.append((lo, hi))
+        return m_lo - hi <= tol and lo - m_hi <= tol
+
+    lo, hi = sorted(ends)
+    f, _ = _planted(roots, 0)
+    flo, fhi = f(lo), f(hi)
+    assume(lo < hi and _opposite_signs(flo, fhi))
+    f, calls = _planted(roots, 0)
+    est = bisect(f, lo, hi, flo, fhi, width_tol, near)
+    full_f, full_calls = _planted(roots, 0)
+    full = bisect(full_f, lo, hi, flo, fhi, width_tol)
+    assert calls == full_calls[:len(calls)] and len(calls) == est.iterations
+    assert len(asked) == est.iterations + (est.origin is RootOrigin.CELL)
+    assert all(m_lo - b <= tol and a - m_hi <= tol for a, b in asked[:est.iterations])
+    if est.origin is RootOrigin.BISECTION:
+        assert _bits(est) == _bits(full)
+        return
+    assert est.origin is RootOrigin.CELL and est.iterations < full.iterations
+    assert asked[-1] == (est.bracket_lo, est.bracket_hi)
+    assert not (m_lo - est.bracket_hi <= tol and est.bracket_lo - m_hi <= tol)
+    assert est.bracket_lo <= full.bracket_lo <= full.bracket_hi <= est.bracket_hi
+    if est.iterations:
+        assert est.value == calls[-1] in (est.bracket_lo, est.bracket_hi)
+    else:
+        assert (est.bracket_lo, est.bracket_hi) == (lo, hi)
+        assert est.value == (lo if abs(flo) <= abs(fhi) else hi)
+    assert est.residual == abs(f(est.value))
+
+
 def test_bisect_near_the_largest_floats_with_a_positive_width_tol():
     # The schedule's first bounds reach four times the bracket's width:
     # where that overflows, every step is the midpoint, and below it ITP
@@ -726,33 +773,51 @@ def test_find_roots_costs_one_evaluation_per_grid_point_and_iteration():
 
 def test_find_roots_leaves_the_cells_refine_rejects_unrefined():
     # refine is called once, after the scan; its test sees each sign-change
-    # cell once, in ascending order.  A cell it rejects is returned as
-    # bisect returns a bracket it takes no step in, at no evaluation, and
-    # the cells it accepts are bisected as before.
+    # cell once, in ascending order.  A cell it rejects (None) is returned
+    # as bisect returns a bracket it takes no step in, at no evaluation; a
+    # cell it hands a near test is bisected with that test, which sees each
+    # bracket before a step and can stop it early, as a CELL estimate.
     def f(x):
-        return (x - 0.55) * (x - 1.23) * (x - 2.05)
+        return (x - 0.55) * (x - 1.23) * (x - 2.03)
 
     counted = Counted(f)
     grid = GridScan(counted, RealInterval(0, 3))
-    records, seen = [], []
+    records, seen, asked = [], [], []
+
+    def near_top(lo, hi):
+        asked.append((lo, hi))
+        return hi > 2.08
 
     def refine():
         records.extend(grid.records)
-        return lambda lo, hi: seen.append((lo, hi)) or lo > 1
+        tests = iter([None, lambda lo, hi: True, near_top])
+        return lambda lo, hi: seen.append((lo, hi)) or next(tests)
 
     roots = find_real_roots(grid, refine=refine)
     cells = [(rec.lam, nxt.lam) for rec, nxt in zip(records, records[1:])
              if rec.event is ScanEvent.SIGN_CHANGE_AHEAD]
     assert seen == cells and len(cells) == 3
-    assert [r.origin for r in roots] == [RootOrigin.CELL] + [RootOrigin.BISECTION] * 2
+    assert [r.origin for r in roots] == [RootOrigin.CELL, RootOrigin.BISECTION, RootOrigin.CELL]
     (lo, hi), cell = cells[0], roots[0]
     assert (cell.bracket_lo, cell.bracket_hi, cell.iterations) == (lo, hi, 0)
     assert (cell.value, cell.residual) == min((lo, abs(f(lo))), (hi, abs(f(hi))), key=lambda p: p[1])
     assert counted.calls == len(records) + sum(r.iterations for r in roots) > len(records)
-    assert roots[1:] == find_real_roots(GridScan(f, RealInterval(0, 3)))[1:]
+    full = find_real_roots(GridScan(f, RealInterval(0, 3)))
+    assert roots[1] == full[1]
+    # the stopped root: one near test per step taken, and one that stopped
+    # it, each of the bracket as it then stood; the last point evaluated is
+    # its value, an end of its bracket, which still holds the full root's
+    (lo, hi), stopped = cells[2], roots[2]
+    assert asked[0] == (lo, hi) and len(asked) == stopped.iterations + 1 > 1
+    assert asked[-1] == (stopped.bracket_lo, stopped.bracket_hi)
+    assert stopped.bracket_hi <= 2.08 < asked[-2][1]
+    assert stopped.value in (stopped.bracket_lo, stopped.bracket_hi)
+    assert stopped.residual == abs(f(stopped.value)) > 0.0
+    assert lo <= stopped.bracket_lo <= full[2].bracket_lo <= full[2].bracket_hi <= stopped.bracket_hi
+    assert stopped.iterations < full[2].iterations
     # the scan is kept: a second search of the same grid evaluates nothing
     calls = counted.calls
-    unrefined = find_real_roots(grid, refine=lambda: lambda lo, hi: False)
+    unrefined = find_real_roots(grid, refine=lambda: lambda lo, hi: None)
     assert [(r.bracket_lo, r.bracket_hi, r.origin) for r in unrefined] == [
         (lo, hi, RootOrigin.CELL) for lo, hi in cells
     ]
