@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .matrix import DenseMatrix, _abs_sums, _gerschgorin_span
+from .matrix import DenseMatrix, _abs_sums
 
 __all__ = [
     "Disc",
@@ -116,6 +116,17 @@ def intersect(first: RealInterval, second: RealInterval) -> RealInterval:
     if lo > hi:
         return EMPTY_INTERVAL
     return RealInterval(lo, hi)
+
+
+def _gerschgorin_span(diag, row_sums, col_sums):
+    """``(lo, hi)``, the Gerschgorin interval of a matrix from its diagonal
+    and its absolute row and column sums: the span [min(c - r), max(c + r)]
+    of its row discs intersected with that of its column discs."""
+    off = abs(diag)
+    radii = row_sums - off, col_sums - off
+    lo = max(min((diag - r).tolist()) for r in radii)
+    hi = min(max((diag + r).tolist()) for r in radii)
+    return lo, hi
 
 
 def matrix_bounds(matrix: DenseMatrix) -> RealInterval:

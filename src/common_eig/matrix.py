@@ -26,12 +26,12 @@ depends on the matrix alone:
   the same workspace, without that wrapper's per-call overhead.
 
 The same reduction gives the form interval (``_form_interval``): the
-Gerschgorin interval of T or G, intersected for a nonsymmetric matrix with
-its Bendixson interval, the span of the eigenvalues of (M + M^T)/2, each
-moved out just enough that ``char_fn`` has no zero and no sign change
-outside it (``_sturm_ends``, ``_hessenberg_ends``, ``_bendixson_ends``).
-The pipeline's proposed mode scans only the grid points that bracket its
-intersection with the search interval.
+Gerschgorin interval of T for a symmetric matrix, the Bendixson interval,
+the span of the eigenvalues of (M + M^T)/2, for any other, moved out just
+enough that ``char_fn`` has no zero and no sign change outside it
+(``_sturm_ends``, ``_bendixson_ends``).  The pipeline's proposed mode
+scans only the grid points that bracket its intersection with the search
+interval.
 """
 
 from __future__ import annotations
@@ -261,17 +261,6 @@ def _abs_sums(a: np.ndarray, axis: int) -> np.ndarray:
     if math.isinf(sums.max()):
         raise ValueError("an absolute row or column sum of the matrix overflows float64")
     return sums
-
-
-def _gerschgorin_span(diag: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray):
-    """``(lo, hi)``, the Gerschgorin interval of a matrix from its diagonal
-    and its absolute row and column sums: the span [min(c - r), max(c + r)]
-    of its row discs intersected with that of its column discs."""
-    off = abs(diag)
-    radii = row_sums - off, col_sums - off
-    lo = max(min((diag - r).tolist()) for r in radii)
-    hi = min(max((diag + r).tolist()) for r in radii)
-    return lo, hi
 
 
 def _unit_scale(a: np.ndarray) -> float:
@@ -558,52 +547,18 @@ def _sturm_ends(lower: float, upper: float, norm: float, scale: float) -> tuple[
     mu_hi = c / (1.0 - r2) if c >= 0.0 else c / (1.0 + r2)
     c = lower - r2 * norm
     mu_lo = c / (1.0 - r2) if c <= 0.0 else c / (1.0 + r2)
-    # scale is a power of two: only a product below the normal range rounds
+    return _scaled_back(mu_lo, mu_hi, scale)
+
+
+def _scaled_back(mu_lo: float, mu_hi: float, scale: float) -> tuple[float, float]:
+    """``(mu_lo*scale, mu_hi*scale)``, each rounded outward.  scale is a
+    power of two, so only a product below the normal range rounds."""
     lo, hi = mu_lo * scale, mu_hi * scale
     if lo / scale > mu_lo:
         lo = math.nextafter(lo, -math.inf)
     if hi / scale < mu_hi:
         hi = math.nextafter(hi, math.inf)
     return lo, hi
-
-
-def _hessenberg_ends(neg: np.ndarray, norm: float) -> tuple[float, float]:
-    """The ends of G's Gerschgorin interval, its row span intersected with
-    its column span, each moved out by 2*n*PIVOT_RTOL*(|end| + norm); neg
-    is -G and norm is ||M||_inf.  An end whose abs sum overflows, or whose
-    margin is below the normal range, is infinite."""
-    # Where lam lies outside G's row (column) span by delta, lam*I - G is
-    # strictly diagonally dominant by rows (columns) by delta, so the inf
-    # (1) norm of its inverse is at most 1/delta (Varah, 1975) and
-    # sigma_min(lam*I - G) >= delta/sqrt(n).  Each |R_ii| of a QR of it is
-    # at least sigma_min, and each pivot of its Hessenberg elimination at
-    # least sigma_min/2: up to the row swaps, L is unit lower bidiagonal
-    # with multipliers at most 1, so ||L||_2 <= 2.  For lam past an end
-    # moved out by the margin, delta/(2*sqrt(n)) exceeds the zero rule's
-    # PIVOT_RTOL*(|lam| + norm) by at least (sqrt(2) - 1)*PIVOT_RTOL*
-    # (|end| + norm), as n >= 2 here (order 1 is symmetric).  Rounding
-    # moves the spans by some n ulps of ||G||_inf, and the computed pivots
-    # and |R_ii| by some n ulps of |lam| + ||G||, with ||G||_2 = ||M||_2:
-    # far below that slack.  So no pivot meets the zero rule, none changes
-    # sign, and the value has the sign of det(lam*I - G): positive above
-    # every real eigenvalue, (-1)**n below them.
-    with np.errstate(over="ignore"):
-        mag = abs(neg)
-        lo, hi = _gerschgorin_span(-neg.diagonal(), mag.sum(1), mag.sum(0))
-    return _moved_out(lo, hi, neg.shape[0], norm)
-
-
-def _moved_out(lo: float, hi: float, n: int, norm: float) -> tuple[float, float]:
-    """``(lo, hi)`` each moved out by 2*n*PIVOT_RTOL*(|end| + norm), the
-    margin of ``_hessenberg_ends`` and ``_bendixson_ends``; an end whose
-    margin is below the normal range is infinite."""
-    rn = 2.0 * n * PIVOT_RTOL
-    margins = rn * (abs(lo) + norm), rn * (abs(hi) + norm)
-    if not margins[0] >= _MIN_NORMAL:
-        lo = -math.inf
-    if not margins[1] >= _MIN_NORMAL:
-        hi = math.inf
-    return lo - margins[0], hi + margins[1]
 
 
 def _bendixson_ends(a: np.ndarray, norm: float) -> tuple[float, float]:
@@ -618,36 +573,36 @@ def _bendixson_ends(a: np.ndarray, norm: float) -> tuple[float, float]:
     # x^T*H*x, so it lies in H's interval (Bendixson, 1902; Horn & Johnson,
     # Topics in Matrix Analysis, 1.5).  Where lam lies outside it by delta,
     # |x^T*(lam*I - M)*x| = |lam - x^T*H*x| >= delta for every unit x, so
-    # sigma_min(lam*I - M) >= delta, where _hessenberg_ends' diagonal
-    # dominance gives only delta/sqrt(n).  G is orthogonally similar to M,
-    # so sigma_min(lam*I - G) >= delta too, up to the reduction's rounding:
-    # each |R_ii| of a QR of lam*I - G is at least delta, and each pivot of
-    # its Hessenberg elimination at least delta/2 (see _hessenberg_ends).
-    # For lam past an end moved out by the margin, delta/2 exceeds the zero
-    # rule's PIVOT_RTOL*(|lam| + norm) by at least (n - 1)*PIVOT_RTOL*
-    # (|end| + norm) less a few ulps, with n >= 2 here (order 1 is
-    # symmetric).  eigvalsh's ends are within some n ulps of ||H||_2 of
-    # H's, and forming H in floating point moves them by at most half an ulp
-    # of ||H||_F <= sqrt(n)*||H||_2 more, so the pad of 8*(n + 1) ulps of
-    # ||H||_inf >= ||H||_2 covers both; the reduction moves the pivots and
-    # |R_ii| by some n ulps of |lam| + ||G||, far below that slack.  So no
-    # pivot meets the zero rule, none changes sign, and the value has the
-    # sign of det(lam*I - G): positive above every real eigenvalue,
-    # (-1)**n below them.
+    # sigma_min(lam*I - M) >= delta.  G is orthogonally similar to M, so
+    # sigma_min(lam*I - G) >= delta too, up to the reduction's rounding.
+    # Each |R_ii| of a QR of lam*I - G is at least sigma_min, and each
+    # pivot of its Hessenberg elimination at least sigma_min/2: up to the
+    # row swaps, L is unit lower bidiagonal with multipliers at most 1, so
+    # ||L||_2 <= 2.  For lam past an end moved out by the margin, delta/2
+    # exceeds the zero rule's PIVOT_RTOL*(|lam| + norm) by at least
+    # (n - 1)*PIVOT_RTOL*(|end| + norm) less a few ulps, with n >= 2 here
+    # (order 1 is symmetric).  eigvalsh's ends are within some n ulps of
+    # ||H||_2 of H's, and forming H in floating point moves them by at most
+    # half an ulp of ||H||_F <= sqrt(n)*||H||_2 more, so the pad of
+    # 8*(n + 1) ulps of ||H||_inf >= ||H||_2 covers both; the reduction
+    # moves the pivots and |R_ii| by some n ulps of |lam| + ||G||, far below
+    # that slack.  So no pivot meets the zero rule, none changes sign, and
+    # the value has the sign of det(lam*I - G): positive above every real
+    # eigenvalue, (-1)**n below them.
     n = a.shape[0]
     scale = _unit_scale(a)
     u = a / scale
     h = 0.5 * (u + u.T)
     ends = np.linalg.eigvalsh(h)
     pad = 8.0 * (n + 1) * sys.float_info.epsilon * float(abs(h).sum(1).max())
-    mu_lo, mu_hi = float(ends[0]) - pad, float(ends[-1]) + pad
-    # scale is a power of two: only a product below the normal range rounds
-    lo, hi = mu_lo * scale, mu_hi * scale
-    if lo / scale > mu_lo:
-        lo = math.nextafter(lo, -math.inf)
-    if hi / scale < mu_hi:
-        hi = math.nextafter(hi, math.inf)
-    return _moved_out(lo, hi, n, norm)
+    lo, hi = _scaled_back(float(ends[0]) - pad, float(ends[-1]) + pad, scale)
+    rn = 2.0 * n * PIVOT_RTOL
+    margins = rn * (abs(lo) + norm), rn * (abs(hi) + norm)
+    if not margins[0] >= _MIN_NORMAL:
+        lo = -math.inf
+    if not margins[1] >= _MIN_NORMAL:
+        hi = math.inf
+    return lo - margins[0], hi + margins[1]
 
 
 def _char_form(matrix: DenseMatrix) -> partial:
@@ -655,10 +610,10 @@ def _char_form(matrix: DenseMatrix) -> partial:
     bound to the matrix's reduced form: ``_sturm_det`` for an exactly
     symmetric matrix, else ``_hessenberg_det`` up to order
     ``_HESSENBERG_MAX_ORDER`` and ``_shifted_qr_det`` above it.  The same
-    reduction caches the ends that ``_form_interval`` reads: T's interval,
-    or G's intersected with the Bendixson interval, which costs one
-    ``eigvalsh``.  A symmetric matrix skips the latter: there H is M, and
-    its interval would be the spectrum itself."""
+    step caches the ends that ``_form_interval`` reads: T's Gerschgorin
+    interval, or the Bendixson interval, which costs one ``eigvalsh``.  A
+    symmetric matrix takes T's: there H is M, and its interval would be
+    the spectrum itself."""
     if matrix._form is None:
         a = matrix.entries
         if np.array_equal(a, a.T):
@@ -666,9 +621,7 @@ def _char_form(matrix: DenseMatrix) -> partial:
             matrix._form = partial(_sturm_det, form)
         else:
             norm, neg = float(_abs_sums(a, 1).max()), _hessenberg(a)
-            g_lo, g_hi = _hessenberg_ends(neg, norm)
-            b_lo, b_hi = _bendixson_ends(a, norm)
-            matrix._ends = max(g_lo, b_lo), min(g_hi, b_hi)
+            matrix._ends = _bendixson_ends(a, norm)
             bound = max(norm, float(abs(neg.diagonal()).max()))
             if matrix.order <= _HESSENBERG_MAX_ORDER:
                 first, *rest = neg.tolist()
@@ -687,11 +640,10 @@ def _form_interval(matrix: DenseMatrix) -> tuple[float, float]:
     ``lam`` outside ``[lo, hi]``, and so has no zero and no sign change
     there; at ``lo`` and ``hi`` too, but for the zero matrix, whose
     interval is ``(0.0, 0.0)``.  Either end may be infinite.  It is the
-    Gerschgorin interval of the reduced form, T or G, intersected with the
-    Bendixson interval for nonsymmetric matrices, each moved out just
-    enough for the kernels' zero rule (see ``_sturm_ends``,
-    ``_hessenberg_ends`` and ``_bendixson_ends``), and is computed once,
-    by the reduction that ``char_fn`` caches; reading it evaluates
+    Gerschgorin interval of T for a symmetric matrix and the Bendixson
+    interval for any other, moved out just enough for the kernels' zero
+    rule (see ``_sturm_ends`` and ``_bendixson_ends``), and is computed
+    once, by the reduction that ``char_fn`` caches; reading it evaluates
     nothing."""
     if matrix._form is None:
         _char_form(matrix)

@@ -9,14 +9,14 @@ per matrix and the wall time recorded, so the two modes can be compared on
 actual work.
 
 The proposed mode narrows each matrix's scan further, to its window: the
-part of the search interval's grid that brackets the Gerschgorin interval
-of the form ``char_fn`` reduces it to, intersected with the Bendixson
-interval for nonsymmetric matrices, outside which the characteristic
-function has no zero and no sign change.  Every grid lies on one lattice,
-so the window's grid is a slice of the search interval's, and the roots
-are those of the whole grid, bit for bit, for fewer evaluations.  The
-conventional mode stays the paper's baseline, scanning each whole
-interval on the same lattice.
+part of the search interval's grid that brackets its form interval, the
+Gerschgorin interval of the tridiagonal form ``char_fn`` reduces a
+symmetric matrix to and the Bendixson interval of any other, outside
+which the characteristic function has no zero and no sign change.  Every
+grid lies on one lattice, so the window's grid is a slice of the search
+interval's, and the roots are those of the whole grid, bit for bit, for
+fewer evaluations.  The conventional mode stays the paper's baseline,
+scanning each whole interval on the same lattice.
 
 In both modes the pairing then narrows the refinement, the paper's
 pruning taken down from intervals to grid cells and on to each bisection
@@ -109,9 +109,9 @@ class CommonEigenReport:
     search_interval_b: RealInterval
     # The interval each scan covered: in the proposed mode the part of the
     # search interval's grid that brackets the matrix's form interval (its
-    # reduced form's Gerschgorin interval, intersected with its Bendixson
-    # interval if it is nonsymmetric), in the conventional mode the search
-    # interval itself.
+    # tridiagonal form's Gerschgorin interval if it is symmetric, else its
+    # Bendixson interval), in the conventional mode the search interval
+    # itself.
     window_a: RealInterval
     window_b: RealInterval
     roots_a: tuple[RootEstimate, ...]
@@ -158,6 +158,11 @@ def match_roots(
     both members consumed, so each root participates in at most one pair.
     Pairs are taken with rising indices in both lists, and a rounded
     midpoint is monotone in each member, so the midpoints come out sorted.
+    A midpoint is ``0.5 * (ra + rb)``, or ``0.5*ra + 0.5*rb`` where that
+    sum overflows.  Either is the exact midpoint rounded once: the sum is
+    exact wherever its halving would round, and both halvings are exact
+    wherever it overflows.  The second alone would read 5e-324 paired with
+    itself as 0.
     Raises ValueError for a match_tol that is not finite and non-negative.
     """
     _check_finite("match_tol", match_tol)
@@ -167,7 +172,8 @@ def match_roots(
         ra = roots_a[i].value
         rb = roots_b[j].value
         if abs(ra - rb) <= match_tol:
-            out.append(0.5 * (ra + rb))
+            mid = 0.5 * (ra + rb)
+            out.append(0.5 * ra + 0.5 * rb if math.isinf(mid) else mid)
             i += 1
             j += 1
         elif ra < rb:

@@ -26,6 +26,7 @@ from common_eig import (
     run_benchmark,
     scan,
 )
+from common_eig.matrix import _form_interval
 from oracles import numpy_qr_det, plain_bisect, refine_every_cell
 from test_matrix import _norm_inf, _on_grid_general, _rotated_symmetric
 
@@ -434,6 +435,29 @@ def test_conventional_mode_is_not_windowed(mat_a):
     )
 
 
+def test_form_interval_ends_below_the_normal_range_are_infinite(mat_a):
+    # At scale 2**-1000 the margin of each end of A's Bendixson interval,
+    # 2*n*PIVOT_RTOL*(|end| + ||A||_inf), is below the normal range, so both
+    # ends are infinite and the proposed window is the whole search
+    # interval: 121 evaluations each, where scale 1 windows A to 79.  Both
+    # modes still find 2, 3 and 5, times the scale.
+    s = 2.0**-1000
+    a = DenseMatrix(mat_a.entries * s)
+    assert _form_interval(a) == (-math.inf, math.inf)
+    for matrix, scale, count in ((mat_a, 1.0, 79), (a, s, 121)):
+        for mode in Mode:
+            cfg = AnalysisConfig(mode=mode, step=0.1 * scale, width_tol=1e-10 * scale,
+                                 match_tol=1e-6 * scale)
+            report = common_eigenvalues(matrix, matrix, cfg)
+            if mode is Mode.CONVENTIONAL:
+                assert (report.eval_count_a, report.eval_count_b) == (121, 121)
+            else:
+                assert (report.eval_count_a, report.eval_count_b) == (count, count)
+                if scale == s:
+                    assert report.window_a == report.window_b == report.search_interval_a
+            assert report.common == (2.0 * scale, 3.0 * scale, 5.0 * scale)
+
+
 @st.composite
 def _scaled_pair(draw):
     s = 2.0 ** draw(st.integers(-40, 40))
@@ -529,6 +553,31 @@ def test_match_roots_midpoints_do_not_decrease(values_a, values_b, match_tol):
     got = match_roots(
         [_estimate(v) for v in values_a], [_estimate(v) for v in values_b], match_tol
     )
+    assert all(x <= y for x, y in zip(got, got[1:]))
+
+
+@pytest.mark.parametrize("value", [1.5e308, -1.5e308, 5e-324, -5e-324])
+def test_match_roots_midpoint_of_a_root_with_itself_is_the_root(value):
+    # 1.5e308 + 1.5e308 overflows, so that midpoint is taken from the
+    # halves; 5e-324 halves to 0, so that one is taken from the sum
+    assert match_roots([_estimate(value)], [_estimate(value)], 0.0) == (value,)
+    m = DenseMatrix([[value]])
+    assert common_eigenvalues(m, m).common == (value,)
+
+
+_huge = st.lists(st.floats(8e307, 1.7976931348623157e308), max_size=12).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values_a=_huge, values_b=_huge, match_tol=st.floats(0.0, 1e308))
+def test_match_roots_midpoints_near_the_float_maximum_are_finite_and_sorted(
+    values_a, values_b, match_tol
+):
+    # pairs on both sides of the sum's overflow at about 9e307 each
+    got = match_roots(
+        [_estimate(v) for v in values_a], [_estimate(v) for v in values_b], match_tol
+    )
+    assert all(math.isfinite(x) for x in got)
     assert all(x <= y for x, y in zip(got, got[1:]))
 
 
