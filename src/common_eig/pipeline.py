@@ -22,13 +22,15 @@ In both modes the pairing then narrows the refinement, the paper's
 pruning taken down from intervals to grid cells and on to each bisection
 step: both matrices are scanned before either is refined, only the
 sign-change cells that can hold a common value are bisected, and each
-bisection stops once its bracket can no longer hold one.  Every other
-cell, and every bisection stopped, is reported as a CELL root that
-brackets its root with the cell or with the bracket reached, and the
-common values are those of bisecting every cell to width_tol, bit for bit
-(``_search`` gives the argument).  Each evaluation count is read from the
-run's own records: the grid points scanned plus the bisection steps of
-the roots returned.
+bisection stops once its bracket can no longer hold one.  B's bisections
+also start where a partner is likely, at the refined roots of A inside
+their cells.  Every other cell, and every bisection stopped, is reported
+as a CELL root that brackets its root with the cell or with the bracket
+reached, and the common values are those of bisecting every cell to
+width_tol, B's seeded by the same rule, bit for bit (``_search`` gives
+the argument).  Each evaluation count is read from the run's own
+records: the grid points scanned plus the bisection steps of the roots
+returned.
 """
 
 from __future__ import annotations
@@ -260,9 +262,19 @@ def _search(matrix_a, matrix_b, search_a, search_b, cfg: AnalysisConfig):
     bisection is stopped before the step at which its bracket has left
     every such mark's reach.  Both are returned as CELL roots, whose
     bracket holds the root and whose value, the last point evaluated or,
-    where no step was taken, a cell end, lies in that bracket.
+    where no step was taken, a cell end, lies in that bracket.  A cell of
+    B is seeded by the refined roots of A strictly inside it: each gives
+    its value and, unless A's f is exactly 0 there, the other end of its
+    final bracket, which for a root A shares with B brackets B's root too.
 
-    The common values cannot change, bit for bit.  Brackets only shrink,
+    The common values are those of bisecting every cell of A to
+    width_tol, and every cell of B with the seeds of the roots of A so
+    found strictly inside it, bit for bit.  The seeds are the same: a root
+    of A strictly inside a sign-change cell of B has a bracket that meets
+    that flag at every step, so it is refined to the same bits, and a
+    stopped or unrefined root of A, whose bracket lies beyond match_tol
+    of every flag of B, holds no point of such a cell, nor does the
+    bisected root inside that bracket.  Then brackets only shrink,
     and every root of B lies in its flag, so a CELL root of A is more than
     match_tol from every root of B, and on the same side of each, as its
     value would be had it been bisected to width_tol: rounding is
@@ -273,7 +285,8 @@ def _search(matrix_a, matrix_b, search_a, search_b, cfg: AnalysisConfig):
     a CELL root pairs nothing and steps the same way as with that root
     bisected, the walk makes the same moves, and every pair it takes is of
     two roots that no test stopped.  The near test changes no step point,
-    so those come from the same ITP steps as if every cell were bisected.
+    so those come from the same steps, seeds and ITP points, as if every
+    cell were bisected.
     Each count is the grid points scanned plus the bisection steps of the
     roots returned, stopped or not.
     """
@@ -283,7 +296,9 @@ def _search(matrix_a, matrix_b, search_a, search_b, cfg: AnalysisConfig):
         return _near(_flags(grid_b.records), cfg.match_tol)
 
     roots_a = find_real_roots(grid_a, cfg.width_tol, near_b)
-    refined_a = [(r.value, r.value) for r in roots_a if r.origin is not RootOrigin.CELL]
+    refined_a = [
+        (r.value, r.value, _seeds(r)) for r in roots_a if r.origin is not RootOrigin.CELL
+    ]
     roots_b = find_real_roots(grid_b, cfg.width_tol, partial(_near, refined_a, cfg.match_tol))
     return [
         (grid.interval, tuple(roots), len(grid.records) + sum(r.iterations for r in roots))
@@ -292,25 +307,36 @@ def _search(matrix_a, matrix_b, search_a, search_b, cfg: AnalysisConfig):
 
 
 def _flags(records):
-    """A scan's flags as (lo, hi) marks: each sign-change cell, and each
-    zero hit as (lam, lam)."""
+    """A scan's flags as (lo, hi, seeds) marks with no seeds: each
+    sign-change cell, and each zero hit as (lam, lam)."""
     return [
-        (rec.lam, rec.lam if rec.event is ScanEvent.ZERO_HIT else records[i + 1].lam)
+        (rec.lam, rec.lam if rec.event is ScanEvent.ZERO_HIT else records[i + 1].lam, ())
         for i, rec in enumerate(records)
         if rec.event is not ScanEvent.NONE
     ]
 
 
+def _seeds(root):
+    """Where a root's partner is likely: the root's value and, unless f is
+    exactly 0 there, the other end of its final bracket."""
+    if root.residual == 0.0:
+        return (root.value,)
+    return root.value, root.bracket_lo if root.value == root.bracket_hi else root.bracket_hi
+
+
 def _near(marks, tol):
-    """The cell test over ``marks``, (lo, hi) pairs whose ends both ascend.
+    """The cell test over ``marks``, (lo, hi, seeds) triples whose ends
+    both ascend.
 
     For a cell [lo, hi] it returns None where no mark lies within tol of
-    the cell, and otherwise ``bisect``'s near test: whether a bracket lies
-    within tol of one of the marks that the cell does.  A bracket inside
-    the cell can lie near no other mark.  Distances are the rounded
-    differences that ``match_roots`` compares with tol.
+    the cell, and otherwise ``bisect``'s near test and seeds.  The near
+    test is whether a bracket lies within tol of one of the marks that the
+    cell does; a bracket inside the cell can lie near no other mark.  The
+    seeds are those of the marks that start strictly inside the cell.
+    Distances are the rounded differences that ``match_roots`` compares
+    with tol.
     """
-    ends = [hi for _, hi in marks]
+    ends = [hi for _, hi, _ in marks]
 
     def cell_test(lo, hi):
         # Past the marks that end more than tol below lo, those that start
@@ -323,12 +349,12 @@ def _near(marks, tol):
         close = marks[i:j]
 
         def near(lo, hi):
-            for start, end in close:
+            for start, end, _ in close:
                 if start - hi <= tol and lo - end <= tol:
                     return True
             return False
 
-        return near
+        return near, [x for start, _, seeds in close if lo < start < hi for x in seeds]
 
     return cell_test
 

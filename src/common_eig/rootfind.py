@@ -5,16 +5,18 @@ interval recording f at every point, accept grid points where f is exactly
 0.0 directly as roots, and refine the strict sign changes between adjacent
 grid points with bisection.  Which sign-change cells are refined, and how
 far, is the caller's choice, made by a cell test once the scan is read: it
-leaves a cell unrefined or hands bisection a test that can stop it early.
+leaves a cell unrefined or hands bisection a test that can stop it early,
+and seeds, points where a root is likely, for its first steps.
 A root left unrefined or stopped is still returned, as a CELL estimate
 that brackets it with the cell or with the part of it that bisection
 kept.  Bisection
 keeps halving's bracket and stop rules but steps to ITP points (regula
 falsi pulled toward the midpoint), which converge superlinearly on the
 smooth cells of ``det(λI − M)`` and cost at most two steps more than
-halving anywhere else.  "Exactly zero" is f's own decision: ``char_fn``
-returns 0.0 when lambda*I - M is singular to working precision, by a rule
-relative to the matrix's scale, and no absolute threshold is added here.
+halving anywhere else, seeded or not.  "Exactly zero" is f's own
+decision: ``char_fn`` returns 0.0 when lambda*I - M is singular to
+working precision, by a rule relative to the matrix's scale, and no
+absolute threshold is added here.
 Every zero hit and every sign-change cell is a distinct root, and every
 root found is returned, however close to its neighbours.
 Roots of even multiplicity (no sign change, no grid hit) are invisible to
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .gerschgorin import EMPTY_INTERVAL, RealInterval
 
@@ -65,6 +67,8 @@ _ITP_N0 = 2
 
 # bisect's near test of a bracket (lo, hi): refine it further only where true.
 _Near = Callable[[float, float], bool]
+# find_real_roots' test of a cell (lo, hi): None, or bisect's near and seeds.
+_CellTest = Callable[[float, float], tuple[_Near | None, Sequence[float]] | None]
 
 
 class ScanEvent(Enum):
@@ -227,6 +231,7 @@ def bisect(
     fhi: float,
     width_tol: float = DEFAULT_WIDTH_TOL,
     near: _Near | None = None,
+    seeds: Sequence[float] = (),
 ) -> RootEstimate:
     """Refine a strict sign-change bracket [lo, hi] to a root.
 
@@ -260,6 +265,16 @@ def bisect(
     rounding puts the point on an end or off the schedule.  So
     width_tol = 0 halves exactly, down to adjacent floats, in at most 2099
     halvings over the whole float64 range, brackets out to ±max included.
+
+    ``seeds``, if given, are points where a root is likely, such as the
+    root another function has nearby.  Each of the first two steps goes to
+    the first of them, in their order, that lies strictly inside the
+    bracket as it then stands and on the schedule, which the two steps of
+    slack leave room for almost anywhere inside it.  So a seed costs no
+    more than the ITP point it replaces in the bound above, one outside
+    the bracket, on an end or already taken is never evaluated, and where
+    every step is the midpoint no seed is taken.  Without seeds the steps
+    are the ITP ones, bit for bit.
 
     The estimate is the last point evaluated: an exact zero of f, or else
     an end of the final bracket; where no step was taken at all, it is the
@@ -307,15 +322,25 @@ def bisect(
         if near is not None and not near(lo, hi):
             origin = RootOrigin.CELL
             break
-        # The ITP point: regula falsi between the bracket ends, pulled
+        # In the first _ITP_N0 steps, the first seed that lies strictly
+        # inside the bracket and leaves no sub-bracket wider than bound.
+        # Else the ITP point: regula falsi between the bracket ends, pulled
         # toward the midpoint by kappa·w², then clamped to within
         # bound − w/2 of the midpoint, so that neither sub-bracket is wider
         # than bound.  The midpoint where an end value is not finite or
         # rounding puts the point on an end or leaves a sub-bracket wider
         # than bound.
-        est = mid
-        if itp and isfinite(flo) and isfinite(fhi):
+        est, seed = mid, None
+        if itp:
             bound = ldexp(anchor, top - iterations)
+            if seeds and iterations < _ITP_N0:
+                seed = next(
+                    (x for x in seeds if lo < x < hi and x - lo <= bound and hi - x <= bound),
+                    None,
+                )
+        if seed is not None:
+            est = seed
+        elif itp and isfinite(flo) and isfinite(fhi):
             width = hi - lo
             # flo and fhi differ in sign, so 1 - fhi/flo > 1: no overflow to nan
             falsi = lo + width / (1.0 - fhi / flo)
@@ -382,7 +407,7 @@ class GridScan:
 def find_real_roots(
     grid: GridScan,
     width_tol: float = DEFAULT_WIDTH_TOL,
-    refine: Callable[[], Callable[[float, float], _Near | None]] | None = None,
+    refine: Callable[[], _CellTest] | None = None,
 ) -> list[RootEstimate]:
     """Every real root that ``grid``'s scan of f finds, in ascending order.
 
@@ -392,12 +417,13 @@ def find_real_roots(
     returns the cell test.  For a sign-change cell [lo, hi] the test of
     (lo, hi) returns None, and the cell is returned unrefined, as a CELL
     estimate (see RootEstimate) with no call of ``bisect``; or it returns
-    the ``near`` test with which ``bisect`` (ITP steps) refines the cell
-    from the two scan values that bracket it, and which may stop it early,
-    as a CELL estimate too.  Where refine is None every cell is bisected
-    to width_tol.  So the cost is one evaluation of f per grid point and
-    per bisection step, ``len(grid.records)`` plus the roots' iterations,
-    whether a root was refined to width_tol or stopped on the way.
+    the pair ``(near, seeds)`` with which ``bisect`` (ITP steps) refines
+    the cell from the two scan values that bracket it: ``near`` may stop
+    it early, as a CELL estimate too, and ``seeds`` may be its first step
+    points.  Where refine is None every cell is bisected to width_tol.
+    So the cost is one evaluation of f per grid point and per bisection
+    step, ``len(grid.records)`` plus the roots' iterations, whether a root
+    was refined to width_tol or stopped on the way.
     A cell holding an odd number of roots yields one of them.  Every zero
     hit and every sign-change cell is a distinct root and is returned,
     however close to its neighbours; each lies in its own grid point or
@@ -429,9 +455,11 @@ def find_real_roots(
             ))
         elif rec.event is ScanEvent.SIGN_CHANGE_AHEAD:
             nxt = records[idx + 1]
-            near = cell_test(rec.lam, nxt.lam) if cell_test is not None else None
-            if cell_test is None or near is not None:
-                roots.append(bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol, near))
+            test = cell_test(rec.lam, nxt.lam) if cell_test is not None else ()
+            if test is not None:
+                roots.append(
+                    bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol, *test)
+                )
             else:
                 # bisect's estimate before any step: the end with smaller |f|, lo on a tie
                 end = min(rec, nxt, key=lambda r: abs(r.value))

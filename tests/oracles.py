@@ -14,8 +14,9 @@ that copies its rows; ``numpy_qr_det``, the QR determinant through
 LAPACK ``dgeqrf`` directly; ``scaled_sturm_det``, the Sturm pass
 ``matrix._sturm_det`` ran when it multiplied every pivot by the scale;
 ``itp_bisect``, ``rootfind.bisect`` as it was when a helper made each
-ITP point; and ``refine_every_cell``, the pipeline's search as it was
-before it paired the cells first, bisecting every sign-change cell.
+ITP point, with its seeds; and ``refine_every_cell``, the pipeline's
+search as it was before it paired the cells first, bisecting every
+sign-change cell, with B's seeded at A's roots inside it.
 ``numpy_qr_det`` of ``x`` with ``||x||_inf`` is also the tests' dense QR
 reference for ``det(x)``.
 """
@@ -194,11 +195,11 @@ def token_walk_parse(text: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def plain_bisect(f, lo, hi, flo, fhi, width_tol, near=None):
+def plain_bisect(f, lo, hi, flo, fhi, width_tol, near=None, seeds=()):
     """Bisection by plain halving: the bracket, stop rules, near test and
     estimate of ``rootfind.bisect`` with every step at the midpoint
-    0.5·lo + 0.5·hi.  Returns a ``RootEstimate``, a CELL one where near
-    stopped it; raises ``ValueError`` as ``bisect`` does."""
+    0.5·lo + 0.5·hi, the seeds ignored.  Returns a ``RootEstimate``, a CELL
+    one where near stopped it; raises ``ValueError`` as ``bisect`` does."""
     if width_tol < 0.0:
         raise ValueError("width_tol must be non-negative")
     if not lo < hi:
@@ -386,10 +387,12 @@ def _itp_point(lo, hi, mid, flo, fhi, kappa, bound):
     return mid
 
 
-def itp_bisect(f, lo, hi, flo, fhi, width_tol):
+def itp_bisect(f, lo, hi, flo, fhi, width_tol, seeds=()):
     """ITP bisection with each step point made by a helper:
     ``rootfind.bisect`` as it was, with the same estimate, calls of f and
-    errors."""
+    errors, and with its seeds: in each of the first two steps, the
+    first seed that lies strictly inside the bracket and leaves no part of
+    it wider than the schedule's bound, where the steps follow one."""
     _check_finite("width_tol", width_tol)
     if not lo < hi:
         raise ValueError(f"bracket is empty or reversed: [{lo}, {hi}]")
@@ -414,7 +417,13 @@ def itp_bisect(f, lo, hi, flo, fhi, width_tol):
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
         if itp:
             bound = math.ldexp(anchor, top - iterations)
-            est = _itp_point(lo, hi, mid, flo, fhi, kappa, bound)
+            on_schedule = [
+                x for x in seeds if lo < x < hi and x - lo <= bound and hi - x <= bound
+            ]
+            if iterations < _ITP_N0 and on_schedule:
+                est = on_schedule[0]
+            else:
+                est = _itp_point(lo, hi, mid, flo, fhi, kappa, bound)
         else:
             est = mid
         fest = float(f(est))
@@ -444,12 +453,26 @@ def refine_every_cell(matrix_a, matrix_b, config):
     matrix's window (the proposed mode's span of the search grid around
     the form interval, or the conventional mode's whole interval) scanned,
     each zero hit taken and each sign-change cell refined by ``bisect``,
-    and the roots paired by ``match_roots``.  Returns ``(roots_a, roots_b,
-    common, evaluations)`` with the roots as tuples and ``evaluations``
-    the (A, B) counts: grid points plus bisection steps."""
+    and the roots paired by ``match_roots``.  A's cells are bisected from
+    their scan values alone; each of B's is seeded with every root of A
+    strictly inside it, in ascending order, and, unless that root is an
+    exact zero of A's f, with the other end of its final bracket.  Returns
+    ``(roots_a, roots_b, common, evaluations)`` with the roots as tuples
+    and ``evaluations`` the (A, B) counts: grid points plus bisection
+    steps."""
     bounds = matrix_bounds(matrix_a), matrix_bounds(matrix_b)
     searches = bounds if config.mode is Mode.CONVENTIONAL else [intersect(*bounds)] * 2
     roots, evaluations = [], []
+
+    def seeds(lo, hi):
+        out = []
+        for r in roots[0] if roots else ():
+            if lo < r.value < hi:
+                out.append(r.value)
+                if r.residual != 0.0:
+                    out.append(r.bracket_hi if r.value == r.bracket_lo else r.bracket_lo)
+        return out
+
     for matrix, search in zip((matrix_a, matrix_b), searches):
         window = search
         if config.mode is Mode.PROPOSED and not search.empty:
@@ -464,7 +487,10 @@ def refine_every_cell(matrix_a, matrix_b, config):
                 found.append(RootEstimate(rec.lam, abs(rec.value), rec.lam, rec.lam, 0, origin))
             elif rec.event is ScanEvent.SIGN_CHANGE_AHEAD:
                 nxt = records[idx + 1]
-                found.append(bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, config.width_tol))
+                found.append(bisect(
+                    f, rec.lam, nxt.lam, rec.value, nxt.value, config.width_tol,
+                    seeds=seeds(rec.lam, nxt.lam),
+                ))
         roots.append(tuple(found))
         evaluations.append(len(records) + sum(r.iterations for r in found))
     return (*roots, match_roots(*roots, config.match_tol), tuple(evaluations))

@@ -143,12 +143,15 @@ def _near_double_pair():
 
 
 def test_near_double_root_is_kept_and_matched():
+    # B's cell [1, 1.1] holds A's refined root 1.0000004, an exact zero of
+    # A's f, so B's bisection takes its first step there: a seed that
+    # misses B's root 1.0000013 costs that one step.
     a, b = _near_double_pair()
     report = common_eigenvalues(a, b)
     assert len(report.common) == 1
     assert abs(report.common[0] - 1.0000004) <= report.config.match_tol
     assert abs(report.common[0] - 1.0000013) <= report.config.match_tol
-    assert (report.eval_count_a, report.eval_count_b) == (101, 61)
+    assert (report.eval_count_a, report.eval_count_b) == (101, 62)
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -329,6 +332,73 @@ def test_bisection_stops_once_its_root_cannot_pair(case, mode):
     assert all(abs(root.value - other.value) > cfg.match_tol for other in others)
     evaluations = refine_every_cell(a, b, cfg)[3]
     assert report.eval_count_a + report.eval_count_b < sum(evaluations)
+
+
+def _unseeded(a, b, cfg):
+    """The report of the search whose bisections take no seeds."""
+    real = rootfind.bisect
+
+    def unseeded(f, lo, hi, flo, fhi, width_tol, near=None, seeds=()):
+        return real(f, lo, hi, flo, fhi, width_tol, near)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootfind, "bisect", unseeded)
+        return common_eigenvalues(a, b, cfg)
+
+
+@pytest.mark.parametrize(
+    "mode, counts", [(Mode.PROPOSED, (34, 27)), (Mode.CONVENTIONAL, (34, 31))],
+    ids=lambda v: getattr(v, "value", ""),
+)
+def test_a_seed_steers_b_to_the_shared_root_of_a_three_root_cell(mode, counts):
+    # B's cell [1.2, 1.3] holds 1.21, 1.23 and 1.27, and A's refined root
+    # 1.23, an exact zero of A's f, is its seed: B's first step lands on
+    # its own zero there.  Unseeded, B's bisection closes in on 1.21 or
+    # 1.27 and nothing pairs, at the same count.
+    a = DenseMatrix(np.diag([1.23, 3.0, 0.5]))
+    b = DenseMatrix(np.diag([1.21, 1.23, 1.27, 3.3, 0.4]))
+    cfg = AnalysisConfig(mode=mode)
+    report = common_eigenvalues(a, b, cfg)
+    assert report.common == pytest.approx((1.23,), abs=cfg.width_tol)
+    [shared] = [r for r in report.roots_b if r.origin is RootOrigin.BISECTION]
+    assert (shared.residual, shared.iterations) == (0.0, 1)
+    assert (report.eval_count_a, report.eval_count_b) == counts
+    before = _unseeded(a, b, cfg)
+    assert before.common == ()
+    assert (before.eval_count_a, before.eval_count_b) == counts
+    assert [_bits(r) for r in before.roots_a] == [_bits(r) for r in report.roots_a]
+
+
+def test_seeded_recall_is_never_below_the_unseeded_search():
+    # On a fixed pool shaped like perfbench's symmetric one (order 30,
+    # eigenvalues uniform on [-3, 3], 4 shared), in both modes, pair by
+    # pair: A's roots are the unseeded search's to the bit, every common
+    # value of the unseeded search has one of the seeded search within
+    # width_tol, and every common value is a shared eigenvalue.  Seeding
+    # finds shared eigenvalues in B cells that hold three roots, where the
+    # unseeded bisection can close in on another.
+    rng = np.random.default_rng(83)
+
+    def rotated(spectrum):
+        q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+        m = q @ np.diag(spectrum) @ q.T
+        return DenseMatrix(0.5 * (m + m.T))
+
+    found = {"seeded": 0, "unseeded": 0}
+    for _ in range(48):
+        shared = rng.uniform(-3.0, 3.0, 4)
+        a, b = (rotated(np.concatenate([shared, rng.uniform(-3.0, 3.0, 26)])) for _ in "ab")
+        for mode in Mode:
+            cfg = AnalysisConfig(mode=mode)
+            seeded, unseeded = common_eigenvalues(a, b, cfg), _unseeded(a, b, cfg)
+            assert [_bits(r) for r in seeded.roots_a] == [_bits(r) for r in unseeded.roots_a]
+            for c in unseeded.common:
+                assert any(abs(c - s) <= cfg.width_tol for s in seeded.common)
+            for name, report in (("seeded", seeded), ("unseeded", unseeded)):
+                hits = [min(abs(c - s) for s in shared) <= cfg.match_tol for c in report.common]
+                assert all(hits)
+                found[name] += len(hits)
+    assert found["seeded"] > found["unseeded"]
 
 
 def _without_windows(a, b, cfg):
@@ -644,9 +714,11 @@ def test_symmetric_path_common_values_match_qr_path():
 def test_symmetric_path_at_1e160_scale():
     # det(lam*I - T) is ~1e480 here, far past float64: values overflow to
     # +-inf with the right sign and never turn NaN, so the scan still sees
-    # the three sign changes.  114 evaluations per matrix, as the QR path:
-    # the scan's grid points plus the bisection iterations of three
-    # brackets, whose end values come from the scan.
+    # the three sign changes.  114 evaluations of A, as the QR path: the
+    # scan's 23 grid points plus the bisection iterations of three
+    # brackets, whose end values come from the scan.  B is A, so each of
+    # its cells is seeded with the two ends of A's final bracket there,
+    # which bracket B's root too: 23 grid points plus two steps a root.
     t = DenseMatrix(
         [[1.05e160, 1e159, 0.0], [1e159, 1.5731e160, 2e159], [0.0, 2e159, 2.95e160]]
     )
@@ -655,7 +727,8 @@ def test_symmetric_path_at_1e160_scale():
     expected = np.linalg.eigvalsh(t.entries)
     assert [r.value for r in report.roots_a] == pytest.approx(expected, abs=1e151)
     assert report.common == pytest.approx(expected, abs=1e151)
-    assert report.eval_count_a == report.eval_count_b == 114
+    assert (report.eval_count_a, report.eval_count_b) == (114, 29)
+    assert [r.iterations for r in report.roots_b] == [2, 2, 2]
     lo, hi = report.search_interval_a.lo, report.search_interval_a.hi
     for lam in np.linspace(lo, hi, 200):
         assert not math.isnan(char_fn(t, lam))
@@ -781,12 +854,13 @@ def test_itp_steps_agree_with_plain_halving_and_cost_less(path, monkeypatch):
 
 def test_roots_bisected_to_width_tol_average_at_most_nine_itp_steps(monkeypatch):
     # The regression guard on the ITP steps, over the roots refined to
-    # width_tol alone: a stopped root takes a step or two, so a mean over
-    # every bisect call, as perfbench's iters_per_root takes it, could hide
-    # a slide back toward halving.  On a fixed pool shaped like perfbench's
-    # symmetric one (order 30, eigenvalues uniform on [-3, 3], 4 shared),
-    # in both modes, the ITP steps average 7.7 per root, one step of slack
-    # would take 9.3 and plain halving takes 30.
+    # width_tol without a seed alone: a stopped root takes a step or two,
+    # and so does a root of B seeded at A's, so a mean over every bisect
+    # call, as perfbench's iters_per_root takes it, could hide a slide back
+    # toward halving.  On a fixed pool shaped like perfbench's symmetric
+    # one (order 30, eigenvalues uniform on [-3, 3], 4 shared), in both
+    # modes, the ITP steps average 7.8 per root over 222 roots, one step
+    # of slack would take 9.3 and plain halving takes 30.
     rng = np.random.default_rng(67)
 
     def rotated(spectrum):
@@ -800,20 +874,24 @@ def test_roots_bisected_to_width_tol_average_at_most_nine_itp_steps(monkeypatch)
         pairs.append(tuple(rotated(np.concatenate([shared, rng.uniform(-3.0, 3.0, 26)]))
                            for _ in "ab"))
 
-    def steps():
-        return [
-            r.iterations
-            for a, b in pairs
-            for mode in Mode
-            for report in [common_eigenvalues(a, b, AnalysisConfig(mode=mode))]
-            for r in report.roots_a + report.roots_b
-            if r.origin is RootOrigin.BISECTION
-        ]
+    def steps(bisect):
+        kept = []
 
-    itp = steps()
+        def unseeded(f, lo, hi, flo, fhi, width_tol, near=None, seeds=()):
+            root = bisect(f, lo, hi, flo, fhi, width_tol, near, seeds)
+            if root.origin is RootOrigin.BISECTION and not any(lo < x < hi for x in seeds):
+                kept.append(root.iterations)
+            return root
+
+        monkeypatch.setattr(rootfind, "bisect", unseeded)
+        for a, b in pairs:
+            for mode in Mode:
+                common_eigenvalues(a, b, AnalysisConfig(mode=mode))
+        return kept
+
+    itp = steps(rootfind.bisect)
     assert len(itp) >= 200 and sum(itp) <= 9 * len(itp)
-    monkeypatch.setattr(rootfind, "bisect", plain_bisect)
-    halving = steps()
+    halving = steps(plain_bisect)
     assert sum(halving) > 9 * len(halving)
 
 

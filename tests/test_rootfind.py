@@ -684,6 +684,87 @@ def test_bisect_with_a_near_test_stops_the_same_steps_early(roots, ends, mark, t
     assert est.residual == abs(f(est.value))
 
 
+_seed = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from(["lo", "hi", "above lo", "below hi", "root", "again"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    roots=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9),
+    exponent=st.integers(-200, 200),
+    ends=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    width_tol=st.one_of(st.just(0.0), st.floats(1e-14, 1e-3)),
+    drawn=st.lists(_seed, max_size=5),
+)
+# Seeds on both ends, then one on the root, which ends it in one step; a
+# seed outside the bracket, then two inside, the second one twice; seeds a
+# float inside each end, which leave the bracket almost as wide as it was.
+@example(roots=[0.3], exponent=0, ends=(-1.0, 1.0), width_tol=1e-10, drawn=["lo", "hi", "root"])
+@example(roots=[0.3], exponent=0, ends=(-1.0, 1.0), width_tol=1e-10,
+         drawn=[1.75, 0.25, 0.3125, "again"])
+@example(roots=[0.3], exponent=0, ends=(-1.0, 1.0), width_tol=1e-14,
+         drawn=["above lo", "below hi"])
+def test_bisect_takes_its_seeds_as_its_first_steps(roots, exponent, ends, width_tol, drawn):
+    # Seeds drawn inside the bracket and outside it, on and beside its
+    # ends, on a root of f, and repeated.  bisect never evaluates a point
+    # outside the bracket as it then stands; its first step is the first
+    # seed inside the bracket, if one is; it stops by the rules it has
+    # without seeds; it takes at most two steps more than plain halving
+    # without seeds; and it calls f where the helper's steps with the same
+    # seeds do, to the bit.  With width_tol 0 every step is the midpoint,
+    # so no seed is taken.
+    lo, hi = sorted(ends)
+    f, _ = _planted(roots, exponent)
+    flo, fhi = f(lo), f(hi)
+    assume(lo < hi and _opposite_signs(flo, fhi))
+    seeds = []
+    for d in drawn:
+        named = {
+            "lo": lo, "hi": hi, "root": roots[0], "again": seeds[-1] if seeds else lo,
+            "above lo": math.nextafter(lo, hi), "below hi": math.nextafter(hi, lo),
+        }
+        seeds.append(named.get(d, d))
+    f, calls = _planted(roots, exponent)
+    est = bisect(f, lo, hi, flo, fhi, width_tol, seeds=seeds)
+    assert len(calls) == est.iterations
+
+    f, _ = _planted(roots, exponent)
+    a, b, fa = lo, hi, flo
+    for k, x in enumerate(calls):
+        assert a < x < b
+        inside = [s for s in seeds if a < s < b]
+        if k == 0 and width_tol > 0.0 and inside:
+            assert x == inside[0]
+        fx = f(x)
+        if fx == 0.0:
+            assert k == len(calls) - 1
+        elif _opposite_signs(fa, fx):
+            b = x
+        else:
+            a, fa = x, fx
+    assert (est.bracket_lo, est.bracket_hi) == (a, b)
+    if est.residual == 0.0:
+        assert est.value == calls[-1] and f(est.value) == 0.0
+    else:
+        assert est.value in (a, b)
+        assert b - a <= width_tol or math.nextafter(a, math.inf) == b
+        assert any(a <= r <= b for r in roots)
+
+    f, _ = _planted(roots, exponent)
+    unseeded = bisect(f, lo, hi, flo, fhi, width_tol)
+    if width_tol == 0.0:
+        assert _bits(est) == _bits(unseeded)
+    ref = plain_bisect(lambda x: f(x) or 1.0, lo, hi, flo, fhi, width_tol)
+    assert est.iterations <= ref.iterations + 2
+
+    ref_f, ref_calls = _planted(roots, exponent)
+    ref = itp_bisect(ref_f, lo, hi, flo, fhi, width_tol, seeds)
+    assert [x.hex() for x in calls] == [x.hex() for x in ref_calls]
+    assert _bits(est) == _bits(ref)
+
+
 def test_bisect_near_the_largest_floats_with_a_positive_width_tol():
     # The schedule's first bounds reach four times the bracket's width:
     # where that overflows, every step is the midpoint, and below it ITP
@@ -775,8 +856,9 @@ def test_find_roots_leaves_the_cells_refine_rejects_unrefined():
     # refine is called once, after the scan; its test sees each sign-change
     # cell once, in ascending order.  A cell it rejects (None) is returned
     # as bisect returns a bracket it takes no step in, at no evaluation; a
-    # cell it hands a near test is bisected with that test, which sees each
-    # bracket before a step and can stop it early, as a CELL estimate.
+    # cell it hands a near test and seeds is bisected with them: the test
+    # sees each bracket before a step and can stop it early, as a CELL
+    # estimate, and a seed inside the cell is its first step.
     def f(x):
         return (x - 0.55) * (x - 1.23) * (x - 2.03)
 
@@ -790,7 +872,7 @@ def test_find_roots_leaves_the_cells_refine_rejects_unrefined():
 
     def refine():
         records.extend(grid.records)
-        tests = iter([None, lambda lo, hi: True, near_top])
+        tests = iter([None, (lambda lo, hi: True, ()), (near_top, ())])
         return lambda lo, hi: seen.append((lo, hi)) or next(tests)
 
     roots = find_real_roots(grid, refine=refine)
@@ -822,6 +904,12 @@ def test_find_roots_leaves_the_cells_refine_rejects_unrefined():
         (lo, hi, RootOrigin.CELL) for lo, hi in cells
     ]
     assert unrefined[0] == cell and counted.calls == calls
+    # f is exactly 0 at 1.23, so the seed ends its cell's bisection in one
+    # step; it lies in no other cell, so those take the steps they take
+    # without it
+    seeded = find_real_roots(grid, refine=lambda: lambda lo, hi: (None, (1.23,)))
+    assert (seeded[1].value, seeded[1].residual, seeded[1].iterations) == (1.23, 0.0, 1)
+    assert seeded[0::2] == full[0::2]
 
 
 def test_find_roots_empty_interval():
