@@ -99,7 +99,8 @@ def _fmt_values(texts) -> str:
 
 
 def _fmt_root(root) -> str:
-    """A root's value, or for a cell left unrefined its bracket [lo, hi]."""
+    """A root's value, or for a CELL root, a bisection stopped before or
+    after its first step, its bracket [lo, hi]."""
     if root.origin is RootOrigin.CELL:
         return f"[{root.bracket_lo:.10g}, {root.bracket_hi:.10g}]"
     return f"{root.value:.10g}"

@@ -20,17 +20,16 @@ scanning each whole interval on the same lattice.
 
 In both modes the pairing then narrows the refinement, the paper's
 pruning taken down from intervals to grid cells and on to each bisection
-step: both matrices are scanned before either is refined, only the
-sign-change cells that can hold a common value are bisected, and each
-bisection stops once its bracket can no longer hold one.  B's bisections
-also start where a partner is likely, at the refined roots of A inside
-their cells.  Every other cell, and every bisection stopped, is reported
-as a CELL root that brackets its root with the cell or with the bracket
-reached, and the common values are those of bisecting every cell to
-width_tol, B's seeded by the same rule, bit for bit (``_search`` gives
-the argument).  Each evaluation count is read from the run's own
-records: the grid points scanned plus the bisection steps of the roots
-returned.
+step: both matrices are scanned before either is refined, and each
+bisection stops once its bracket can no longer hold a common value,
+before its first step in a cell that cannot.  B's bisections also start
+where a partner is likely, at the refined roots of A inside their cells.
+Every bisection stopped is reported as a CELL root that brackets its root
+with the bracket reached, the cell itself where no step was taken, and
+the common values are those of bisecting every cell to width_tol, B's
+seeded by the same rule, bit for bit (``_search`` gives the argument).
+Each evaluation count is read from the run's own records: the grid
+points scanned plus the bisection steps of the roots returned.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -257,24 +255,24 @@ def _search(matrix_a, matrix_b, search_a, search_b, cfg: AnalysisConfig):
     A root of A is refined only while its bracket lies within match_tol
     of a flag of B (a sign-change cell or a zero hit of B's scan), and a
     root of B only while its bracket lies within match_tol of a refined
-    root of A (one bisected to width_tol, or a zero hit).  A cell that
-    starts out of reach is returned unrefined, with no ``bisect`` call; a
-    bisection is stopped before the step at which its bracket has left
-    every such mark's reach.  Both are returned as CELL roots, whose
-    bracket holds the root and whose value, the last point evaluated or,
-    where no step was taken, a cell end, lies in that bracket.  A cell of
-    B is seeded by the refined roots of A strictly inside it: each gives
-    its value and, unless A's f is exactly 0 there, the other end of its
-    final bracket, which for a root A shares with B brackets B's root too.
+    root of A (one bisected to width_tol, or a zero hit).  A bisection is
+    stopped before the step at which its bracket has left every such
+    mark's reach, so before its first step in a cell that starts out of
+    reach, and is returned as a CELL root, whose bracket holds the root
+    and whose value, the last point evaluated or, where no step was
+    taken, a cell end, lies in that bracket.  A cell of B is seeded by
+    the refined roots of A strictly inside it: each gives its value and,
+    unless A's f is exactly 0 there, the other end of its final bracket,
+    which for a root A shares with B brackets B's root too.
 
     The common values are those of bisecting every cell of A to
     width_tol, and every cell of B with the seeds of the roots of A so
     found strictly inside it, bit for bit.  The seeds are the same: a root
     of A strictly inside a sign-change cell of B has a bracket that meets
     that flag at every step, so it is refined to the same bits, and a
-    stopped or unrefined root of A, whose bracket lies beyond match_tol
-    of every flag of B, holds no point of such a cell, nor does the
-    bisected root inside that bracket.  Then brackets only shrink,
+    stopped root of A, whose bracket lies beyond match_tol of every flag
+    of B, holds no point of such a cell, nor does the bisected root
+    inside that bracket.  Then brackets only shrink,
     and every root of B lies in its flag, so a CELL root of A is more than
     match_tol from every root of B, and on the same side of each, as its
     value would be had it been bisected to width_tol: rounding is
@@ -288,7 +286,8 @@ def _search(matrix_a, matrix_b, search_a, search_b, cfg: AnalysisConfig):
     so those come from the same steps, seeds and ITP points, as if every
     cell were bisected.
     Each count is the grid points scanned plus the bisection steps of the
-    roots returned, stopped or not.
+    roots returned, stopped or not.  Each search calls its ``refine`` once,
+    so each cell test walks its marks afresh.
     """
     grid_a, grid_b = _grid(matrix_a, search_a, cfg), _grid(matrix_b, search_b, cfg)
 
@@ -325,28 +324,32 @@ def _seeds(root):
 
 
 def _near(marks, tol):
-    """The cell test over ``marks``, (lo, hi, seeds) triples whose ends
-    both ascend.
+    """The cell test over ``marks``, (lo, hi, seeds) triples with
+    lo <= hi whose ends both ascend, for cells asked about in ascending
+    order.
 
-    For a cell [lo, hi] it returns None where no mark lies within tol of
-    the cell, and otherwise ``bisect``'s near test and seeds.  The near
-    test is whether a bracket lies within tol of one of the marks that the
-    cell does; a bracket inside the cell can lie near no other mark.  The
+    For a cell [lo, hi] it returns ``bisect``'s near test and seeds.  The
+    near test is whether a bracket lies within tol of one of the marks
+    that the cell does, so it is false from the start where the cell lies
+    near none; a bracket inside the cell can lie near no other mark.  The
     seeds are those of the marks that start strictly inside the cell.
     Distances are the rounded differences that ``match_roots`` compares
-    with tol.
+    with tol.  The cells and the marks ascend, so the marks near a cell
+    are found by a merge walk of the two: ``first`` and ``stop`` only
+    move forward.
     """
-    ends = [hi for _, hi, _ in marks]
+    first = stop = 0
 
     def cell_test(lo, hi):
+        nonlocal first, stop
         # Past the marks that end more than tol below lo, those that start
-        # within tol of hi come first, as the starts ascend too.
-        i = j = bisect_left(ends, True, key=lambda end: lo - end <= tol)
-        while j < len(marks) and marks[j][0] - hi <= tol:
-            j += 1
-        if i == j:
-            return None
-        close = marks[i:j]
+        # within tol of hi, as the starts ascend too.  A mark that ends that
+        # far below lo starts within tol of hi, so stop never lags first.
+        while first < len(marks) and lo - marks[first][1] > tol:
+            first += 1
+        while stop < len(marks) and marks[stop][0] - hi <= tol:
+            stop += 1
+        close = marks[first:stop]
 
         def near(lo, hi):
             for start, end, _ in close:

@@ -4,16 +4,16 @@ The strategy mirrors a desk calculation: walk a fixed grid across the
 interval recording f at every point, accept grid points where f is exactly
 0.0 directly as roots, and refine the strict sign changes between adjacent
 grid points with bisection.  Which sign-change cells are refined, and how
-far, is the caller's choice, made by a cell test once the scan is read: it
-leaves a cell unrefined or hands bisection a test that can stop it early,
-and seeds, points where a root is likely, for its first steps.
-A root left unrefined or stopped is still returned, as a CELL estimate
-that brackets it with the cell or with the part of it that bisection
-kept.  Bisection
-keeps halving's bracket and stop rules but steps to ITP points (regula
-falsi pulled toward the midpoint), which converge superlinearly on the
-smooth cells of ``det(λI − M)`` and cost at most two steps more than
-halving anywhere else, seeded or not.  "Exactly zero" is f's own
+far, is the caller's choice, made by a cell test once the scan is read:
+every cell goes to bisection, with a test that can stop it before any
+step or on the way, and seeds, points where a root is likely, for its
+first steps.  A root stopped is still returned, as a CELL estimate that
+brackets it with the part of its cell that bisection kept, the whole
+cell where no step was taken.  Bisection keeps halving's bracket and
+stop rules but steps to ITP points (regula falsi pulled toward the
+midpoint), which converge superlinearly on the smooth cells of
+``det(λI − M)`` and cost at most two steps more than halving anywhere
+else, seeded or not.  "Exactly zero" is f's own
 decision: ``char_fn`` returns 0.0 when lambda*I - M is singular to
 working precision, by a rule relative to the matrix's scale, and no
 absolute threshold is added here.
@@ -67,8 +67,8 @@ _ITP_N0 = 2
 
 # bisect's near test of a bracket (lo, hi): refine it further only where true.
 _Near = Callable[[float, float], bool]
-# find_real_roots' test of a cell (lo, hi): None, or bisect's near and seeds.
-_CellTest = Callable[[float, float], tuple[_Near | None, Sequence[float]] | None]
+# find_real_roots' test of a cell (lo, hi): bisect's near and seeds for it.
+_CellTest = Callable[[float, float], tuple[_Near | None, Sequence[float]]]
 
 
 class ScanEvent(Enum):
@@ -103,9 +103,9 @@ class RootEstimate:
     exactly 0.0.  A CELL estimate is a sign-change cell refined only until
     it could not pair: what ``bisect`` returns when its ``near`` test stops
     it, with its bracket as far as it got, and as its value and residual
-    the last point evaluated, an end of that bracket, and |f| there.  A
-    cell left wholly unrefined is its own bracket, with the end where |f|
-    is smaller as its value.  ``iterations`` counts bisection steps, one
+    the last point evaluated, an end of that bracket, and |f| there.  One
+    stopped before any step is the cell itself, with the end where |f| is
+    smaller as its value.  ``iterations`` counts bisection steps, one
     evaluation of f each, so a CELL estimate has 0 or more.
     """
 
@@ -414,16 +414,16 @@ def find_real_roots(
     Grid zero hits are taken directly (zero hits on the scan's first or
     last grid point are tagged ENDPOINT_ZERO).  ``refine``, if given, is
     called once, after the scan is read and before any bisection, and
-    returns the cell test.  For a sign-change cell [lo, hi] the test of
-    (lo, hi) returns None, and the cell is returned unrefined, as a CELL
-    estimate (see RootEstimate) with no call of ``bisect``; or it returns
+    returns the cell test, which is asked about each sign-change cell
+    [lo, hi] once, in ascending order, as ``test(lo, hi)``.  It returns
     the pair ``(near, seeds)`` with which ``bisect`` (ITP steps) refines
     the cell from the two scan values that bracket it: ``near`` may stop
-    it early, as a CELL estimate too, and ``seeds`` may be its first step
-    points.  Where refine is None every cell is bisected to width_tol.
-    So the cost is one evaluation of f per grid point and per bisection
-    step, ``len(grid.records)`` plus the roots' iterations, whether a root
-    was refined to width_tol or stopped on the way.
+    it, before any step or on the way, as a CELL estimate (see
+    RootEstimate), and ``seeds`` may be its first step points.  Where
+    refine is None every cell is bisected to width_tol.  So the cost is
+    one evaluation of f per grid point and per bisection step,
+    ``len(grid.records)`` plus the roots' iterations, whether a root was
+    refined to width_tol, stopped on the way or stopped before any step.
     A cell holding an odd number of roots yields one of them.  Every zero
     hit and every sign-change cell is a distinct root and is returned,
     however close to its neighbours; each lies in its own grid point or
@@ -456,19 +456,5 @@ def find_real_roots(
         elif rec.event is ScanEvent.SIGN_CHANGE_AHEAD:
             nxt = records[idx + 1]
             test = cell_test(rec.lam, nxt.lam) if cell_test is not None else ()
-            if test is not None:
-                roots.append(
-                    bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol, *test)
-                )
-            else:
-                # bisect's estimate before any step: the end with smaller |f|, lo on a tie
-                end = min(rec, nxt, key=lambda r: abs(r.value))
-                roots.append(RootEstimate(
-                    value=end.lam,
-                    residual=abs(end.value),
-                    bracket_lo=rec.lam,
-                    bracket_hi=nxt.lam,
-                    iterations=0,
-                    origin=RootOrigin.CELL,
-                ))
+            roots.append(bisect(f, rec.lam, nxt.lam, rec.value, nxt.value, width_tol, *test))
     return roots

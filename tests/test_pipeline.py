@@ -231,6 +231,46 @@ def test_cells_without_a_partner_are_left_unrefined(mode):
         )
 
 
+@st.composite
+def _marks_and_cells(draw):
+    """Ascending (lo, hi, seeds) marks, each a point or a cell between
+    neighbouring points of one sorted set as the pipeline's are, each with
+    its index as its seed, and ascending cells between neighbouring points
+    of another."""
+    values = st.floats(-4.0, 4.0, allow_subnormal=False)
+    xs = sorted(set(draw(st.lists(values, min_size=1, max_size=12))))
+    spans = draw(st.lists(st.tuples(st.integers(0, len(xs) - 1), st.integers(0, 1)), max_size=10))
+    ends = sorted({(xs[i], xs[min(i + k, len(xs) - 1)]) for i, k in spans})
+    marks = [(lo, hi, (float(i),)) for i, (lo, hi) in enumerate(ends)]
+    grid = sorted(set(draw(st.lists(values, min_size=2, max_size=12))))
+    cells = [cell for cell in zip(grid, grid[1:]) if draw(st.booleans())]
+    return marks, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(_marks_and_cells(), st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=4))
+@example(([(1.0, 1.0, (0.0,)), (1.0, 1.1, (1.0,)), (1.3, 1.3, (2.0,))], [(0.9, 1.0), (1.1, 1.2)]),
+         0.1, [(0.0, 1.0)])
+def test_the_cell_test_walk_finds_the_marks_a_filter_finds(marks_and_cells, tol, brackets):
+    # Asked about ascending cells, the walked cell test closes over the
+    # marks within tol of each cell that a filter over every mark keeps;
+    # its near test of any bracket inside the cell is whether the bracket
+    # lies within tol of some mark, and its seeds are those of the marks
+    # that start strictly inside the cell.
+    marks, cells = marks_and_cells
+    cell_test = pipeline._near(marks, tol)
+    for lo, hi in cells:
+        near, seeds = cell_test(lo, hi)
+        close = near.__closure__[near.__code__.co_freevars.index("close")].cell_contents
+        assert close == [m for m in marks if m[0] - hi <= tol and lo - m[1] <= tol]
+        assert seeds == [x for start, _, xs in marks if lo < start < hi for x in xs]
+        for s, t in [(0.0, 1.0)] + brackets:
+            a, b = sorted((lo + s * (hi - lo), lo + t * (hi - lo)))
+            a, b = max(a, lo), min(b, hi)
+            assert near(a, b) == any(start - b <= tol and a - end <= tol for start, end, _ in marks)
+
+
 def _bits(root):
     return (root.value.hex(), root.residual.hex(), root.bracket_lo.hex(),
             root.bracket_hi.hex(), root.iterations, root.origin)

@@ -14,6 +14,7 @@ from common_eig import (
     DenseMatrix,
     GridScan,
     RealInterval,
+    RootEstimate,
     RootOrigin,
     ScanEvent,
     bisect,
@@ -312,6 +313,9 @@ def _window_slice(records, interval, window):
          fractions=[0.5], inside=True)
 @example(exponent=0, lo=0.0, step=0.25, span=2.0, place="point_on_grid", ends=(0.5, 0.5),
          fractions=[0.0], inside=True)
+# w_lo + 1.0·(w_hi − w_lo) rounds to −0.09999999999999998, above w_hi = −0.1
+@example(exponent=0, lo=-49 / 64, step=0.1, span=1.375, place="on_grid", ends=(0.0, 0.5),
+         fractions=[1.0], inside=True)
 def test_windowed_scan_is_a_slice_of_the_whole_grid(
     exponent, lo, step, span, place, ends, fractions, inside
 ):
@@ -342,7 +346,8 @@ def test_windowed_scan_is_a_slice_of_the_whole_grid(
         window = lo + a * span, lo + b * span
     if inside:
         w_lo, w_hi = max(window[0], lo), min(window[1], interval.hi)
-        roots = [w_lo + t * (w_hi - w_lo) for t in fractions]
+        # clamped, as w_lo + t·(w_hi − w_lo) can round past w_hi
+        roots = [min(max(w_lo + t * (w_hi - w_lo), w_lo), w_hi) for t in fractions]
     else:
         roots = [lo - 1.0 + t * (span + 2.0) for t in fractions]
     f, calls = _planted(roots, exponent)
@@ -854,13 +859,17 @@ def test_find_roots_costs_one_evaluation_per_grid_point_and_iteration():
 
 def test_find_roots_leaves_the_cells_refine_rejects_unrefined():
     # refine is called once, after the scan; its test sees each sign-change
-    # cell once, in ascending order.  A cell it rejects (None) is returned
-    # as bisect returns a bracket it takes no step in, at no evaluation; a
-    # cell it hands a near test and seeds is bisected with them: the test
-    # sees each bracket before a step and can stop it early, as a CELL
-    # estimate, and a seed inside the cell is its first step.
+    # cell once, in ascending order, and hands bisect a near test and seeds
+    # for it.  A cell whose near test is false from the start is returned as
+    # bisect returns a bracket it takes no step in, at no evaluation; any
+    # other is bisected with them: the test sees each bracket before a step
+    # and can stop it early, as a CELL estimate, and a seed inside the cell
+    # is its first step.
     def f(x):
         return (x - 0.55) * (x - 1.23) * (x - 2.03)
+
+    def never(lo, hi):
+        return False
 
     counted = Counted(f)
     grid = GridScan(counted, RealInterval(0, 3))
@@ -872,7 +881,7 @@ def test_find_roots_leaves_the_cells_refine_rejects_unrefined():
 
     def refine():
         records.extend(grid.records)
-        tests = iter([None, (lambda lo, hi: True, ()), (near_top, ())])
+        tests = iter([(never, ()), (lambda lo, hi: True, ()), (near_top, ())])
         return lambda lo, hi: seen.append((lo, hi)) or next(tests)
 
     roots = find_real_roots(grid, refine=refine)
@@ -899,7 +908,7 @@ def test_find_roots_leaves_the_cells_refine_rejects_unrefined():
     assert stopped.iterations < full[2].iterations
     # the scan is kept: a second search of the same grid evaluates nothing
     calls = counted.calls
-    unrefined = find_real_roots(grid, refine=lambda: lambda lo, hi: None)
+    unrefined = find_real_roots(grid, refine=lambda: lambda lo, hi: (never, ()))
     assert [(r.bracket_lo, r.bracket_hi, r.origin) for r in unrefined] == [
         (lo, hi, RootOrigin.CELL) for lo, hi in cells
     ]
@@ -910,6 +919,25 @@ def test_find_roots_leaves_the_cells_refine_rejects_unrefined():
     seeded = find_real_roots(grid, refine=lambda: lambda lo, hi: (None, (1.23,)))
     assert (seeded[1].value, seeded[1].residual, seeded[1].iterations) == (1.23, 0.0, 1)
     assert seeded[0::2] == full[0::2]
+
+
+def test_a_cell_of_two_floats_is_a_bisection_root_whatever_its_test_says():
+    # No float lies strictly inside [1, 1 + ulp], so bisect's stop rule
+    # ends it before it asks near: a BISECTION root with no step, the end
+    # with the smaller |f| as its value, under a test that rejects it too.
+    lo, hi = 1.0, math.nextafter(1.0, 2.0)
+    counted = Counted(lambda x: x - 1.0 - 2.0**-54)
+    asked = []
+
+    def rejecting_test(lo, hi):
+        return (lambda lo, hi: asked.append((lo, hi))), ()
+
+    rejecting = find_real_roots(GridScan(counted, RealInterval(lo, hi)),
+                                refine=lambda: rejecting_test)
+    assert rejecting == find_real_roots(GridScan(counted, RealInterval(lo, hi))) == [
+        RootEstimate(lo, 2.0**-54, lo, hi, 0, RootOrigin.BISECTION)
+    ]
+    assert asked == [] and counted.calls == 4
 
 
 def test_find_roots_empty_interval():
