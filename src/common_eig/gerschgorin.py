@@ -98,7 +98,8 @@ def discs_of(matrix: DenseMatrix) -> list[Disc]:
     8 on it sums a row-major copy of the transpose in another order.
     """
     diag = matrix.entries.diagonal()
-    radii = _abs_sums(matrix.entries, 1) - abs(diag)
+    (rows,) = _abs_sums(matrix.entries, 1)
+    radii = rows - abs(diag)
     return [Disc(float(c), float(r)) for c, r in zip(diag, radii)]
 
 
@@ -140,4 +141,4 @@ def matrix_bounds(matrix: DenseMatrix) -> RealInterval:
     ``Disc`` objects.
     """
     a = matrix.entries
-    return RealInterval(*_gerschgorin_span(a.diagonal(), _abs_sums(a, 1), _abs_sums(a, 0)))
+    return RealInterval(*_gerschgorin_span(a.diagonal(), *_abs_sums(a, 1, 0)))

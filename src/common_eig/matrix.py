@@ -11,7 +11,9 @@ depends on the matrix alone:
   for a power of two ``scale``; each call costs O(n) in ``_sturm_det``:
   three LDL^T pivot recurrences of T in lockstep (Sturm sequences), the
   value at ``mu = lam / scale`` and the inertia counts at ``mu -+ eps``
-  that decide an exact zero.  The pivot product takes ``scale**n`` once,
+  that decide an exact zero.  They run bare up to the first pivot where
+  the two count passes straddle zero, and only from there clamp and count
+  (``_sturm_counts``).  The pivot product takes ``scale**n`` once,
   through its exponent, rather than one factor of ``scale`` per pivot;
 * any other matrix keeps the upper Hessenberg G = J*H^T*J, with the
   characteristic polynomial of M (see ``_hessenberg``).  Up to order
@@ -253,12 +255,17 @@ def _geqrf_lwork(n: int) -> int:
     return max(1, n, int(work[0]))
 
 
-def _abs_sums(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sums of ``|a|`` along ``axis`` (1: rows, 0: columns); a ValueError
-    rather than inf where one overflows float64."""
+def _abs_sums(a: np.ndarray, *axes: int) -> list[np.ndarray]:
+    """Sums of ``|a|`` along each of ``axes`` (1: rows, 0: columns), from
+    one ``|a|``; a ValueError rather than inf where one overflows float64."""
+    mags = abs(a)
+    # No sum of n entries of at most max|a| reaches 2 * n * max|a|, rounding
+    # included, so only a larger matrix needs the overflow check.
+    if float(mags.max()) * (2 * a.shape[0]) <= _MAX_FLOAT:
+        return [mags.sum(axis=axis) for axis in axes]
     with np.errstate(over="ignore"):
-        sums = abs(a).sum(axis=axis)
-    if math.isinf(sums.max()):
+        sums = [mags.sum(axis=axis) for axis in axes]
+    if any(math.isinf(s.max()) for s in sums):
         raise ValueError("an absolute row or column sum of the matrix overflows float64")
     return sums
 
@@ -477,37 +484,35 @@ def _sturm_det(form: _Tridiagonal, lam: float) -> float:
     # at lam = 0).  eps is PIVOT_RTOL * (|lam| + ||T||_inf), unscaled.
     mu = lam / form.scale
     eps = PIVOT_RTOL * (abs(mu) + form.norm)
-    # Each pass's clamp only sets its own input to the next step, so the
-    # three recurrences run first.  count is the negative count at mu - eps
-    # less the one at mu + eps, so it moves only where one pass counts a
-    # pivot negative and the other does not: a pivot at or above pivmin on
-    # both passes takes two comparisons, a negative one on both three.
+    # Phase 1 runs the three recurrences bare, with one test per pivot, and
+    # hands over to phase 2 (_sturm_counts), which clamps and counts, at the
+    # first pivot where q_lo < pivmin and q_hi > -pivmin.  Up to there it
+    # computes what phase 2 run from the first pivot would, bit for bit,
+    # and the count stays 0.  IEEE rounding is monotone, and
+    # so is each step in x while its inputs share a sign: x - d rises with
+    # x, and -e2/q with q.  So from lo <= mu <= hi, every pivot has
+    # q_lo <= q <= q_hi while the test stays false, and then all three lie
+    # at or above pivmin or at or below -pivmin: no clamp can fire, and
+    # the two negative counts rise together (the monotone floating-point
+    # Sturm count: Kahan, 1966; Demmel, Dhillon & Ren, ETNA 3, 1995).  A
+    # finite mu gives no nan: phase 1 divides only by pivots at least
+    # pivmin from 0, so e2/q stays finite.  An infinite mu makes lo or hi
+    # nan, never hands over, and reads unit = +-inf.
     pivmin = form.pivmin
     neg_pivmin = -pivmin
     lo, hi = mu - eps, mu + eps
     unit = q = q_lo = q_hi = 1.0
-    count = 0
-    for d, e2 in form.pairs:
+    pairs = iter(form.pairs)
+    for d, e2 in pairs:
         q = mu - d - e2 / q
         q_lo = lo - d - e2 / q_lo
         q_hi = hi - d - e2 / q_hi
-        if q < pivmin and q > neg_pivmin:
-            q = neg_pivmin
+        if q_lo < pivmin and q_hi > neg_pivmin:
+            unit, count = _sturm_counts(pairs, mu, lo, hi, pivmin, unit, q, q_lo, q_hi)
+            if count:
+                return 0.0
+            break
         unit *= q
-        if q_lo < pivmin:
-            if q_lo > neg_pivmin:
-                q_lo = neg_pivmin
-            if not q_hi <= neg_pivmin:  # a nan q_hi is not negative
-                count += 1
-                if q_hi < pivmin:
-                    q_hi = pivmin
-        elif q_hi < pivmin:
-            if q_hi > neg_pivmin:
-                q_hi = pivmin
-            else:
-                count -= 1
-    if count:
-        return 0.0
     # scale is a power of two, so scale**n goes into the exponent once, and
     # exactly: while the running products of q_k and of scale*q_k stay
     # normal floats, and so does the result, this is the product of the
@@ -521,8 +526,50 @@ def _sturm_det(form: _Tridiagonal, lam: float) -> float:
         det = math.inf
     if _MIN_NORMAL <= abs(unit) <= _MAX_FLOAT and _MIN_NORMAL <= abs(det) <= _MAX_FLOAT:
         return det
+    if math.isinf(mu):
+        # |lam| is above 1.8e308 * scale and every eigenvalue lambda_k of M
+        # within 2 * n * scale of 0, so each factor lam - lambda_k of the
+        # determinant rounds to lam.
+        pivots = [lam] * len(form.pairs)
+        return math.prod(pivots) or _full_prod(pivots)
     scaled = map(form.scale.__mul__, _pivots(form, mu))
     return math.prod(scaled) or _full_prod(_pivots(form, mu), form.exponent)
+
+
+def _sturm_counts(pairs, mu, lo, hi, pivmin, unit, q, q_lo, q_hi) -> tuple[float, int]:
+    """Phase 2 of ``_sturm_det``, from a pivot whose values q, q_lo and q_hi
+    are computed but not yet clamped or counted, on through the rest of the
+    ``pairs`` iterator: ``(unit * prod(q_k), count)``.
+
+    Each pass's clamp only sets its own input to the next step.  count is
+    the negative count at lo = mu - eps less the one at hi = mu + eps, so it
+    moves only where one pass counts a pivot negative and the other does
+    not."""
+    neg_pivmin = -pivmin
+    count = 0
+    while True:
+        if q < pivmin and q > neg_pivmin:
+            q = neg_pivmin
+        unit *= q
+        if q_lo < pivmin:
+            if q_lo > neg_pivmin:
+                q_lo = neg_pivmin
+            if q_hi > neg_pivmin:
+                count += 1
+                if q_hi < pivmin:
+                    q_hi = pivmin
+        elif q_hi < pivmin:
+            if q_hi > neg_pivmin:
+                q_hi = pivmin
+            else:
+                count -= 1
+        pair = next(pairs, None)
+        if pair is None:
+            return unit, count
+        d, e2 = pair
+        q = mu - d - e2 / q
+        q_lo = lo - d - e2 / q_lo
+        q_hi = hi - d - e2 / q_hi
 
 
 def _sturm_ends(lower: float, upper: float, norm: float, scale: float) -> tuple[float, float]:
@@ -620,7 +667,8 @@ def _char_form(matrix: DenseMatrix) -> partial:
             form, matrix._ends = _tridiagonalize(a)
             matrix._form = partial(_sturm_det, form)
         else:
-            norm, neg = float(_abs_sums(a, 1).max()), _hessenberg(a)
+            (rows,), neg = _abs_sums(a, 1), _hessenberg(a)
+            norm = float(rows.max())
             matrix._ends = _bendixson_ends(a, norm)
             bound = max(norm, float(abs(neg.diagonal()).max()))
             if matrix.order <= _HESSENBERG_MAX_ORDER:

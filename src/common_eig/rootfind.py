@@ -31,7 +31,6 @@ exactly that slice of the whole grid (``_grid_span`` finds one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -93,9 +92,9 @@ class ScanRecord(NamedTuple):
     event: ScanEvent = ScanEvent.NONE
 
 
-@dataclass(frozen=True)
-class RootEstimate:
-    """One located real root.
+class RootEstimate(NamedTuple):
+    """One located real root.  A tuple, so it compares equal to
+    ``(value, residual, bracket_lo, bracket_hi, iterations, origin)``.
 
     ``bracket_lo == bracket_hi == value`` for grid and endpoint zeros; for
     bisection results the bracket is the final sign-change interval, with
@@ -290,6 +289,13 @@ def bisect(
     if not _opposite_signs(flo, fhi):
         raise ValueError(f"f({lo}) = {flo} and f({hi}) = {fhi} do not change sign")
 
+    # near is asked before each step, here before the first, so a cell it
+    # stops at once costs no schedule.
+    est, fest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    mid = 0.5 * lo + 0.5 * hi
+    if near is not None and lo < mid < hi and not near(lo, hi):
+        return RootEstimate(est, abs(fest), lo, hi, 0, RootOrigin.CELL)
+
     # The schedule: step k (from 0) may leave a bracket no wider than
     # ldexp(anchor, top - k), so after top + 1 steps it is within width_tol.
     # ulp is the float spacing at the bracket's larger end, the coarsest
@@ -315,13 +321,9 @@ def bisect(
     kappa = _ITP_KAPPA / width
 
     isfinite, isnan, copysign, ldexp = math.isfinite, math.isnan, math.copysign, math.ldexp
-    est, fest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     iterations = 0
     origin = RootOrigin.BISECTION
-    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
-        if near is not None and not near(lo, hi):
-            origin = RootOrigin.CELL
-            break
+    while lo < mid < hi:
         # In the first _ITP_N0 steps, the first seed that lies strictly
         # inside the bracket and leaves no sub-bracket wider than bound.
         # Else the ITP point: regula falsi between the bracket ends, pulled
@@ -364,14 +366,11 @@ def bisect(
             lo, flo = est, fest
         if hi - lo <= width_tol:
             break
-    return RootEstimate(
-        value=est,
-        residual=abs(fest),
-        bracket_lo=lo,
-        bracket_hi=hi,
-        iterations=iterations,
-        origin=origin,
-    )
+        mid = 0.5 * lo + 0.5 * hi
+        if near is not None and lo < mid < hi and not near(lo, hi):
+            origin = RootOrigin.CELL
+            break
+    return RootEstimate(est, abs(fest), lo, hi, iterations, origin)
 
 
 class GridScan:

@@ -232,6 +232,14 @@ def test_matrix_bounds_is_the_disc_intersection_to_the_bit(scale):
             assert (ours.lo.hex(), ours.hi.hex()) == (spans.lo.hex(), spans.hi.hex())
 
 
+def test_matrix_bounds_reads_sums_near_the_float64_limit():
+    # 2 * n * max|a| overflows float64 but no absolute row or column sum
+    # does: the bounds come without a warning, as the discs give them.
+    m = DenseMatrix([[1e308, -5e307], [0.0, -1e308]])
+    assert matrix_bounds(m) == RealInterval(-1e308, 1e308)
+    assert matrix_bounds(m) == intersect(_span(discs_of(m)), _span(_columns(m)))
+
+
 def test_diagonal_entries_contained():
     rng = np.random.default_rng(13)
     for _ in range(30):

@@ -1,11 +1,13 @@
 """Matrix parsing and the characteristic function, the one determinant."""
 
 import math
+import operator
 import pkgutil
 import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from common_eig.matrix import (
     _hessenberg,
     _hessenberg_det,
     _shifted_qr_det,
+    _sturm_counts,
     _sturm_det,
 )
 from conftest import A_TEXT
@@ -760,6 +763,83 @@ def test_sturm_det_clamps_a_vanishing_pivot_on_one_pass(case):
     assert value.hex() == scaled_sturm_det(SturmForm(diag, offdiag_sq, norm, 1.0, pivmin), mu).hex()
 
 
+def _handovers(form, lam):
+    """``_sturm_det(form, lam)`` and the pivots, counted from 1, at which its
+    phase 1 handed over to ``_sturm_counts``."""
+    taken = []
+
+    def spy(pairs, *rest):
+        taken.append(len(form.pairs) - operator.length_hint(pairs))
+        return _sturm_counts(pairs, *rest)
+
+    with mock.patch.object(matrix_module, "_sturm_counts", spy):
+        return _sturm_det(form, lam), taken
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.sampled_from([-300, 0, 300]),
+)
+def test_sturm_det_hands_over_at_an_eigenvalue_of_a_leading_block(n, seed, exponent):
+    # At an eigenvalue mu of T's leading block T_k (k = 1, a middle k and
+    # n - 1) the k-th pivot changes sign between mu - eps and mu + eps, so
+    # phase 1 hands over there, and the value is the scaled pivot product
+    # to the bit.  Where mu is well apart from every eigenvalue of T and
+    # of the blocks before T_k, the handover is at pivot k, the counts
+    # return to 0 and the value is nonzero.  A block's eigenvector can have
+    # a last entry near 0, and then T or T_k-1 has an eigenvalue within
+    # 1e-14 of mu (about 1 in 1000 such mu here): that mu is a root of T
+    # by the singular rule, or the handover comes earlier.
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n)
+    e = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    m = DenseMatrix(a * 2.0**exponent)
+    form = _char_form(m).args[0]
+    diag, offdiag_sq = (list(column) for column in zip(*form.pairs))
+    old = SturmForm(diag, offdiag_sq, form.norm, form.scale, form.pivmin)
+    off = np.sqrt(offdiag_sq[1:])
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    apart = 0
+    for k in sorted({1, n // 2, n - 1}):
+        others = np.concatenate([np.linalg.eigvalsh(t[:j, :j]) for j in [*range(1, k), n]])
+        for mu in np.linalg.eigvalsh(t[:k, :k]).tolist():
+            lam = mu * form.scale
+            value, taken = _handovers(form, lam)
+            assert value.hex() == scaled_sturm_det(old, lam).hex()
+            assert taken and taken[0] <= k
+            if np.min(np.abs(others - mu)) > 1e-9:
+                apart += 1
+                assert taken == [k]
+                assert value != 0.0
+    assert apart
+
+
+@pytest.mark.parametrize("exponent", [-300, 0, 300])
+@pytest.mark.parametrize(
+    "a, lam, expected",
+    [
+        # 2 is an eigenvalue of T_1 = [2] but not of T: det(2I - M) = -1
+        ([[2.0, 1.0], [1.0, 2.0]], 2.0, -1.0),
+        # the one eigenvalue, of multiplicity n, where every pivot is 0
+        (np.zeros((5, 5)), 0.0, 0.0),
+        (np.eye(5), 1.0, 0.0),
+    ],
+)
+def test_sturm_det_hands_over_at_the_first_pivot(a, lam, expected, exponent):
+    s = 2.0**exponent
+    m = DenseMatrix(np.asarray(a) * s)
+    form = _char_form(m).args[0]
+    diag, offdiag_sq = (list(column) for column in zip(*form.pairs))
+    old = SturmForm(diag, offdiag_sq, form.norm, form.scale, form.pivmin)
+    value, taken = _handovers(form, lam * s)
+    assert taken == [1]
+    assert value == expected * s * s
+    assert value.hex() == scaled_sturm_det(old, lam * s).hex()
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("shape", ["random", "diagonal", "zero", "order_one"])
 def test_tridiagonal_interval_holds_the_spectrum(shape, seed):
@@ -1181,6 +1261,27 @@ def test_zero_matrix_reads_lam_to_the_n():
         for lam in (1e-300, -1e-300, 1e-160, -1e-160, 1e-100, 5e-324, -2.5):
             expected = math.prod([lam] * n) or math.copysign(5e-324, lam if n % 2 else 1.0)
             assert char_fn(m, lam) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("lam", [-1e10, 1e10])
+def test_sturm_det_reads_lam_to_the_n_where_lam_over_scale_overflows(n, lam):
+    # diag(1e-300, 2e-300, ...) has scale 2**-997, so mu = lam / scale is
+    # inf for |lam| = 1e10, far above every eigenvalue: the value is lam**n,
+    # with the sign of the exact determinant, as the general kernel reads
+    # it once one entry above the diagonal breaks the symmetry.
+    d = [1e-300 * (k + 1) for k in range(n)]
+    value = char_fn(DenseMatrix(np.diag(d)), lam)
+    assert value == math.prod([lam] * n)
+    assert math.copysign(1.0, value) == math.copysign(1.0, exact_char_det(np.diag(d), lam))
+    if n > 1:
+        general = np.diag(d)
+        general[0, 1] = 1e-301
+        assert _char_form(DenseMatrix(general)).func is _hessenberg_det
+        assert value == char_fn(DenseMatrix(general), lam)
+    # at scale 2**-1074, lam = +-1e-15 makes mu inf too, and lam**30
+    # underflows: the smallest subnormal of its sign, never 0.0
+    assert char_fn(DenseMatrix(np.diag([5e-324] * 30)), lam * 1e-25) == 5e-324
 
 
 def test_char_fn_at_eigenvalue_of_identity():
