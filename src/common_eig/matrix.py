@@ -25,7 +25,11 @@ depends on the matrix alone:
   reflectors has two nonzero entries, and LAPACK skips the zero tail, so
   most of a dense QR's O(n^3) work goes.  The direct call gives the values
   of ``np.linalg.qr`` bit for bit, the same routine on the same input with
-  the same workspace, without that wrapper's per-call overhead.
+  the same workspace, without that wrapper's per-call overhead.  The sign
+  of Q and all of the singular test but ``|R_nn|`` are read off G's
+  subdiagonal, once per matrix, where its smallest entry clears the
+  tolerance: the parity of its nonzero entries is that of the reflectors,
+  and each ``|R_kk|`` above the last is at least ``|g_{k+1,k}|``.
 
 The same reduction gives the form interval (``_form_interval``): the
 Gerschgorin interval of T for a symmetric matrix, the Bendixson interval,
@@ -68,9 +72,13 @@ PIVOT_RTOL = 1e-13
 # larger ones take a QR of it.  The elimination's O(n^2) Python arithmetic
 # beats one dgeqrf call on small orders and loses on larger ones.  Per
 # call on random matrices (x86-64, 2 shared cores, Python 3.11, numpy 2.4
-# with OpenBLAS, best of 6 rounds of 10 x 100 calls, 3 matrices per
-# order), the direct QR over the elimination: 2.1-2.7 at n = 3, 1.4-1.5
-# at 5, 1.0-1.25 at 7, 0.6-1.1 at 8, 0.7-1.1 at 9, 0.5-0.65 at 11.
+# with OpenBLAS, best of 3 x 6 interleaved rounds of 10 x 100 calls, 3
+# matrices per order, two runs), the direct QR over the elimination:
+# 2.0-2.5 at n = 3, 1.45-1.5 at 4, 1.0-1.45 at 5, 0.94-1.01 at 6,
+# 0.78-0.83 at 7, 0.71-0.76 at 8, 0.6-0.67 at 9, 0.48-0.54 at 11.  Since
+# the QR kernel reads its sign and most of its singular test off G, it
+# breaks even at order 6 and wins from 7; the switch stays at 8, as
+# moving it changes the values read at orders 7 and 8.
 _HESSENBERG_MAX_ORDER = 8
 
 # numpy's binding of LAPACK dgeqrf: it takes C-contiguous float64 arrays
@@ -439,7 +447,9 @@ def _hessenberg_det(head: tuple, rows: list[tuple], norm: float, bound: float, l
     return -det if swaps % 2 else det
 
 
-def _shifted_qr_det(neg_t: np.ndarray, lwork: int, norm: float, bound: float, lam: float) -> float:
+def _shifted_qr_det(
+    neg_t: np.ndarray, lwork: int, norm: float, bound: float, odd: bool, sub_min: float, lam: float
+) -> float:
     # One Householder QR, lam*I - G = Q*R, by one LAPACK dgeqrf call that
     # overwrites a fresh copy of the cached -G^T (-G in the column-major
     # layout LAPACK reads) with lam added on its diagonal.  Each reflector
@@ -449,19 +459,35 @@ def _shifted_qr_det(neg_t: np.ndarray, lwork: int, norm: float, bound: float, la
     # on every call, so no two calls write one array.  math.prod multiplies
     # in the same order as ndarray.prod but overflows to +-inf without a
     # warning.  norm is ||M||_inf, bound as in _hessenberg_det.
+    #
+    # The sign and most of the singular test are fixed by G alone.  lam*I - G
+    # is upper Hessenberg, and reflector k touches rows k and k+1 only, so
+    # when dgeqr2 (or, at order 128 and up, each panel of dgeqrf's blocked
+    # code) reaches column k, the part below its diagonal is still -g_{k+1,k}
+    # followed by exact zeros.  LAPACK dlarfg then takes tau_k == 0 exactly
+    # where g_{k+1,k} == 0, and tau == 0 for the last column, of order 1:
+    # odd is the parity of G's nonzero subdiagonal entries.  Elsewhere it
+    # sets |R_kk| = dlapy2(alpha_k, |g_{k+1,k}|) >= |g_{k+1,k}|: the norm of
+    # one nonzero entry is its magnitude, dlapy2 is at least its larger
+    # argument, and the rescaling of a tiny column is by powers of two,
+    # under monotone rounding.  So where the smallest |g_{k+1,k}|, sub_min,
+    # exceeds tol, no |R_kk| above R_nn can meet the singular rule, and the
+    # test of R_nn alone reads what the test of all of diag(R) reads; the
+    # factor 2 is slack on that bound.  Every value, exact zero and sign is
+    # the same, bit for bit (tests pin both facts on np.linalg.qr).
     if math.isinf(abs(lam) + bound):
         raise ValueError(_SHIFT_OVERFLOW)
     n = neg_t.shape[0]
     a = neg_t.copy()
     diagonal = a.ravel()[:: n + 1]  # a view, which dgeqrf fills with diag(R)
     diagonal += lam
-    tau = np.empty(n)
-    _dgeqrf(n, n, a, n, tau, np.empty(lwork), lwork, 0)
+    _dgeqrf(n, n, a, n, np.empty(n), np.empty(lwork), lwork, 0)
     diag = diagonal.tolist()
-    if min(map(abs, diag)) <= PIVOT_RTOL * (abs(lam) + norm):
+    tol = PIVOT_RTOL * (abs(lam) + norm)
+    if abs(diag[-1]) <= tol if sub_min > 2.0 * tol else min(map(abs, diag)) <= tol:
         return 0.0
     det = math.prod(diag) or _full_prod(diag)
-    return -det if np.count_nonzero(tau) % 2 else det
+    return -det if odd else det
 
 
 def _pivots(form: _Tridiagonal, mu: float):
@@ -678,7 +704,12 @@ def _char_form(matrix: DenseMatrix) -> partial:
                 matrix._form = partial(_hessenberg_det, head, rows, norm, bound)
             else:
                 lwork = _geqrf_lwork(matrix.order)
-                matrix._form = partial(_shifted_qr_det, neg.T.copy(), lwork, norm, bound)
+                sub = neg.diagonal(-1)  # -g_{k+1,k}
+                odd = bool(np.count_nonzero(sub) % 2)
+                sub_min = float(abs(sub).min())
+                matrix._form = partial(
+                    _shifted_qr_det, neg.T.copy(), lwork, norm, bound, odd, sub_min
+                )
     return matrix._form
 
 

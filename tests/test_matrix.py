@@ -412,7 +412,7 @@ def test_char_fn_exact_zero_on_inexact_grid_point():
     assert np.linalg.det(lam * np.eye(n) - big) != 0.0
     form = _char_form(DenseMatrix(big))
     assert form.func is _shifted_qr_det
-    _, _, norm, _ = form.args
+    _, _, norm, _, _, _ = form.args
     assert norm == float(abs(big).sum(axis=1).max())
     assert char_fn(DenseMatrix(big), lam) == 0.0
     sym = _rotated_symmetric(np.random.default_rng(3), [0.3, -2.0, -1.0, 1.0, 2.5, 4.0])
@@ -489,7 +489,7 @@ def test_char_fn_one_ulp_asymmetry_takes_qr_path():
     m = DenseMatrix(a)
     form = _char_form(m)
     assert form.func is _shifted_qr_det
-    _, _, norm, _ = form.args
+    _, _, norm, _, _, _ = form.args
     assert norm == float(abs(a).sum(axis=1).max())
     for lam in (-2.0, 0.25, 1.0, 4.0):
         shifted = lam * np.eye(n) - a
@@ -596,11 +596,17 @@ def test_char_fn_fills_its_cache_slot_once(monkeypatch, path):
     assert len(calls) == 1
     if path == "qr":
         # -G^T, C-contiguous: -G in the column-major layout LAPACK reads
-        neg_t, lwork, norm, bound = form.args
+        neg_t, lwork, norm, bound, odd, sub_min = form.args
         assert form.func is _shifted_qr_det and norm == 7.0
         assert neg_t.flags.c_contiguous and np.array_equal(neg_t, compute(a).T)
         assert lwork >= a.shape[0]
         assert bound == max(norm, float(abs(neg_t.diagonal()).max()))
+        # G's subdiagonal, the superdiagonal of -G^T, is exactly zero at the
+        # two block boundaries: six nonzero entries, an even count, and a
+        # smallest magnitude of 0
+        sub = neg_t.diagonal(1)
+        assert np.count_nonzero(sub) == 6 and odd is False
+        assert sub_min == float(abs(sub).min()) == 0.0
     elif path == "hessenberg":
         assert form.func is _hessenberg_det and form.args[2] == 7.0
     else:
@@ -1138,6 +1144,45 @@ def test_on_grid_eigenvalues_of_large_general_matrices_are_exact_zeros(multiplic
                 assert min(abs(r.value - x) for r in roots) <= width_tol
 
 
+def _qr_fallback_inputs(rng, n, lattice):
+    """``(entries, lams, zeros)`` above _HESSENBERG_MAX_ORDER on which the QR
+    kernel's shortcut falls back to the full singular test: G has exact
+    zeros on its subdiagonal, or a smallest subdiagonal entry near the
+    singular tolerance.  ``zeros`` are the lams in ``lams`` at which
+    ``char_fn`` must read exactly 0.0."""
+    lams = lattice + rng.uniform(-4, 4, 10).tolist()
+    # block diagonal: G's subdiagonal is exactly zero at each block
+    # boundary, which changes the parity of its nonzero entries at n = 12
+    # and 60
+    k = 3 if n % 3 == 0 else 2
+    inputs = [(np.kron(np.eye(n // k), rng.uniform(-3, 3, (k, k))), lams, [])]
+    # triangular, with eigenvalues on lattice points: G's subdiagonal is all
+    # zero, an even count where n - 1 is odd, and the zero |R_kk| of an
+    # eigenvalue sits anywhere on diag(R)
+    tri = np.triu(rng.uniform(-3, 3, (n, n)), 1)
+    tri[range(n), range(n)] = rng.choice(lattice, n)
+    inputs.append((tri, lams, sorted(set(tri.diagonal().tolist()))))
+    # G upper Hessenberg with g_00 on a lattice point lam0 and g_10 = eps,
+    # the smallest subdiagonal entry: at lam0 the first column of
+    # lam0*I - G is (0, -eps, 0, ...), so |R_00| = eps exactly.  M is
+    # J*G^T*J, itself upper Hessenberg, so its form is G exactly.  eps
+    # sits one ulp below, on and one ulp above tol and 2*tol at lam0, on
+    # either side of the singular rule and of the shortcut's margin.
+    g = np.triu(rng.uniform(-3, 3, (n, n)))
+    g[range(1, n), range(n - 1)] = rng.uniform(1, 3, n - 1) * rng.choice([-1, 1], n - 1)
+    lam0 = g[0, 0] = lattice[int(rng.integers(len(lattice)))]
+    g[1, 0] = 0.0
+    norm = _norm_inf(g.T[::-1, ::-1].copy())
+    tol = PIVOT_RTOL * (abs(lam0) + norm)
+    for edge in (tol, 2.0 * tol):
+        for eps in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+            g[1, 0] = eps
+            entries = g.T[::-1, ::-1].copy()
+            assert _norm_inf(entries) == norm
+            inputs.append((entries, [lam0, *lams[::7]], [lam0] if eps <= tol else []))
+    return inputs
+
+
 @pytest.mark.parametrize("n", [9, 12, 60, 130])
 def test_direct_qr_matches_numpy_qr_bitwise(n):
     # Above _HESSENBERG_MAX_ORDER each call is one LAPACK dgeqrf through
@@ -1145,17 +1190,60 @@ def test_direct_qr_matches_numpy_qr_bitwise(n):
     # its values must be those of np.linalg.qr on lam*I - G bit for bit,
     # at random lam and at the planted on-grid eigenvalues, which read as
     # exact zeros.  Order 130 is past LAPACK's blocking crossover (128),
-    # where the cached workspace size picks the blocked code.
+    # where the cached workspace size picks the blocked code.  The kernel
+    # reads its sign and most of its singular test off G's subdiagonal, so
+    # the inputs also include G with exact zeros there and G whose
+    # smallest subdiagonal entry sits at the singular tolerance, where it
+    # falls back to the full test, at scales 2**-300, 1 and 2**300.
     rng = np.random.default_rng(n)
     lo, step = -3.0, 0.1
     m, grid = _on_grid_general(rng, n, 1, lo, step)
-    assert _char_form(m).func is _shifted_qr_det
-    neg, norm = _hessenberg(m.entries), _norm_inf(m.entries)
-    for lam in grid + [lo + k * step for k in range(61)] + rng.uniform(-4, 4, 20).tolist():
-        shifted = neg.copy()
-        shifted.flat[:: n + 1] += lam
-        assert char_fn(m, lam).hex() == numpy_qr_det(shifted, abs(lam) + norm).hex()
-    assert [char_fn(m, x) for x in grid] == [0.0] * len(grid)
+    lattice = [lo + k * step for k in range(61)]
+    cases = [(m, grid + lattice + rng.uniform(-4, 4, 20).tolist(), grid)]
+    inputs = _qr_fallback_inputs(rng, n, lattice)
+    for scale in (2.0**-300, 1.0, 2.0**300):
+        for entries, lams, zeros in inputs:
+            m = DenseMatrix(scale * entries)
+            cases.append((m, [scale * x for x in lams], [scale * x for x in zeros]))
+    for m, lams, grid in cases:
+        assert _char_form(m).func is _shifted_qr_det
+        neg, norm = _hessenberg(m.entries), _norm_inf(m.entries)
+        for lam in lams:
+            shifted = neg.copy()
+            shifted.flat[:: n + 1] += lam
+            assert char_fn(m, lam).hex() == numpy_qr_det(shifted, abs(lam) + norm).hex()
+        assert [char_fn(m, x) for x in grid] == [0.0] * len(grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(9, 130),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-300, 300),
+    special=st.sampled_from([0.0, -0.0, 1e-300, 2.0**-1022, 1e-310, 5e-324]),
+    share=st.floats(0.0, 1.0),
+    on_diagonal=st.booleans(),
+)
+def test_householder_qr_of_a_hessenberg_matrix_follows_its_subdiagonal(
+    n, seed, exponent, special, share, on_diagonal
+):
+    # The two LAPACK facts _shifted_qr_det reads off G, pinned on
+    # np.linalg.qr(lam*I - G): reflector k is the identity (tau_k == 0)
+    # exactly where g_{k+1,k} == 0, and the last one always, so the parity
+    # of the nonzero tau is that of G's nonzero subdiagonal; and
+    # |R_kk| >= |g_{k+1,k}| for every k < n - 1.  G is upper Hessenberg at
+    # scale 2**exponent, with a share of its subdiagonal replaced by a
+    # zero, tiny or subnormal entry of either sign; lam is random or a
+    # diagonal entry of G, where a column of lam*I - G starts with 0.
+    rng = np.random.default_rng(seed)
+    g = np.triu(rng.uniform(-3, 3, (n, n)), -1) * 2.0**exponent
+    picked = np.flatnonzero(rng.uniform(size=n - 1) < share)
+    g[picked + 1, picked] = special * rng.choice([-1.0, 1.0], len(picked))
+    lam = float(rng.choice(g.diagonal()) if on_diagonal else rng.uniform(-4, 4) * 2.0**exponent)
+    h, tau = np.linalg.qr(lam * np.eye(n) - g, mode="raw")
+    sub = g.diagonal(-1)
+    assert np.array_equal(tau != 0, np.append(sub != 0, False))
+    assert np.all(abs(h.diagonal()[:-1]) >= abs(sub))
 
 
 @pytest.mark.parametrize("n", [6, 60])
